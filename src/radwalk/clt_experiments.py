@@ -173,7 +173,8 @@ def _fast_chunk_q1(nu: RadialLaw, n: int, p: int, m: int, rng: np.random.Generat
     for _ in range(n):
         radii = nu.draw_radii(m, rng)[:, 0, 0]
         u = uniform_sphere_cosine(p, m, rng)
-        cross = 2.0 * np.sqrt(s2) * radii * u
+        # at p = 1, u = -1 can cancel s2 to a rounding error below zero
+        cross = 2.0 * np.sqrt(np.maximum(s2, 0.0)) * radii * u
         if validate:
             b_direct += cross
         s2 = s2 + cross + radii * radii
@@ -325,11 +326,15 @@ def _compare_covariance(emp: np.ndarray, se: np.ndarray, pred: np.ndarray, rel_t
     Band per entry is max(5 stderr, rel_tol * |pred entry|).  A prediction
     that is exactly zero (degenerate limit) is checked purely against the
     stderr band.  The verdict degrades to INCONCLUSIVE when the stderr
-    exceeds half the relative band at the matrix scale.
+    exceeds half the relative band at the matrix scale.  A non-finite
+    estimate or stderr fails outright, since every comparison with NaN is
+    false.
     """
     diff = emp - pred
     scale = float(np.abs(pred).max())
     rel_frob = frobenius_norm(diff) / frobenius_norm(pred) if scale > 0 else frobenius_norm(diff)
+    if not (np.all(np.isfinite(emp)) and np.all(np.isfinite(se))):
+        return "FAIL", rel_frob
     if scale == 0.0:
         verdict = "PASS" if np.all(np.abs(emp) <= 5.0 * se) else "FAIL"
         return verdict, rel_frob

@@ -10,6 +10,12 @@ Sampling the lift draws a radius r from the law and then a uniform point
 on the orbit {x : sqrt(x'x) = r} via the Gaussian polar construction
 Y = G (G'G)^{-1/2}, X = Y r, which inherits orthogonal invariance from G
 and needs only q x q eigenwork per draw.
+
+Monomial moments touch at most 8 rows, so their Monte Carlo draws only
+those rows: the top k rows of the frame are G_K (G_K'G_K + W)^{-1/2} with
+W ~ Wishart(p - k, I_q) drawn by Bartlett's decomposition.  Its time and
+memory are bounded by (chunk, k, q) arrays whatever p is; the full
+(count, p, q) sampler stays as the reference for the walk and the tests.
 """
 
 from __future__ import annotations
@@ -244,6 +250,9 @@ def uniform_sphere_cosine(p: int, size: int, rng: np.random.Generator) -> np.nda
 
 _RANK_TOL = 1e-12
 _MAX_RESAMPLES = 5
+# Samples per radial_moment_mc chunk: its largest arrays are (chunk, k, q)
+# and (chunk, q, q) floats, 0.25 MB per unit of k*q or q*q.
+_MOMENT_CHUNK = 32768
 
 
 def _orbit_batch(p: int, radii: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -264,6 +273,56 @@ def _orbit_batch(p: int, radii: np.ndarray, rng: np.random.Generator) -> np.ndar
     inv_sqrt = np.einsum("mij,mj,mkj->mik", v, 1.0 / np.sqrt(w), v)
     y = g @ inv_sqrt
     return y @ radii
+
+
+def _wishart_identity(dof: int, q: int, m: int, rng: np.random.Generator) -> np.ndarray:
+    """(m, q, q) draws of Wishart(dof, I_q), in O(q^2) work per draw whatever dof is.
+
+    For dof >= q, Bartlett's decomposition (Odell & Feiveson, JASA 1966):
+    W = L L' with L lower triangular, L_ii = sqrt(chi2(dof - i)) and
+    N(0, 1) entries below the diagonal.  For dof < q the law is singular
+    and W = H'H is built from a (dof, q) Gaussian H drawn directly.
+    """
+    if dof < q:
+        h = rng.standard_normal((m, dof, q))
+        return np.einsum("mki,mkj->mij", h, h)
+    low = np.tril(rng.standard_normal((m, q, q)), -1)
+    diag = np.sqrt(rng.chisquare(dof - np.arange(q), size=(m, q)))
+    low[:, np.arange(q), np.arange(q)] = diag
+    return low @ low.transpose(0, 2, 1)
+
+
+def _stiefel_rows(p: int, k: int, q: int, m: int, rng: np.random.Generator) -> np.ndarray:
+    """(m, k, q) draws of the top k rows of a uniform p x q Stiefel frame.
+
+    The frame G (G'G)^{-1/2} of a p x q Gaussian G splits its Gram matrix
+    as G'G = G_K'G_K + G_R'G_R, where G_K holds the top k rows and the
+    independent remainder G_R'G_R follows Wishart(p - k, I_q).  So the top
+    rows are G_K (G_K'G_K + W)^{-1/2} with W drawn by
+    :func:`_wishart_identity`, and cost and memory depend on k and q, not
+    on p.  By orthogonal invariance any k fixed rows have this law, which
+    is all a monomial moment needs (the k rows it touches) and all a
+    q x q Gram-state walk update needs (k = q: the block Q_S'U of a fresh
+    step U against the walk's frame Q_S).
+    """
+    if p < q:
+        raise BadArity(f"need p >= q, got p={p}, q={q}")
+    if not 1 <= k <= p:
+        raise BadArity(f"need 1 <= k <= p, got k={k}, p={p}")
+    g = rng.standard_normal((m, k, q))
+    gm = np.einsum("mki,mkj->mij", g, g) + _wishart_identity(p - k, q, m, rng)
+    for _ in range(_MAX_RESAMPLES):
+        w, v = np.linalg.eigh(gm)
+        bad = w[:, 0] <= _RANK_TOL * w[:, -1]
+        if not bad.any():
+            break
+        nbad = int(bad.sum())
+        g[bad] = rng.standard_normal((nbad, k, q))
+        gm[bad] = np.einsum("mki,mkj->mij", g[bad], g[bad]) + _wishart_identity(p - k, q, nbad, rng)
+    else:
+        raise RankDeficient(f"Gram matrix stayed singular after {_MAX_RESAMPLES} resamples (p={p}, q={q})")
+    inv_sqrt = np.einsum("mij,mj,mkj->mik", v, 1.0 / np.sqrt(w), v)
+    return g @ inv_sqrt
 
 
 def sample_uniform_orbit(p: int, r, rng: np.random.Generator) -> np.ndarray:
@@ -315,10 +374,14 @@ def kappa_all_rows_even(kappa) -> bool:
     return all(s % 2 == 0 for s in rows.values())
 
 
-def radial_moment_mc(p: int, nu: RadialLaw, kappa, trials: int, rng: np.random.Generator,
-                     chunk_size: int = 32768) -> tuple[float, float]:
+def radial_moment_mc(p: int, nu: RadialLaw, kappa, trials: int,
+                     rng: np.random.Generator) -> tuple[float, float]:
     """Monte Carlo estimate of the monomial moment E[prod X_ij^kappa_ij]
-    under the lifted law, with its standard error."""
+    under the lifted law, with its standard error.
+
+    Only the distinct rows that kappa touches are drawn (at most 8, by
+    :func:`_stiefel_rows`), so time and memory do not depend on p.
+    """
     kap = normalize_kappa(kappa)
     weight = sum(kap.values())
     if weight == 0 or weight > 8:
@@ -328,13 +391,16 @@ def radial_moment_mc(p: int, nu: RadialLaw, kappa, trials: int, rng: np.random.G
     for i, j in kap:
         if i >= p or j >= nu.q:
             raise BadArity(f"kappa index ({i},{j}) outside {p}x{nu.q}")
+    rows = sorted({i for i, _ in kap})
+    local = {(rows.index(i), j): e for (i, j), e in kap.items()}
     vals = np.empty(trials)
     done = 0
     while done < trials:
-        m = min(chunk_size, trials - done)
-        x = sample_radial_batch(p, nu, m, rng).samples
+        m = min(_MOMENT_CHUNK, trials - done)
+        radii = nu.draw_radii(m, rng)
+        x = _stiefel_rows(p, len(rows), nu.q, m, rng) @ radii
         mono = np.ones(m)
-        for (i, j), e in kap.items():
+        for (i, j), e in local.items():
             mono *= x[:, i, j] ** e
         vals[done : done + m] = mono
         done += m

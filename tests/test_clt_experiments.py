@@ -6,6 +6,7 @@ from radwalk import BadArity, TooFewSamples
 from radwalk.clt_experiments import (
     CHUNK_TRIALS,
     WalkConfig,
+    _compare_covariance,
     _fast_chunk_q1,
     _walk_chunk,
     estimate_covariance,
@@ -164,6 +165,28 @@ def test_verify_clt_exact_check_passes():
     assert rep.overall == "PASS"
     target = sigma_nu(TWO_POINT)[0, 0] + 29 / 900 * t_nu(TWO_POINT)[0, 0]
     assert rep.predicted_exact[0, 0] == pytest.approx(target, rel=1e-12)
+
+
+def test_fast_path_p1_covariance_is_finite():
+    # at p = 1 the cosine is +-1, so a step can cancel the walk to a rounding
+    # error below zero; the square root of that must not turn into NaN.  At
+    # 2048 trials the stderr (about 8 % of the variance) only allows a PASS
+    # at a 20 % relative band; at the default 5 % the verdict is INCONCLUSIVE.
+    cfg = WalkConfig(nu=TWO_POINT, n=50, p=1, trials=2048, regime="CLT_I", seed=20240811,
+                     fast_path=True)
+    rep = verify_clt(cfg, checks=("exact",), rel_tol=0.2)
+    assert np.all(np.isfinite(rep.empirical_cov))
+    assert np.all(np.isfinite(rep.stderr))
+    assert rep.verdicts["exact_covariance"] == "PASS"
+
+
+def test_compare_covariance_nan_fails():
+    se = np.array([[0.1]])
+    for pred in (np.zeros((1, 1)), np.ones((1, 1))):  # zero-prediction and band branches
+        verdict, _ = _compare_covariance(np.array([[np.nan]]), se, pred, 0.05)
+        assert verdict == "FAIL"
+        verdict, _ = _compare_covariance(pred.copy(), np.array([[np.nan]]), pred, 0.05)
+        assert verdict == "FAIL"
 
 
 def test_verify_clt_inconclusive_below_trial_floor():

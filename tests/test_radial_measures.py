@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import integrate, stats
@@ -6,6 +8,8 @@ from radwalk import BadArity, NotPSD, RankDeficient
 from radwalk.matrix_core import frobenius_norm, gram
 from radwalk.radial_measures import (
     RadialLaw,
+    _orbit_batch,
+    _stiefel_rows,
     kappa_all_rows_even,
     normalize_kappa,
     phi,
@@ -242,13 +246,48 @@ def test_orbit_rank_deficient_after_retries():
         def standard_normal(self, shape):
             return np.zeros(shape)
 
+        def chisquare(self, df, size):
+            return np.zeros(size)
+
     with pytest.raises(RankDeficient):
         sample_uniform_orbit(4, np.eye(2), ZeroRng())
+    for p, k in ((4, 1), (2, 2), (3, 2)):  # Bartlett, empty and direct Wishart parts
+        with pytest.raises(RankDeficient):
+            _stiefel_rows(p, k, 2, 3, ZeroRng())
 
 
 def test_p_smaller_than_q_rejected():
     with pytest.raises(BadArity):
         sample_uniform_orbit(1, np.eye(2), np.random.default_rng(0))
+    with pytest.raises(BadArity):
+        _stiefel_rows(1, 1, 2, 10, np.random.default_rng(0))
+    with pytest.raises(BadArity):
+        _stiefel_rows(3, 4, 2, 10, np.random.default_rng(0))
+
+
+def _orbit_rows_oracle(p, k, q, m, rng, chunk=25_000):
+    # the full (m, p, q) frame, drawn in chunks to keep the oracle's memory small
+    parts = [_orbit_batch(p, np.broadcast_to(np.eye(q), (c, q, q)), rng)[:, :k, :]
+             for c in (min(chunk, m - start) for start in range(0, m, chunk))]
+    return np.concatenate(parts)
+
+
+@pytest.mark.parametrize("p,k,q", [(1, 1, 1), (2, 2, 2), (3, 1, 2), (5, 3, 2), (40, 2, 3)])
+def test_stiefel_rows_match_full_frame(p, k, q):
+    # the edge shapes: p = 1, p - k = 0, 0 < p - k < q (singular Wishart), Bartlett
+    m = 200_000
+    rng = np.random.default_rng(1000 + 100 * p + 10 * k + q)
+    fast = _stiefel_rows(p, k, q, m, rng)
+    full = _orbit_rows_oracle(p, k, q, m, rng)
+    assert fast.shape == full.shape == (m, k, q)
+    a, b = fast.reshape(m, -1), full.reshape(m, -1)
+    for col in range(k * q):
+        assert stats.ks_2samp(a[:, col], b[:, col]).pvalue > 1e-4
+    for power in (2, 4):
+        ap, bp = a**power, b**power
+        diff = ap.mean(axis=0) - bp.mean(axis=0)
+        se = np.sqrt((ap.var(ddof=1, axis=0) + bp.var(ddof=1, axis=0)) / m)
+        assert np.all(np.abs(diff) <= 4.5 * se + 1e-12)
 
 
 def test_normalize_kappa_and_parity():
@@ -269,6 +308,24 @@ def test_moment_mc_exact_inverse_p_law():
     for p in (8, 32):
         est, se = radial_moment_mc(p, RadialLaw.point_mass(1.0), {(0, 0): 2}, 40_000, rng)
         assert abs(est - 1.0 / p) <= 4.0 * se
+        # two rows away from the top: E[u_i^2 u_j^2] = 1 / (p (p + 2)) on the unit sphere
+        est, se = radial_moment_mc(p, RadialLaw.point_mass(1.0), {(p - 1, 0): 2, (3, 0): 2},
+                                   40_000, rng)
+        assert abs(est - 1.0 / (p * (p + 2))) <= 4.0 * se
+
+
+def test_moment_mc_memory_does_not_grow_with_p():
+    # the full (20000, 10^6, 2) sample would take about 0.3 TB
+    p = 10**6
+    rng = np.random.default_rng(88)
+    tracemalloc.start()
+    try:
+        est, se = radial_moment_mc(p, Q2_ATOMS, {(0, 0): 2}, 20_000, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert abs(est - r2(Q2_ATOMS)[0, 0] / p) <= 6.0 * se
 
 
 def test_moment_mc_validates_inputs():

@@ -8,13 +8,10 @@ from .clt_experiments import (
     CovarianceEstimate,
     ExperimentReport,
     MomentDecayReport,
-    TrialStatistics,
     WalkConfig,
     estimate_covariance,
-    fast_walk_trial_q1,
     moment_decay_experiment,
     predict_covariances,
-    run_walk_trial,
     trial_stream,
     verify_clt,
 )

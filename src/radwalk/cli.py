@@ -2,11 +2,14 @@
 and emit machine-readable reports.
 
 Manifests are JSON: a suite name, a master seed, and a list of entries.
-Each entry has a unique ``id`` and a ``kind``:
+Each entry has a unique ``id``, which names its report file and so must be
+a plain file name, and a ``kind``:
 
 * ``clt`` -- a walk experiment: ``regime`` (CLT_I | CLT_II | MIXED), ``n``,
-  ``p``, ``trials``, ``law``, optional ``c``, ``fast_path``, ``checks``
-  (subset of ["exact", "limit", "ks"]), ``rel_tol``.
+  ``p``, ``trials``, ``law``, optional ``c`` (>= 0), ``checks`` (a list,
+  subset of ["exact", "limit", "ks"]), ``rel_tol`` (> 0) and ``fast_path``:
+  true (the default, any q) runs the Gram-state kernel, which tracks only
+  the q x q Gram matrix of the walk; false runs the direct p x q walk.
 * ``moments`` -- a monomial-moment sweep: ``law``, ``kappa`` (list of
   ``[[row, col], exponent]``), ``p_grid``, ``trials``.
 * ``selftest`` -- the exact-identity suites, optional ``cases``.
@@ -14,6 +17,9 @@ Each entry has a unique ``id`` and a ``kind``:
 Laws are ``{"q": q, "atoms": [{"weight": w, "radius": [row-major]}]}`` or
 ``{"family": name, "params": {...}}`` with families ``point_mass``,
 ``two_point``, ``uniform_interval``.
+
+Every entry is validated before the first one runs, so a bad manifest
+exits with code 2 and a message naming the field, with nothing written.
 
 Every output file embeds the tool version, the master seed, and a SHA-256
 hash of the manifest.  Outputs are byte-identical for a fixed (manifest,
@@ -28,8 +34,9 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import sys
-from math import factorial
+from math import factorial, isfinite
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +60,9 @@ DEFAULT_SELFTEST_SEED = 20240811
 
 CSV_COLUMNS = ("id", "regime", "n", "p", "q", "predicted_var", "empirical_var",
                "stderr", "rel_frob_err", "ks_stat", "verdict")
+CHECKS = ("exact", "limit", "ks")
+# an entry id names its report file, so it must stay a plain file name
+_ID_PATTERN = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]*")
 
 
 class ManifestError(Exception):
@@ -82,6 +92,15 @@ def _as_int(value, path, minimum=None):
     if minimum is not None and value < minimum:
         raise ManifestError(f"{path}: must be >= {minimum}, got {value}")
     return value
+
+
+def _as_nonnegative(value, path, positive=False):
+    """A finite JSON number that is >= 0, or > 0 when ``positive``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not isfinite(value):
+        raise ManifestError(f"{path}: expected a finite number, got {value!r}")
+    if value < 0 or (positive and value == 0):
+        raise ManifestError(f"{path}: must be {'> 0' if positive else '>= 0'}, got {value}")
+    return float(value)
 
 
 def _parse_law(cfg, path):
@@ -126,8 +145,9 @@ def load_manifest(path):
         if not isinstance(entry, dict):
             raise ManifestError(f"{path_i}: expected an object")
         eid = _require(entry, "id", path_i)
-        if not isinstance(eid, str) or not eid:
-            raise ManifestError(f"{path_i}.id: expected a nonempty string")
+        if not isinstance(eid, str) or not _ID_PATTERN.fullmatch(eid):
+            raise ManifestError(f"{path_i}.id: expected a file name of letters, digits, '_', '.' "
+                                f"and '-' that starts with a letter or digit, got {eid!r}")
         if eid in seen:
             raise ManifestError(f"{path_i}.id: duplicate id {eid!r}")
         seen.add(eid)
@@ -144,18 +164,21 @@ def _build_walk_config(entry, path, master_seed):
     p = _as_int(_require(entry, "p", path), f"{path}.p", minimum=1)
     trials = _as_int(_require(entry, "trials", path), f"{path}.trials", minimum=100)
     c = entry.get("c")
-    fast_path = entry.get("fast_path", law.q == 1)
-    checks = tuple(entry.get("checks", ["exact", "limit", "ks"]))
-    for chk in checks:
-        if chk not in ("exact", "limit", "ks"):
-            raise ManifestError(f"{path}.checks: unknown check {chk!r}")
-    rel_tol = float(entry.get("rel_tol", 0.05))
+    if c is not None:
+        c = _as_nonnegative(c, f"{path}.c")
+    fast_path = entry.get("fast_path", True)
+    if not isinstance(fast_path, bool):
+        raise ManifestError(f"{path}.fast_path: expected true or false, got {fast_path!r}")
+    checks = entry.get("checks", list(CHECKS))
+    if not isinstance(checks, list) or any(chk not in CHECKS for chk in checks):
+        raise ManifestError(f"{path}.checks: expected a list of checks from {list(CHECKS)}, got {checks!r}")
+    rel_tol = _as_nonnegative(entry.get("rel_tol", 0.05), f"{path}.rel_tol", positive=True)
     try:
         cfg = WalkConfig(nu=law, n=n, p=p, trials=trials, regime=regime, c=c,
-                         seed=master_seed, fast_path=bool(fast_path))
+                         seed=master_seed, fast_path=fast_path)
     except RadwalkError as exc:
         raise ManifestError(f"{path}: {exc}") from exc
-    return cfg, checks, rel_tol
+    return cfg, tuple(checks), rel_tol
 
 
 def _meta(master_seed, config_hash):
@@ -172,7 +195,7 @@ def _summary_scalar(matrix: np.ndarray, q: int) -> float:
     return float(m[0, 0]) if q == 1 else float(np.linalg.norm(m))
 
 
-def _run_moments_entry(entry, path, master_seed):
+def _parse_moments_entry(entry, path):
     law = _parse_law(_require(entry, "law", path), f"{path}.law")
     kappa = _parse_kappa(_require(entry, "kappa", path), f"{path}.kappa")
     p_grid = _require(entry, "p_grid", path)
@@ -182,10 +205,16 @@ def _run_moments_entry(entry, path, master_seed):
     even = kappa_all_rows_even(kappa)
     if even and len(p_grid) < 3:
         raise ManifestError(f"{path}.p_grid: decay slope needs at least 3 points")
-    rng = trial_stream(master_seed, _entry_tag(entry["id"]), 0)
-    report = moment_decay_experiment(law, kappa, p_grid, trials, rng)
-    verdict = _moments_verdict(report)
-    return report, verdict
+    return law, kappa, p_grid, trials
+
+
+def _parse_entry(entry, path, master_seed):
+    """Validate one entry into the arguments its runner takes."""
+    if entry["kind"] == "clt":
+        return _build_walk_config(entry, path, master_seed)
+    if entry["kind"] == "moments":
+        return _parse_moments_entry(entry, path)
+    return _as_int(entry.get("cases", 50), f"{path}.cases", minimum=1)
 
 
 def _moments_verdict(report) -> str:
@@ -198,19 +227,24 @@ def _moments_verdict(report) -> str:
 def cmd_clt(manifest_path, out_dir, seed_override=None, workers=None,
             validate_decomposition=False) -> int:
     """Run every manifest entry, write one JSON report per entry plus the
-    suite CSV, and return 0 only if all verdicts PASS."""
+    suite CSV, and return 0 only if all verdicts PASS.
+
+    Every entry is validated before the first one runs, so a bad entry
+    raises :class:`ManifestError` with nothing computed or written.
+    """
     doc, config_hash = load_manifest(manifest_path)
     master_seed = int(seed_override) if seed_override is not None else int(doc["seed"])
+    entries = doc.get("entries", [])
+    parsed = [_parse_entry(entry, f"entries[{i}]", master_seed) for i, entry in enumerate(entries)]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     all_pass = True
-    for i, entry in enumerate(doc.get("entries", [])):
-        path_i = f"entries[{i}]"
+    for entry, args in zip(entries, parsed):
         eid = entry["id"]
         kind = entry["kind"]
         if kind == "clt":
-            cfg, checks, rel_tol = _build_walk_config(entry, path_i, master_seed)
+            cfg, checks, rel_tol = args
             report = verify_clt(cfg, workers=workers, validate_decomposition=validate_decomposition,
                                 stream_tag=_entry_tag(eid), checks=checks, rel_tol=rel_tol)
             _write_json(out / f"{eid}.json", {"meta": _meta(master_seed, config_hash),
@@ -227,14 +261,14 @@ def cmd_clt(manifest_path, out_dir, seed_override=None, workers=None,
             ))
             all_pass &= report.overall == "PASS"
         elif kind == "moments":
-            report, verdict = _run_moments_entry(entry, path_i, master_seed)
+            report = moment_decay_experiment(*args, trial_stream(master_seed, _entry_tag(eid), 0))
+            verdict = _moments_verdict(report)
             _write_json(out / f"{eid}.json", {"meta": _meta(master_seed, config_hash),
                                               "entry_id": eid, "verdict": verdict,
                                               "report": report.to_dict()})
             all_pass &= verdict == "PASS"
         else:  # selftest
-            cases = entry.get("cases", 50)
-            results = run_selftest_suites(seed=master_seed, cases=int(cases))
+            results = run_selftest_suites(seed=master_seed, cases=args)
             ok = all(passed for _, passed, _ in results)
             _write_json(out / f"{eid}.json", {"meta": _meta(master_seed, config_hash),
                                               "entry_id": eid,

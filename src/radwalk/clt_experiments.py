@@ -15,6 +15,12 @@ hold exactly, and the trial covariances satisfy the exact finite-n identity
 with zero cross-covariance between the parts: every cross term carries a
 factor that is odd in some row of one step, so its expectation vanishes.
 
+Xi_n depends on the walk only through its q x q Gram matrix S_k'S_k, which
+by orthogonal invariance is a Markov chain of its own.  The default kernel
+(``fast_path=True``) runs that chain, at a cost per step that does not
+depend on p; the direct kernel (``fast_path=False``) materializes the
+p x q walk and stays as the reference the tests compare against.
+
 Trials are split into fixed-size chunks; each chunk owns a counter-based
 random stream keyed by (seed, stream tag, chunk index), so results are
 bit-identical for a fixed seed regardless of how chunks are scheduled
@@ -36,6 +42,7 @@ from .matrix_core import frobenius_norm
 from .radial_measures import (
     RadialLaw,
     _orbit_batch,
+    _stiefel_rows,
     kappa_all_rows_even,
     kappa_weight,
     r2,
@@ -49,13 +56,10 @@ __all__ = [
     "CHUNK_TRIALS",
     "REGIMES",
     "WalkConfig",
-    "TrialStatistics",
     "CovarianceEstimate",
     "ExperimentReport",
     "MomentDecayReport",
     "trial_stream",
-    "run_walk_trial",
-    "fast_walk_trial_q1",
     "predict_covariances",
     "estimate_covariance",
     "verify_clt",
@@ -80,7 +84,7 @@ class WalkConfig:
     regime: str
     c: float | None = None
     seed: int = 0
-    fast_path: bool = False
+    fast_path: bool = True  # Gram-state kernel; False runs the direct p x q walk
 
     def __post_init__(self):
         if self.regime not in REGIMES:
@@ -89,8 +93,6 @@ class WalkConfig:
             raise BadArity(f"need p >= q, got p={self.p}, q={self.nu.q}")
         if self.trials < 100:
             raise BadArity(f"need trials >= 100, got {self.trials}")
-        if self.fast_path and self.nu.q != 1:
-            raise BadArity("fast_path requires q = 1")
         if self.seed < 0:
             raise BadArity("seed must be nonnegative")
 
@@ -107,17 +109,6 @@ class WalkConfig:
         if self.c is not None:
             return float(self.c)
         return 0.0 if self.regime == "CLT_II" else self.n / self.p
-
-
-@dataclass
-class TrialStatistics:
-    """Per-trial row-stacked vectors of the statistic and its two parts."""
-
-    xi: np.ndarray  # (q*q,)
-    a: np.ndarray
-    b: np.ndarray
-    normalization: float
-    b_direct: np.ndarray | None = None
 
 
 @dataclass
@@ -138,7 +129,11 @@ def _sym_batch(m: np.ndarray) -> np.ndarray:
 
 def _walk_chunk(nu: RadialLaw, n: int, p: int, m: int, rng: np.random.Generator,
                 validate: bool = False):
-    """m direct-path trials; returns (xi, a, b, b_direct) as (m, q, q) arrays."""
+    """m direct-path trials; returns (xi, a, b, b_direct) as (m, q, q) arrays.
+
+    The full (m, p, q) walk is kept, so this costs O(n p q) per trial; it is
+    the reference the Gram-state kernel is tested against.
+    """
     q = nu.q
     r2m = r2(nu)
     s = np.zeros((m, p, q))
@@ -148,63 +143,60 @@ def _walk_chunk(nu: RadialLaw, n: int, p: int, m: int, rng: np.random.Generator,
         radii = nu.draw_radii(m, rng)
         x = _orbit_batch(p, radii, rng)
         if validate:
-            cross = np.einsum("mpi,mpj->mij", s, x)
+            cross = s.transpose(0, 2, 1) @ x
             b_direct += cross + cross.transpose(0, 2, 1)
         s += x
-        a += np.einsum("mpi,mpj->mij", x, x) - r2m
-    xi = _sym_batch(np.einsum("mpi,mpj->mij", s, s) - n * r2m)
+        # x'x rather than r r: keeps the frames' orthonormality under test
+        a += x.transpose(0, 2, 1) @ x - r2m
+    xi = _sym_batch(s.transpose(0, 2, 1) @ s - n * r2m)
     a = _sym_batch(a)
     return xi, a, xi - a, b_direct
 
 
-def _fast_chunk_q1(nu: RadialLaw, n: int, p: int, m: int, rng: np.random.Generator,
-                   validate: bool = False):
-    """m fast-path trials (q = 1): only the squared walk norm is tracked.
+def _gram_chunk(nu: RadialLaw, n: int, p: int, m: int, rng: np.random.Generator,
+                validate: bool = False):
+    """m Gram-state trials; returns (xi, a, b, b_direct) as (m, q, q) arrays.
 
-    Per step with current norm s and fresh radius r, the squared norm
-    updates as s^2 + 2 s r u + r^2, where u is the cosine between the walk
-    and the new step, distributed as the first coordinate of a uniform
-    point on the unit sphere in R^p.
+    Only G = S'S is tracked.  Write the walk as S = Q_S G^{1/2} with Q_S a
+    p x q orthonormal frame, and a fresh step as X = U r with U a uniform
+    frame independent of S.  Then S'X = G^{1/2} (Q_S'U) r, and by
+    orthogonal invariance Q_S'U has the law of the top q rows of a uniform
+    frame, which :func:`_stiefel_rows` draws in O(q^3) work whatever p is.
+    So with c = G^{1/2} W r the Gram matrix updates as
+
+        G <- G + c + c' + r r.
+
+    G^{1/2} comes from a batched eigh with eigenvalues clamped at 0, so
+    G = 0 at the first step and rank-deficient radii need no special case.
+    For q = 1 the same recursion is run on scalars: W is the cosine u
+    between the walk and the step, drawn by :func:`uniform_sphere_cosine`,
+    which is cheaper than a 1 x 1 frame and eigh per step.
     """
-    r2s = float(r2(nu)[0, 0])
-    s2 = np.zeros(m)
-    a = np.zeros(m)
-    b_direct = np.zeros(m) if validate else None
+    q = nu.q
+    r2m = r2(nu)
+    g = np.zeros((m, q, q))
+    a = np.zeros((m, q, q))
+    b_direct = np.zeros((m, q, q)) if validate else None
     for _ in range(n):
-        radii = nu.draw_radii(m, rng)[:, 0, 0]
-        u = uniform_sphere_cosine(p, m, rng)
-        # at p = 1, u = -1 can cancel s2 to a rounding error below zero
-        cross = 2.0 * np.sqrt(np.maximum(s2, 0.0)) * radii * u
+        radii = nu.draw_radii(m, rng)
+        if q == 1:
+            u = uniform_sphere_cosine(p, m, rng)[:, None, None]
+            # at p = 1, u = -1 can cancel g to a rounding error below zero
+            cross = 2.0 * np.sqrt(np.maximum(g, 0.0)) * radii * u
+            rr = radii * radii
+        else:
+            w, v = np.linalg.eigh(g)
+            root = (v * np.sqrt(np.maximum(w, 0.0))[:, None, :]) @ v.transpose(0, 2, 1)
+            c = root @ _stiefel_rows(p, q, q, m, rng) @ radii
+            cross = c + c.transpose(0, 2, 1)
+            rr = radii @ radii  # X'X = r'U'U r, and radii are symmetric
         if validate:
             b_direct += cross
-        s2 = s2 + cross + radii * radii
-        a += radii * radii - r2s
-    xi = s2 - n * r2s
-    shape = (m, 1, 1)
-    return (xi.reshape(shape), a.reshape(shape), (xi - a).reshape(shape),
-            None if b_direct is None else b_direct.reshape(shape))
-
-
-def run_walk_trial(cfg: WalkConfig, rng: np.random.Generator, validate: bool = False) -> TrialStatistics:
-    """One direct-path trial of the configured walk."""
-    xi, a, b, b_direct = _walk_chunk(cfg.nu, cfg.n, cfg.p, 1, rng, validate=validate)
-    return TrialStatistics(
-        xi=xi[0].reshape(-1), a=a[0].reshape(-1), b=b[0].reshape(-1),
-        normalization=cfg.scale,
-        b_direct=None if b_direct is None else b_direct[0].reshape(-1),
-    )
-
-
-def fast_walk_trial_q1(cfg: WalkConfig, rng: np.random.Generator, validate: bool = False) -> TrialStatistics:
-    """One fast-path trial; distributionally equal to the direct path for q = 1."""
-    if cfg.nu.q != 1:
-        raise BadArity("fast path requires q = 1")
-    xi, a, b, b_direct = _fast_chunk_q1(cfg.nu, cfg.n, cfg.p, 1, rng, validate=validate)
-    return TrialStatistics(
-        xi=xi[0].reshape(-1), a=a[0].reshape(-1), b=b[0].reshape(-1),
-        normalization=cfg.scale,
-        b_direct=None if b_direct is None else b_direct[0].reshape(-1),
-    )
+        g = g + cross + rr
+        a += rr - r2m
+    xi = _sym_batch(g - n * r2m)
+    a = _sym_batch(a)
+    return xi, a, xi - a, b_direct
 
 
 def predict_covariances(nu: RadialLaw, n: int, p: int):
@@ -291,7 +283,7 @@ def _chunk_task(args):
     """Top-level chunk runner (picklable for process pools)."""
     cfg, tag, chunk_idx, size, validate = args
     rng = trial_stream(cfg.seed, tag, chunk_idx)
-    runner = _fast_chunk_q1 if cfg.fast_path else _walk_chunk
+    runner = _gram_chunk if cfg.fast_path else _walk_chunk
     xi, a, b, b_direct = runner(cfg.nu, cfg.n, cfg.p, size, rng, validate=validate)
     m = xi.shape[0]
     max_err = None

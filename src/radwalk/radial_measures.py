@@ -262,17 +262,15 @@ def _orbit_batch(p: int, radii: np.ndarray, rng: np.random.Generator) -> np.ndar
         raise BadArity(f"need p >= q, got p={p}, q={q}")
     g = rng.standard_normal((m, p, q))
     for _ in range(_MAX_RESAMPLES):
-        gm = np.einsum("mpi,mpj->mij", g, g)
-        w, v = np.linalg.eigh(gm)
+        w, v = np.linalg.eigh(g.transpose(0, 2, 1) @ g)
         bad = w[:, 0] <= _RANK_TOL * w[:, -1]
         if not bad.any():
             break
         g[bad] = rng.standard_normal((int(bad.sum()), p, q))
     else:
         raise RankDeficient(f"Gram matrix stayed singular after {_MAX_RESAMPLES} resamples (p={p}, q={q})")
-    inv_sqrt = np.einsum("mij,mj,mkj->mik", v, 1.0 / np.sqrt(w), v)
-    y = g @ inv_sqrt
-    return y @ radii
+    inv_sqrt = (v / np.sqrt(w)[:, None, :]) @ v.transpose(0, 2, 1)
+    return g @ (inv_sqrt @ radii)
 
 
 def _wishart_identity(dof: int, q: int, m: int, rng: np.random.Generator) -> np.ndarray:

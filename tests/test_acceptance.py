@@ -112,9 +112,11 @@ def test_criterion_02_wick_suite():
     spec2 = MatrixNormalSpec(2, np.zeros((2, 2)), m @ m.T)
     n_draws = 1_000_000
     v = sample_matrix_normal(spec2, rng, size=n_draws).reshape(n_draws, 4)
-    first = np.einsum("na,nb,nc,nd->abcd", v, v, v, v) / n_draws
-    w = v * v
-    second = np.einsum("na,nb,nc,nd->abcd", w, w, w, w) / n_draws
+    # E[v_a v_b v_c v_d] as the Gram matrix of the pairwise products v_a v_b
+    o = (v[:, :, None] * v[:, None, :]).reshape(n_draws, 16)
+    first = (o.T @ o / n_draws).reshape(4, 4, 4, 4)
+    o = o * o
+    second = (o.T @ o / n_draws).reshape(4, 4, 4, 4)
     se = np.sqrt(np.maximum(second - first**2, 0.0) / n_draws)
     max_z = 0.0
     for a, b, c, d in product(range(4), repeat=4):

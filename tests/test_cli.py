@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from radwalk import cli
 
 
@@ -156,3 +158,52 @@ def test_csv_floats_round_trip():
     assert cli._fmt(1.792) == "1.792"
     x = 1.0 + 8.0 * 99 / 1000
     assert float(cli._fmt(x)) == x
+
+
+def _clt_entry(eid, **extra):
+    entry = {"id": eid, "kind": "clt", "regime": "CLT_II", "n": 5, "p": 50,
+             "trials": 512, "law": TWO_POINT_LAW, "checks": ["exact"]}
+    entry.update(extra)
+    return entry
+
+
+def test_entry_id_cannot_name_a_path_outside_out(tmp_path, capsys):
+    manifest = _write_manifest(tmp_path / "m.json", [_clt_entry("../evil")])
+    code = cli.main(["clt", "--manifest", str(manifest), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "entries[0].id" in capsys.readouterr().err
+    assert not (tmp_path / "evil.json").exists()
+    assert not (tmp_path / "out").exists()
+
+
+def test_checks_string_rejected_before_any_entry_runs(tmp_path, capsys):
+    entries = [_clt_entry("first"), _clt_entry("second", checks="exact")]
+    manifest = _write_manifest(tmp_path / "m.json", entries)
+    code = cli.main(["clt", "--manifest", str(manifest), "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "entries[1].checks" in err and "'e'" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_negative_rel_tol_rejected(tmp_path, capsys):
+    manifest = _write_manifest(tmp_path / "m.json", [_clt_entry("c0", rel_tol=-1)])
+    code = cli.main(["clt", "--manifest", str(manifest), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "entries[0].rel_tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [("rel_tol", "abc"), ("rel_tol", 0), ("c", "x"),
+                                          ("c", -0.5), ("fast_path", "false")])
+def test_bad_clt_field_is_config_error(tmp_path, capsys, field, value):
+    manifest = _write_manifest(tmp_path / "m.json", [_clt_entry("c0", **{field: value})])
+    code = cli.main(["clt", "--manifest", str(manifest), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert f"entries[0].{field}" in capsys.readouterr().err
+
+
+def test_bad_selftest_cases_is_config_error(tmp_path, capsys):
+    manifest = _write_manifest(tmp_path / "m.json", [{"id": "s", "kind": "selftest", "cases": "abc"}])
+    code = cli.main(["clt", "--manifest", str(manifest), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "entries[0].cases" in capsys.readouterr().err

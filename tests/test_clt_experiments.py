@@ -7,13 +7,11 @@ from radwalk.clt_experiments import (
     CHUNK_TRIALS,
     WalkConfig,
     _compare_covariance,
-    _fast_chunk_q1,
+    _gram_chunk,
     _walk_chunk,
     estimate_covariance,
-    fast_walk_trial_q1,
     moment_decay_experiment,
     predict_covariances,
-    run_walk_trial,
     trial_stream,
     verify_clt,
 )
@@ -22,6 +20,10 @@ from radwalk.radial_measures import RadialLaw, r2, sigma_nu, t_nu
 TWO_POINT = RadialLaw.two_point(1.0, 0.5, np.sqrt(3.0))
 Q2_ATOMS = RadialLaw.from_atoms(
     np.array([[[1.5, 0.5], [0.5, 0.5]], [[1.0, 0.0], [0.0, 1.0]]]), [0.5, 0.5]
+)
+# both radii have rank 1, so the Gram matrix stays singular on some walks
+Q2_RANK1 = RadialLaw.from_atoms(
+    np.array([[[1.0, 0.0], [0.0, 0.0]], [[1.0, 1.0], [1.0, 1.0]]]), [0.5, 0.5]
 )
 
 
@@ -38,26 +40,26 @@ def test_config_validation():
         _cfg(trials=10)
     with pytest.raises(BadArity):
         WalkConfig(nu=Q2_ATOMS, n=5, p=1, trials=200, regime="CLT_II")
-    with pytest.raises(BadArity):
-        WalkConfig(nu=Q2_ATOMS, n=5, p=10, trials=200, regime="CLT_II", fast_path=True)
+    assert WalkConfig(nu=Q2_ATOMS, n=5, p=10, trials=200, regime="CLT_II").fast_path
+    assert _cfg().scale == pytest.approx(1.0 / np.sqrt(20))
+    assert _cfg(regime="CLT_I").scale == pytest.approx(np.sqrt(100) / 20)
 
 
 def test_single_step_trial_has_no_cross_terms():
     rng = np.random.default_rng(90)
-    cfg = WalkConfig(nu=Q2_ATOMS, n=1, p=10, trials=100, regime="CLT_II", seed=0)
-    t = run_walk_trial(cfg, rng, validate=True)
-    assert np.abs(t.b).max() < 1e-12
-    assert np.abs(t.b_direct).max() == 0.0
-    # Xi_1 = gram(X_1) - r2 means a = xi
-    assert np.array_equal(t.xi, t.a)
+    for runner in (_walk_chunk, _gram_chunk):
+        xi, a, b, b_direct = runner(Q2_ATOMS, 1, 10, 64, rng, validate=True)
+        assert np.abs(b).max() < 1e-12
+        assert np.abs(b_direct).max() == 0.0
+        # Xi_1 = gram(X_1) - r2 means a = xi
+        assert np.array_equal(xi, a)
 
 
 def test_point_mass_unit_radius_has_zero_a_part():
+    # the direct path takes a from x'x, so this checks the frames are orthonormal
     rng = np.random.default_rng(91)
-    cfg = WalkConfig(nu=RadialLaw.point_mass(1.0), n=15, p=8, trials=100, regime="CLT_II", seed=0)
-    for _ in range(5):
-        t = run_walk_trial(cfg, rng)
-        assert np.abs(t.a).max() < 1e-11
+    _, a, _, _ = _walk_chunk(RadialLaw.point_mass(1.0), 15, 8, 5, rng)
+    assert np.abs(a).max() < 1e-11
 
 
 def test_decomposition_identity_direct_path():
@@ -72,33 +74,62 @@ def test_decomposition_identity_direct_path():
 
 def test_fast_path_single_step_is_radius_squared():
     rng = np.random.default_rng(93)
-    xi, a, b, _ = _fast_chunk_q1(TWO_POINT, 1, 50, 200, rng)
+    xi, a, b, _ = _gram_chunk(TWO_POINT, 1, 50, 200, rng)
     assert not b.any()
     s2 = xi[:, 0, 0] + 1 * float(r2(TWO_POINT)[0, 0])
     assert set(np.round(np.unique(s2), 12)) <= {1.0, 3.0}
 
 
 def test_fast_path_decomposition_identity():
+    # validate mode accumulates the cross terms c + c' as they are drawn
     rng = np.random.default_rng(94)
-    xi, a, b, b_direct = _fast_chunk_q1(TWO_POINT, 25, 40, 300, rng, validate=True)
-    assert np.abs(b_direct - b).max() <= 1e-8 * (1.0 + np.abs(xi).max())
+    for nu, p in ((TWO_POINT, 40), (Q2_ATOMS, 9), (Q2_ATOMS, 2), (Q2_RANK1, 3)):
+        xi, a, b, b_direct = _gram_chunk(nu, 25, p, 300, rng, validate=True)
+        assert np.abs(b_direct - b).max() <= 1e-8 * (1.0 + np.abs(xi).max())
 
 
 def test_fast_and_direct_paths_agree_in_distribution():
     n_trials = 10_000
-    xi_fast, _, _, _ = _fast_chunk_q1(TWO_POINT, 20, 50, n_trials, np.random.default_rng(95))
+    xi_fast, _, _, _ = _gram_chunk(TWO_POINT, 20, 50, n_trials, np.random.default_rng(95))
     xi_direct, _, _, _ = _walk_chunk(TWO_POINT, 20, 50, n_trials, np.random.default_rng(96))
     res = stats.ks_2samp(xi_fast.reshape(-1), xi_direct.reshape(-1))
     assert res.pvalue > 0.001
 
 
-def test_trial_statistics_wrappers():
-    rng = np.random.default_rng(97)
-    t = fast_walk_trial_q1(_cfg(), rng)
-    assert t.xi.shape == (1,)
-    assert t.normalization == pytest.approx(1.0 / np.sqrt(20))
-    with pytest.raises(BadArity):
-        fast_walk_trial_q1(WalkConfig(nu=Q2_ATOMS, n=5, p=10, trials=200, regime="CLT_II"), rng)
+@pytest.mark.parametrize("nu, p", [(Q2_ATOMS, 2), (Q2_ATOMS, 3), (Q2_ATOMS, 1000), (Q2_RANK1, 3)],
+                         ids=["p=q", "q<p<2q", "p=1000", "rank1"])
+def test_gram_kernel_matches_direct_path(nu, p):
+    def draw(runner, tag, trials):
+        return np.concatenate([runner(nu, n, p, CHUNK_TRIALS, trial_stream(1, tag, k))[0]
+                               for k in range(trials // CHUNK_TRIALS)])
+
+    n = 6
+    gram, direct = draw(_gram_chunk, 1, 32768), draw(_walk_chunk, 2, 4096)
+    for i, j in ((0, 0), (0, 1), (1, 1)):
+        # the rank-1 law puts atoms on Xi; rounding off the last few bits keeps
+        # the two paths' different rounding noise from splitting the ties
+        res = stats.ks_2samp(np.round(gram[:, i, j], 9), np.round(direct[:, i, j], 9))
+        assert res.pvalue > 1e-4, (i, j, res)
+    _, _, cov = predict_covariances(nu, n, p)
+    est = estimate_covariance(gram.reshape(gram.shape[0], -1))
+    z = np.abs(est.cov - cov) / est.stderr
+    assert np.all(z <= 4.5), z
+
+
+def test_gram_chunk_q1_reproduces_scalar_recursion():
+    # frozen from the scalar recursion s2 <- s2 + 2 sqrt(s2) r u + r^2 as it
+    # ran before it moved into _gram_chunk; p = 1 exercises the clamp at 0
+    expected = {
+        1: ([-9.85640646055102, -4.535898384862245, -7.999999999999999, 5.607695154586734],
+            [1.9999999999999996, 3.999999999999999, -1.9999999999999996, 0.0]),
+        7: ([-1.2862229029073138, -5.800273257109759, -3.5622449879742373, -3.703135495719536],
+            [-2.220446049250313e-16, -1.9999999999999993, -3.999999999999999, -1.9999999999999996]),
+    }
+    for p, (xi_want, a_want) in expected.items():
+        xi, a, _, _ = _gram_chunk(TWO_POINT, 6, p, 4, trial_stream(2024, 6, p))
+        assert xi.shape == (4, 1, 1)
+        assert np.array_equal(xi.reshape(-1), xi_want)
+        assert np.array_equal(a.reshape(-1), a_want)
 
 
 def test_predict_covariances_two_point_values():
@@ -232,7 +263,7 @@ def test_clt1_normalization_and_a_part_shrinks():
     for n in (100, 400, 1600):
         p = int(np.ceil(np.sqrt(n)))
         rng = trial_stream(17, 0, n)
-        _, a, _, _ = _fast_chunk_q1(TWO_POINT, n, p, 3000, rng)
+        _, a, _, _ = _gram_chunk(TWO_POINT, n, p, 3000, rng)
         scale = np.sqrt(p) / n
         variances.append((scale * a.reshape(-1)).var(ddof=1))
     assert variances[0] > variances[1] > variances[2]

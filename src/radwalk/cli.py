@@ -11,7 +11,9 @@ a plain file name, and a ``kind``:
   true (the default, any q) runs the Gram-state kernel, which tracks only
   the q x q Gram matrix of the walk; false runs the direct p x q walk.
 * ``moments`` -- a monomial-moment sweep: ``law``, ``kappa`` (list of
-  ``[[row, col], exponent]``), ``p_grid``, ``trials``.
+  ``[[row, col], exponent]``, total exponent 1 to 8, every index inside the
+  smallest grid point by q), ``p_grid`` (integers >= q), ``trials``
+  (>= 1000).
 * ``selftest`` -- the exact-identity suites, optional ``cases``.
 
 Laws are ``{"q": q, "atoms": [{"weight": w, "radius": [row-major]}]}`` or
@@ -52,7 +54,7 @@ from .combinatorics import kron_multinomial_expand
 from .errors import RadwalkError
 from .gaussian_moments import MatrixNormalSpec, moment_tensor, sum_moment, wick_moment
 from .kron_algebra import PermMat, hadamard, kron, reorder_perm
-from .radial_measures import RadialLaw, kappa_all_rows_even, kappa_weight
+from .radial_measures import RadialLaw, kappa_all_rows_even, normalize_kappa
 
 ENV_WORKERS = "RADWALK_WORKERS"
 ENV_SKEW_KRON = "RADWALK_SELFTEST_SKEW_KRON"
@@ -114,12 +116,9 @@ def _parse_law(cfg, path):
 
 def _parse_kappa(spec, path):
     try:
-        pairs = [((int(ij[0]), int(ij[1])), int(e)) for ij, e in spec]
+        return [((int(ij[0]), int(ij[1])), int(e)) for ij, e in spec]
     except (TypeError, ValueError, IndexError) as exc:
         raise ManifestError(f"{path}: expected a list of [[row, col], exponent] items ({exc})") from exc
-    if not pairs or kappa_weight(pairs) == 0:
-        raise ManifestError(f"{path}: multi-index has zero weight")
-    return pairs
 
 
 def load_manifest(path):
@@ -195,16 +194,34 @@ def _summary_scalar(matrix: np.ndarray, q: int) -> float:
     return float(m[0, 0]) if q == 1 else float(np.linalg.norm(m))
 
 
+def _check_moments(q, kappa, p_grid, trials, prefix=""):
+    """Validate a moments sweep before it runs; ``prefix`` is the entry path
+    plus a dot in a manifest, empty on the command line."""
+    if not isinstance(p_grid, list) or not p_grid:
+        raise ManifestError(f"{prefix}p_grid: expected a nonempty list")
+    for k, p in enumerate(p_grid):
+        _as_int(p, f"{prefix}p_grid[{k}]", minimum=max(1, q))
+    _as_int(trials, f"{prefix}trials", minimum=1000)
+    try:
+        kap = normalize_kappa(kappa)
+    except RadwalkError as exc:
+        raise ManifestError(f"{prefix}kappa: {exc}") from exc
+    if not 1 <= sum(kap.values()) <= 8:
+        raise ManifestError(f"{prefix}kappa: total exponent must be 1 to 8, got {sum(kap.values())}")
+    for i, j in kap:
+        if i >= min(p_grid) or j >= q:
+            raise ManifestError(f"{prefix}kappa: index ({i},{j}) lies outside {min(p_grid)}x{q}, "
+                                f"the smallest p_grid point by q")
+    if kappa_all_rows_even(kap) and len(p_grid) < 3:
+        raise ManifestError(f"{prefix}p_grid: decay slope needs at least 3 points")
+
+
 def _parse_moments_entry(entry, path):
     law = _parse_law(_require(entry, "law", path), f"{path}.law")
     kappa = _parse_kappa(_require(entry, "kappa", path), f"{path}.kappa")
     p_grid = _require(entry, "p_grid", path)
-    if not isinstance(p_grid, list) or not p_grid:
-        raise ManifestError(f"{path}.p_grid: expected a nonempty list")
-    trials = _as_int(_require(entry, "trials", path), f"{path}.trials", minimum=1000)
-    even = kappa_all_rows_even(kappa)
-    if even and len(p_grid) < 3:
-        raise ManifestError(f"{path}.p_grid: decay slope needs at least 3 points")
+    trials = _require(entry, "trials", path)
+    _check_moments(law.q, kappa, p_grid, trials, f"{path}.")
     return law, kappa, p_grid, trials
 
 
@@ -403,8 +420,6 @@ def _parse_kappa_text(text: str):
             pairs.append(((int(i), int(j)), int(e)))
         except ValueError as exc:
             raise ManifestError(f"kappa: cannot parse term {term!r} ({exc})") from exc
-    if not pairs or kappa_weight(pairs) == 0:
-        raise ManifestError("kappa: multi-index has zero weight")
     return pairs
 
 
@@ -417,18 +432,19 @@ def cmd_moments(law_path, kappa_text, p_grid_text, trials, out_dir, seed=0) -> i
         return 2
     try:
         kappa = _parse_kappa_text(kappa_text)
-        p_grid = [int(x) for x in p_grid_text.split(",") if x.strip()]
-        if not p_grid:
-            raise ManifestError("p_grid: empty grid")
-        even = kappa_all_rows_even(kappa)
-        if even and len(p_grid) < 3:
-            raise ManifestError("p_grid: decay slope needs at least 3 points")
+        p_grid = []
+        for k, x in enumerate(t for t in p_grid_text.split(",") if t.strip()):
+            try:
+                p_grid.append(int(x))
+            except ValueError as exc:
+                raise ManifestError(f"p_grid[{k}]: expected an integer, got {x.strip()!r}") from exc
+        _check_moments(law.q, kappa, p_grid, trials)
     except ManifestError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     config_hash = hashlib.sha256(raw + f"|{kappa_text}|{p_grid_text}|{trials}".encode()).hexdigest()
     rng = trial_stream(seed, _entry_tag(f"moments:{kappa_text}"), 0)
-    report = moment_decay_experiment(law, kappa, p_grid, int(trials), rng)
+    report = moment_decay_experiment(law, kappa, p_grid, trials, rng)
     verdict = _moments_verdict(report)
 
     out = Path(out_dir)
@@ -479,8 +495,16 @@ def main(argv=None) -> int:
         return cmd_moments(args.law, args.kappa, args.p_grid, args.trials, args.out, seed=args.seed)
 
     workers = args.workers
-    if os.environ.get(ENV_WORKERS):
-        workers = int(os.environ[ENV_WORKERS])
+    env_workers = os.environ.get(ENV_WORKERS)
+    if env_workers:
+        try:
+            workers = int(env_workers)
+        except ValueError:
+            workers = 0
+        if workers < 1:
+            print(f"config error: {ENV_WORKERS}: expected an integer >= 1, got {env_workers!r}",
+                  file=sys.stderr)
+            return 2
     if workers is None:
         workers = os.cpu_count() or 1
     try:

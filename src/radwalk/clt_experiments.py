@@ -69,6 +69,9 @@ __all__ = [
 # Fixed work-unit size: chunk k of an experiment always covers trials
 # [k*CHUNK_TRIALS, ...), whatever the worker count.
 CHUNK_TRIALS = 512
+# Steps whose radii and cosines the q = 1 kernel draws at once: large enough
+# to amortize the draw calls, small enough that the block stays in cache.
+_STEP_BLOCK = 32
 
 REGIMES = ("CLT_I", "CLT_II", "MIXED")
 
@@ -168,28 +171,55 @@ def _gram_chunk(nu: RadialLaw, n: int, p: int, m: int, rng: np.random.Generator,
 
     G^{1/2} comes from a batched eigh with eigenvalues clamped at 0, so
     G = 0 at the first step and rank-deficient radii need no special case.
-    For q = 1 the same recursion is run on scalars: W is the cosine u
-    between the walk and the step, drawn by :func:`uniform_sphere_cosine`,
-    which is cheaper than a 1 x 1 frame and eigh per step.
+
+    For q = 1 the same recursion runs on scalars, g <- g + 2 sqrt(g) r u + r^2,
+    where u is the cosine between the walk and the step, drawn by
+    :func:`uniform_sphere_cosine`.  Radii and then cosines are drawn for
+    ``_STEP_BLOCK`` steps at a time as (steps, m) blocks, so a step costs a
+    few (m,) ufuncs and no draw call; the block's sum of r^2 - r2 is added
+    to a at once.
     """
     q = nu.q
     r2m = r2(nu)
+    if q == 1:
+        r2s = float(r2m[0, 0])
+        g = np.zeros(m)
+        a = np.zeros(m)
+        b_direct = np.zeros(m) if validate else None
+        cross = np.empty(m)
+        for start in range(0, n, _STEP_BLOCK):
+            k = min(_STEP_BLOCK, n - start)
+            r = nu.draw_radii(k * m, rng).reshape(k, m)
+            ru2 = uniform_sphere_cosine(p, k * m, rng).reshape(k, m)
+            ru2 *= r
+            ru2 *= 2.0
+            rr = r * r
+            for j in range(k):
+                # at p = 1, u = -1 can cancel g to a rounding error below zero
+                np.maximum(g, 0.0, out=cross)
+                np.sqrt(cross, out=cross)
+                cross *= ru2[j]
+                if validate:
+                    b_direct += cross
+                g += cross
+                g += rr[j]
+            rr -= r2s
+            a += rr.sum(axis=0)
+        xi = (g - n * r2s).reshape(m, 1, 1)
+        a = a.reshape(m, 1, 1)
+        if validate:
+            b_direct = b_direct.reshape(m, 1, 1)
+        return xi, a, xi - a, b_direct
     g = np.zeros((m, q, q))
     a = np.zeros((m, q, q))
     b_direct = np.zeros((m, q, q)) if validate else None
     for _ in range(n):
         radii = nu.draw_radii(m, rng)
-        if q == 1:
-            u = uniform_sphere_cosine(p, m, rng)[:, None, None]
-            # at p = 1, u = -1 can cancel g to a rounding error below zero
-            cross = 2.0 * np.sqrt(np.maximum(g, 0.0)) * radii * u
-            rr = radii * radii
-        else:
-            w, v = np.linalg.eigh(g)
-            root = (v * np.sqrt(np.maximum(w, 0.0))[:, None, :]) @ v.transpose(0, 2, 1)
-            c = root @ _stiefel_rows(p, q, q, m, rng) @ radii
-            cross = c + c.transpose(0, 2, 1)
-            rr = radii @ radii  # X'X = r'U'U r, and radii are symmetric
+        w, v = np.linalg.eigh(g)
+        root = (v * np.sqrt(np.maximum(w, 0.0))[:, None, :]) @ v.transpose(0, 2, 1)
+        c = root @ _stiefel_rows(p, q, q, m, rng) @ radii
+        cross = c + c.transpose(0, 2, 1)
+        rr = radii @ radii  # X'X = r'U'U r, and radii are symmetric
         if validate:
             b_direct += cross
         g = g + cross + rr

@@ -121,10 +121,19 @@ class RadialLaw:
         return float((b ** (k + 1) - a ** (k + 1)) / ((k + 1) * (b - a)))
 
     def draw_radii(self, size: int, rng: np.random.Generator) -> np.ndarray:
-        """(size, q, q) radii drawn by inverse CDF over atoms (or the closed form)."""
+        """(size, q, q) radii drawn by inverse CDF over atoms (or the closed form).
+
+        The atom index of a uniform u is the number of cumulative weights
+        below the last that are <= u; leaving the last one out keeps u in
+        range when rounding makes the weights sum to just under 1.
+        """
         if self.weights is not None:
-            idx = np.searchsorted(self._cum, rng.random(size), side="right")
-            idx = np.minimum(idx, self.weights.size - 1)
+            u = rng.random(size)
+            idx = np.zeros(size, dtype=np.intp)
+            for edge in self._cum[:-1]:
+                idx += u >= edge
+            if self.q == 1:
+                return self.radii.reshape(-1)[idx].reshape(size, 1, 1)
             return self.radii[idx]
         a, b = self.params["a"], self.params["b"]
         return rng.uniform(a, b, size).reshape(size, 1, 1)
@@ -238,14 +247,28 @@ def phi(x) -> np.ndarray:
 def uniform_sphere_cosine(p: int, size: int, rng: np.random.Generator) -> np.ndarray:
     """First coordinate of a uniform point on the unit sphere in R^p.
 
-    For p >= 2, (u + 1)/2 follows Beta((p-1)/2, (p-1)/2); for p = 1 the
-    sphere is {-1, +1}.
+    Its law is (u + 1)/2 ~ Beta((p-1)/2, (p-1)/2), drawn by the polar
+    construction (Ulrich, JRSS C 1984; Wood 1994): the first two
+    coordinates have a uniform angle and a squared radius R^2 ~
+    Beta(1, (p-2)/2), so 1 - R^2 = U1^(2/(p-2)) and u = R cos(2 pi U2).
+    For p = 2, R = 1; for p = 1 the sphere is {-1, +1}.
     """
     if p < 1:
         raise BadArity(f"p must be >= 1, got {p}")
     if p == 1:
         return np.where(rng.random(size) < 0.5, -1.0, 1.0)
-    return 2.0 * rng.beta((p - 1) / 2.0, (p - 1) / 2.0, size) - 1.0
+    if p == 2:
+        return np.cos(2.0 * np.pi * rng.random(size))
+    u = 1.0 - rng.random(size)  # in (0, 1], so the log is finite
+    np.log(u, out=u)
+    u *= 2.0 / (p - 2)
+    np.expm1(u, out=u)  # -R^2
+    np.negative(u, out=u)
+    np.sqrt(u, out=u)
+    angle = rng.random(size)
+    angle *= 2.0 * np.pi
+    u *= np.cos(angle, out=angle)
+    return u
 
 
 _RANK_TOL = 1e-12

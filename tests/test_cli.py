@@ -207,3 +207,54 @@ def test_bad_selftest_cases_is_config_error(tmp_path, capsys):
     code = cli.main(["clt", "--manifest", str(manifest), "--out", str(tmp_path / "out")])
     assert code == 2
     assert "entries[0].cases" in capsys.readouterr().err
+
+
+def _moments_entry(eid, **extra):
+    entry = {"id": eid, "kind": "moments", "law": TWO_POINT_LAW, "kappa": [[[0, 0], 2]],
+             "p_grid": [2, 4, 8], "trials": 2000}
+    entry.update(extra)
+    return entry
+
+
+@pytest.mark.parametrize("field, value", [
+    ("kappa", [[[5, 0], 2]]),  # row index >= the smallest p
+    ("kappa", [[[0, 1], 2]]),  # column index >= q
+    ("kappa", [[[-1, 0], 2]]),
+    ("kappa", [[[0, 0], 9]]),
+    ("p_grid[1]", [2, 4.5, "8"]),
+    ("p_grid[2]", [2, 4, "8"]),
+    ("p_grid[0]", [0, 4, 8]),
+], ids=["row-outside-p", "col-outside-q", "negative-index", "weight-9", "float-p", "string-p", "zero-p"])
+def test_bad_moments_entry_rejected_before_any_entry_runs(tmp_path, capsys, field, value):
+    key = field.split("[")[0]
+    entries = [_clt_entry("first"), _moments_entry("m", **{key: value})]
+    manifest = _write_manifest(tmp_path / "m.json", entries)
+    code = cli.main(["clt", "--manifest", str(manifest), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert f"entries[1].{field}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("field, args", [
+    ("trials", ["--kappa", "0,0:2", "--p-grid", "8,16,32", "--trials", "10"]),
+    ("p_grid[0]", ["--kappa", "0,0:2", "--p-grid", "0,4,8", "--trials", "2000"]),
+    ("p_grid[1]", ["--kappa", "0,0:2", "--p-grid", "2,4.5,8", "--trials", "2000"]),
+    ("kappa", ["--kappa", "5,0:2", "--p-grid", "2,4,8", "--trials", "2000"]),
+], ids=["few-trials", "zero-p", "float-p", "row-outside-p"])
+def test_bad_moments_command_is_config_error(tmp_path, capsys, field, args):
+    law_path = tmp_path / "law.json"
+    law_path.write_text(json.dumps({"family": "point_mass", "params": {"radius": 1.0}}))
+    code = cli.main(["moments", "--law", str(law_path), *args, "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert f"config error: {field}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2"])
+def test_bad_workers_env_is_config_error(tmp_path, capsys, monkeypatch, value):
+    manifest = _write_manifest(tmp_path / "m.json", [_clt_entry("c0")])
+    monkeypatch.setenv(cli.ENV_WORKERS, value)
+    code = cli.main(["clt", "--manifest", str(manifest), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert cli.ENV_WORKERS in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

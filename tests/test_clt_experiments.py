@@ -5,6 +5,7 @@ from scipy import stats
 from radwalk import BadArity, TooFewSamples
 from radwalk.clt_experiments import (
     CHUNK_TRIALS,
+    _STEP_BLOCK,
     WalkConfig,
     _compare_covariance,
     _gram_chunk,
@@ -15,7 +16,7 @@ from radwalk.clt_experiments import (
     trial_stream,
     verify_clt,
 )
-from radwalk.radial_measures import RadialLaw, r2, sigma_nu, t_nu
+from radwalk.radial_measures import RadialLaw, r2, sigma_nu, t_nu, uniform_sphere_cosine
 
 TWO_POINT = RadialLaw.two_point(1.0, 0.5, np.sqrt(3.0))
 Q2_ATOMS = RadialLaw.from_atoms(
@@ -117,19 +118,29 @@ def test_gram_kernel_matches_direct_path(nu, p):
 
 
 def test_gram_chunk_q1_reproduces_scalar_recursion():
-    # frozen from the scalar recursion s2 <- s2 + 2 sqrt(s2) r u + r^2 as it
-    # ran before it moved into _gram_chunk; p = 1 exercises the clamp at 0
-    expected = {
-        1: ([-9.85640646055102, -4.535898384862245, -7.999999999999999, 5.607695154586734],
-            [1.9999999999999996, 3.999999999999999, -1.9999999999999996, 0.0]),
-        7: ([-1.2862229029073138, -5.800273257109759, -3.5622449879742373, -3.703135495719536],
-            [-2.220446049250313e-16, -1.9999999999999993, -3.999999999999999, -1.9999999999999996]),
-    }
-    for p, (xi_want, a_want) in expected.items():
-        xi, a, _, _ = _gram_chunk(TWO_POINT, 6, p, 4, trial_stream(2024, 6, p))
-        assert xi.shape == (4, 1, 1)
-        assert np.array_equal(xi.reshape(-1), xi_want)
-        assert np.array_equal(a.reshape(-1), a_want)
+    # a literal loop of s2 <- s2 + 2 sqrt(s2) r u + r^2, one step at a time,
+    # over the kernel's block-ordered draws: each block draws its radii, then
+    # its cosines, and a takes the block's sum of r^2 - r2.  n covers a full
+    # block and a tail block; p = 1 exercises the clamp at 0
+    n, m = _STEP_BLOCK + 5, 64
+    r2s = float(r2(TWO_POINT)[0, 0])
+    for p in (1, 2, 7):
+        xi, a, _, _ = _gram_chunk(TWO_POINT, n, p, m, trial_stream(2024, 6, p))
+        rng = trial_stream(2024, 6, p)
+        s2 = np.zeros(m)
+        a_want = np.zeros(m)
+        for start in range(0, n, _STEP_BLOCK):
+            k = min(_STEP_BLOCK, n - start)
+            r = TWO_POINT.draw_radii(k * m, rng).reshape(k, m)
+            u = uniform_sphere_cosine(p, k * m, rng).reshape(k, m)
+            block_a = np.zeros(m)
+            for j in range(k):
+                s2 = s2 + np.sqrt(np.maximum(s2, 0.0)) * (2.0 * r[j] * u[j]) + r[j] * r[j]
+                block_a = block_a + (r[j] * r[j] - r2s)
+            a_want = a_want + block_a
+        assert xi.shape == a.shape == (m, 1, 1)
+        assert np.array_equal(xi.reshape(-1), s2 - n * r2s), p
+        assert np.array_equal(a.reshape(-1), a_want), p
 
 
 def test_predict_covariances_two_point_values():

@@ -223,16 +223,53 @@ def test_atom_frequencies_chi_square():
     assert pvalue > 0.001
 
 
-def test_uniform_sphere_cosine_second_moment():
+@pytest.mark.parametrize("p", [2, 3, 4, 40, 100, 100_000])
+def test_uniform_sphere_cosine_second_moment(p):
     rng = np.random.default_rng(83)
-    p, n = 100, 200_000
+    n = 200_000
     u = uniform_sphere_cosine(p, n, rng)
     assert np.all(np.abs(u) <= 1.0)
     se_mean = u.std(ddof=1) / np.sqrt(n)
     assert abs(u.mean()) <= 4.0 * se_mean
-    sq = u**2
-    se = sq.std(ddof=1) / np.sqrt(n)
-    assert abs(sq.mean() - 1.0 / p) <= 4.0 * se
+    for power, exact in ((2, 1.0 / p), (4, 3.0 / (p * (p + 2)))):
+        v = u**power
+        se = v.std(ddof=1) / np.sqrt(n)
+        assert abs(v.mean() - exact) <= 4.0 * se, (power, (v.mean() - exact) / se)
+    # the exact law: (u + 1)/2 ~ Beta((p-1)/2, (p-1)/2)
+    law = stats.beta((p - 1) / 2.0, (p - 1) / 2.0, loc=-1.0, scale=2.0)
+    assert stats.kstest(u, law.cdf).pvalue > 1e-4
+
+
+class _FixedUniforms:
+    """Stands in for a generator whose next uniforms are known."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size):
+        assert size == self.u.size
+        return self.u.copy()
+
+
+@pytest.mark.parametrize("atoms", [2, 5, 50])
+def test_draw_radii_atom_index_matches_searchsorted(atoms):
+    rng = np.random.default_rng(atoms)
+    weights = rng.uniform(0.5, 1.5, atoms)
+    for total in (1.0, 1.0 - 1e-13):
+        w = weights / weights.sum() * total
+        cum = np.cumsum(w)
+        # interior points, every edge exactly and one ulp either side, 0, the
+        # last double below 1, and the gap above a cumsum that ends below 1
+        u = np.concatenate([rng.random(4096), cum, np.nextafter(cum, 0.0), np.nextafter(cum, 2.0),
+                            [0.0, np.nextafter(1.0, 0.0)], rng.uniform(cum[-1], 1.0, 16)])
+        u = u[(u >= 0.0) & (u < 1.0)]
+        want = np.minimum(np.searchsorted(cum, u, side="right"), atoms - 1)
+        # atom j has radius j (times I_2 at q = 2), so a draw reads back its index
+        for q in (1, 2):
+            law = RadialLaw.from_atoms(np.arange(atoms)[:, None, None] * np.eye(q), w)
+            radii = law.draw_radii(u.size, _FixedUniforms(u))
+            assert radii.shape == (u.size, q, q)
+            assert np.array_equal(radii[:, 0, 0], want)
 
 
 def test_uniform_sphere_cosine_p1_is_sign():

@@ -22,12 +22,15 @@ Laws are ``{"q": q, "atoms": [{"weight": w, "radius": [row-major]}]}`` or
 
 Every entry is validated before the first one runs, so a bad manifest
 exits with code 2 and a message naming the field, with nothing written.
+``radwalk moments`` turns its flags into a moments entry and applies the
+same rules.  ``--seed`` must be an integer >= 0, and ``--workers`` (or
+``RADWALK_WORKERS``, which takes precedence) an integer >= 1.
 
+One process pool of that many workers serves every walk entry of a run.
 Every output file embeds the tool version, the master seed, and a SHA-256
 hash of the manifest.  Outputs are byte-identical for a fixed (manifest,
 seed, version) whatever the worker count: random streams attach to fixed
-work units, results merge in trial order, and wall times stay out of the
-serialized reports.
+work units, results merge in trial order, and no wall time is recorded.
 """
 
 from __future__ import annotations
@@ -38,6 +41,9 @@ import json
 import os
 import re
 import sys
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
+from functools import reduce
 from math import factorial, isfinite
 from pathlib import Path
 
@@ -82,9 +88,9 @@ def _entry_tag(entry_id: str) -> int:
     return int.from_bytes(hashlib.sha256(entry_id.encode()).digest()[:8], "big")
 
 
-def _require(mapping, key, path):
+def _require(mapping, key, prefix):
     if key not in mapping:
-        raise ManifestError(f"{path}.{key}: missing")
+        raise ManifestError(f"{prefix}{key}: missing")
     return mapping[key]
 
 
@@ -116,20 +122,29 @@ def _parse_law(cfg, path):
 
 def _parse_kappa(spec, path):
     try:
-        return [((int(ij[0]), int(ij[1])), int(e)) for ij, e in spec]
-    except (TypeError, ValueError, IndexError) as exc:
+        return [((_as_int(ij[0], path), _as_int(ij[1], path)), _as_int(e, path)) for ij, e in spec]
+    except (TypeError, ValueError, IndexError, KeyError) as exc:
         raise ManifestError(f"{path}: expected a list of [[row, col], exponent] items ({exc})") from exc
 
 
-def load_manifest(path):
+def _decode(text, field):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ManifestError(f"{field}: invalid JSON: {exc}") from exc
+
+
+def _read_json(path, field):
+    """The decoded JSON file at ``path`` and its raw bytes."""
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
-        raise ManifestError(f"manifest: cannot read {path}: {exc}") from exc
-    try:
-        doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ManifestError(f"manifest: invalid JSON: {exc}") from exc
+        raise ManifestError(f"{field}: cannot read {path}: {exc}") from exc
+    return _decode(raw, field), raw
+
+
+def load_manifest(path):
+    doc, raw = _read_json(path, "manifest")
     if not isinstance(doc, dict):
         raise ManifestError("manifest: top level must be an object")
     doc.setdefault("suite", "suite")
@@ -143,7 +158,7 @@ def load_manifest(path):
         path_i = f"entries[{i}]"
         if not isinstance(entry, dict):
             raise ManifestError(f"{path_i}: expected an object")
-        eid = _require(entry, "id", path_i)
+        eid = _require(entry, "id", f"{path_i}.")
         if not isinstance(eid, str) or not _ID_PATTERN.fullmatch(eid):
             raise ManifestError(f"{path_i}.id: expected a file name of letters, digits, '_', '.' "
                                 f"and '-' that starts with a letter or digit, got {eid!r}")
@@ -157,11 +172,11 @@ def load_manifest(path):
 
 
 def _build_walk_config(entry, path, master_seed):
-    law = _parse_law(_require(entry, "law", path), f"{path}.law")
-    regime = _require(entry, "regime", path)
-    n = _as_int(_require(entry, "n", path), f"{path}.n", minimum=1)
-    p = _as_int(_require(entry, "p", path), f"{path}.p", minimum=1)
-    trials = _as_int(_require(entry, "trials", path), f"{path}.trials", minimum=100)
+    law = _parse_law(_require(entry, "law", f"{path}."), f"{path}.law")
+    regime = _require(entry, "regime", f"{path}.")
+    n = _as_int(_require(entry, "n", f"{path}."), f"{path}.n", minimum=1)
+    p = _as_int(_require(entry, "p", f"{path}."), f"{path}.p", minimum=1)
+    trials = _as_int(_require(entry, "trials", f"{path}."), f"{path}.trials", minimum=100)
     c = entry.get("c")
     if c is not None:
         c = _as_nonnegative(c, f"{path}.c")
@@ -194,9 +209,15 @@ def _summary_scalar(matrix: np.ndarray, q: int) -> float:
     return float(m[0, 0]) if q == 1 else float(np.linalg.norm(m))
 
 
-def _check_moments(q, kappa, p_grid, trials, prefix=""):
-    """Validate a moments sweep before it runs; ``prefix`` is the entry path
-    plus a dot in a manifest, empty on the command line."""
+def _parse_moments_entry(entry, prefix=""):
+    """Validate a moments sweep into the arguments its runner takes;
+    ``prefix`` is the entry path plus a dot in a manifest, empty on the
+    command line."""
+    law = _parse_law(_require(entry, "law", prefix), f"{prefix}law")
+    q = law.q
+    kappa = _parse_kappa(_require(entry, "kappa", prefix), f"{prefix}kappa")
+    p_grid = _require(entry, "p_grid", prefix)
+    trials = _require(entry, "trials", prefix)
     if not isinstance(p_grid, list) or not p_grid:
         raise ManifestError(f"{prefix}p_grid: expected a nonempty list")
     for k, p in enumerate(p_grid):
@@ -214,14 +235,6 @@ def _check_moments(q, kappa, p_grid, trials, prefix=""):
                                 f"the smallest p_grid point by q")
     if kappa_all_rows_even(kap) and len(p_grid) < 3:
         raise ManifestError(f"{prefix}p_grid: decay slope needs at least 3 points")
-
-
-def _parse_moments_entry(entry, path):
-    law = _parse_law(_require(entry, "law", path), f"{path}.law")
-    kappa = _parse_kappa(_require(entry, "kappa", path), f"{path}.kappa")
-    p_grid = _require(entry, "p_grid", path)
-    trials = _require(entry, "trials", path)
-    _check_moments(law.q, kappa, p_grid, trials, f"{path}.")
     return law, kappa, p_grid, trials
 
 
@@ -230,7 +243,7 @@ def _parse_entry(entry, path, master_seed):
     if entry["kind"] == "clt":
         return _build_walk_config(entry, path, master_seed)
     if entry["kind"] == "moments":
-        return _parse_moments_entry(entry, path)
+        return _parse_moments_entry(entry, f"{path}.")
     return _as_int(entry.get("cases", 50), f"{path}.cases", minimum=1)
 
 
@@ -247,52 +260,54 @@ def cmd_clt(manifest_path, out_dir, seed_override=None, workers=None,
     suite CSV, and return 0 only if all verdicts PASS.
 
     Every entry is validated before the first one runs, so a bad entry
-    raises :class:`ManifestError` with nothing computed or written.
+    raises :class:`ManifestError` with nothing computed or written.  With
+    ``workers`` > 1 one process pool serves every walk entry of the run.
     """
     doc, config_hash = load_manifest(manifest_path)
-    master_seed = int(seed_override) if seed_override is not None else int(doc["seed"])
+    master_seed = doc["seed"] if seed_override is None else seed_override
     entries = doc.get("entries", [])
     parsed = [_parse_entry(entry, f"entries[{i}]", master_seed) for i, entry in enumerate(entries)]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     all_pass = True
-    for entry, args in zip(entries, parsed):
-        eid = entry["id"]
-        kind = entry["kind"]
-        if kind == "clt":
-            cfg, checks, rel_tol = args
-            report = verify_clt(cfg, workers=workers, validate_decomposition=validate_decomposition,
-                                stream_tag=_entry_tag(eid), checks=checks, rel_tol=rel_tol)
-            _write_json(out / f"{eid}.json", {"meta": _meta(master_seed, config_hash),
-                                              "entry_id": eid, "report": report.to_dict()})
-            q = cfg.nu.q
-            rows.append((
-                eid, cfg.regime, str(cfg.n), str(cfg.p), str(q),
-                _fmt(_summary_scalar(report.predicted_limit, q)),
-                _fmt(_summary_scalar(report.empirical_cov, q)),
-                _fmt(_summary_scalar(report.stderr, q)),
-                _fmt(report.rel_frob_err_limit),
-                _fmt(report.ks_stat) if report.ks_stat is not None else "",
-                report.overall,
-            ))
-            all_pass &= report.overall == "PASS"
-        elif kind == "moments":
-            report = moment_decay_experiment(*args, trial_stream(master_seed, _entry_tag(eid), 0))
-            verdict = _moments_verdict(report)
-            _write_json(out / f"{eid}.json", {"meta": _meta(master_seed, config_hash),
-                                              "entry_id": eid, "verdict": verdict,
-                                              "report": report.to_dict()})
-            all_pass &= verdict == "PASS"
-        else:  # selftest
-            results = run_selftest_suites(seed=master_seed, cases=args)
-            ok = all(passed for _, passed, _ in results)
-            _write_json(out / f"{eid}.json", {"meta": _meta(master_seed, config_hash),
-                                              "entry_id": eid,
-                                              "verdict": "PASS" if ok else "FAIL",
-                                              "suites": [{"suite": s, "passed": p, "detail": d}
-                                                         for s, p, d in results]})
-            all_pass &= ok
+    with ProcessPoolExecutor(max_workers=workers) if workers and workers > 1 else nullcontext() as pool:
+        for entry, args in zip(entries, parsed):
+            eid = entry["id"]
+            kind = entry["kind"]
+            if kind == "clt":
+                cfg, checks, rel_tol = args
+                report = verify_clt(cfg, pool=pool, validate_decomposition=validate_decomposition,
+                                    stream_tag=_entry_tag(eid), checks=checks, rel_tol=rel_tol)
+                _write_json(out / f"{eid}.json", {"meta": _meta(master_seed, config_hash),
+                                                  "entry_id": eid, "report": report.to_dict()})
+                q = cfg.nu.q
+                rows.append((
+                    eid, cfg.regime, str(cfg.n), str(cfg.p), str(q),
+                    _fmt(_summary_scalar(report.predicted_limit, q)),
+                    _fmt(_summary_scalar(report.empirical_cov, q)),
+                    _fmt(_summary_scalar(report.stderr, q)),
+                    _fmt(report.rel_frob_err_limit),
+                    _fmt(report.ks_stat) if report.ks_stat is not None else "",
+                    report.overall,
+                ))
+                all_pass &= report.overall == "PASS"
+            elif kind == "moments":
+                report = moment_decay_experiment(*args, trial_stream(master_seed, _entry_tag(eid), 0))
+                verdict = _moments_verdict(report)
+                _write_json(out / f"{eid}.json", {"meta": _meta(master_seed, config_hash),
+                                                  "entry_id": eid, "verdict": verdict,
+                                                  "report": report.to_dict()})
+                all_pass &= verdict == "PASS"
+            else:  # selftest
+                results = run_selftest_suites(seed=master_seed, cases=args)
+                ok = all(passed for _, passed, _ in results)
+                _write_json(out / f"{eid}.json", {"meta": _meta(master_seed, config_hash),
+                                                  "entry_id": eid,
+                                                  "verdict": "PASS" if ok else "FAIL",
+                                                  "suites": [{"suite": s, "passed": p, "detail": d}
+                                                             for s, p, d in results]})
+                all_pass &= ok
     header = f"# tool=radwalk version={__version__} master_seed={master_seed} config_sha256={config_hash}\n"
     lines = [header, ",".join(CSV_COLUMNS) + "\n"]
     lines += [",".join(row) + "\n" for row in rows]
@@ -306,13 +321,6 @@ def _selftest_kron(a, b):
                   np.atleast_2d(np.asarray(b, dtype=np.float64)))
     if os.environ.get(ENV_SKEW_KRON):
         out = out + 1e-6
-    return out
-
-
-def _selftest_kron_chain(mats):
-    out = mats[0]
-    for m in mats[1:]:
-        out = _selftest_kron(out, m)
     return out
 
 
@@ -330,8 +338,8 @@ def run_selftest_suites(seed: int = DEFAULT_SELFTEST_SEED, cases: int = 200):
         mats = [rng.integers(-4, 5, size=sh).astype(float) for sh in shapes]
         sigma = rng.permutation(k)
         p, q = reorder_perm(shapes, sigma)
-        observed = _selftest_kron_chain([mats[i] for i in sigma])
-        expected = p.apply_left(q.apply_right(_kron_chain(mats)))
+        observed = reduce(_selftest_kron, [mats[i] for i in sigma])
+        expected = p.apply_left(q.apply_right(reduce(kron, mats)))
         if not np.array_equal(observed, expected):
             ok = False
             worst = max(worst, float(np.abs(observed - expected).max()))
@@ -345,7 +353,7 @@ def run_selftest_suites(seed: int = DEFAULT_SELFTEST_SEED, cases: int = 200):
         shape = (int(rng.integers(1, 3)), int(rng.integers(1, 3)))
         xs = [rng.standard_normal(shape) for _ in range(n)]
         expansion = kron_multinomial_expand(xs, k)
-        power = _selftest_kron_chain([sum(xs)] * k)
+        power = reduce(_selftest_kron, [sum(xs)] * k)
         scale = max(1.0, float(np.abs(power).max()))
         worst = max(worst, float(np.abs(expansion - power).max()) / scale)
     results.append(("kron-multinomial", worst <= 1e-12, f"max rel dev {worst:.3e}"))
@@ -393,13 +401,6 @@ def run_selftest_suites(seed: int = DEFAULT_SELFTEST_SEED, cases: int = 200):
     return results
 
 
-def _kron_chain(mats):
-    out = np.atleast_2d(np.asarray(mats[0], dtype=np.float64))
-    for m in mats[1:]:
-        out = kron(out, m)
-    return out
-
-
 def cmd_selftest(seed: int = DEFAULT_SELFTEST_SEED) -> int:
     results = run_selftest_suites(seed=seed)
     for name, passed, detail in results:
@@ -407,41 +408,15 @@ def cmd_selftest(seed: int = DEFAULT_SELFTEST_SEED) -> int:
     return 0 if all(passed for _, passed, _ in results) else 1
 
 
-def _parse_kappa_text(text: str):
-    """Sparse multi-index grammar: "row,col:exp" terms joined by ";"."""
-    pairs = []
-    for term in text.split(";"):
-        term = term.strip()
-        if not term:
-            continue
-        try:
-            idx, e = term.split(":")
-            i, j = idx.split(",")
-            pairs.append(((int(i), int(j)), int(e)))
-        except ValueError as exc:
-            raise ManifestError(f"kappa: cannot parse term {term!r} ({exc})") from exc
-    return pairs
-
-
 def cmd_moments(law_path, kappa_text, p_grid_text, trials, out_dir, seed=0) -> int:
-    try:
-        raw = Path(law_path).read_bytes()
-        law = RadialLaw.from_config(json.loads(raw))
-    except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
-        print(f"config error: law: {exc}", file=sys.stderr)
-        return 2
-    try:
-        kappa = _parse_kappa_text(kappa_text)
-        p_grid = []
-        for k, x in enumerate(t for t in p_grid_text.split(",") if t.strip()):
-            try:
-                p_grid.append(int(x))
-            except ValueError as exc:
-                raise ManifestError(f"p_grid[{k}]: expected an integer, got {x.strip()!r}") from exc
-        _check_moments(law.q, kappa, p_grid, trials)
-    except ManifestError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    """Run one moments sweep from the command-line flags, which become a
+    moments entry checked by the manifest's rules, and write moments.csv."""
+    law_cfg, raw = _read_json(law_path, "law")
+    # "row,col:exp;..." is the manifest's [[[row, col], exp], ...] without its brackets
+    terms = (t.replace(":", "],") for t in kappa_text.split(";") if t.strip())
+    entry = {"law": law_cfg, "kappa": _decode("[" + ",".join(f"[[{t}]" for t in terms) + "]", "kappa"),
+             "p_grid": _decode(f"[{p_grid_text}]", "p_grid"), "trials": trials}
+    law, kappa, p_grid, trials = _parse_moments_entry(entry)
     config_hash = hashlib.sha256(raw + f"|{kappa_text}|{p_grid_text}|{trials}".encode()).hexdigest()
     rng = trial_stream(seed, _entry_tag(f"moments:{kappa_text}"), 0)
     report = moment_decay_experiment(law, kappa, p_grid, trials, rng)
@@ -489,26 +464,20 @@ def main(argv=None) -> int:
     p_mom.add_argument("--out", default="out")
 
     args = parser.parse_args(argv)
-    if args.command == "selftest":
-        return cmd_selftest(seed=args.seed)
-    if args.command == "moments":
-        return cmd_moments(args.law, args.kappa, args.p_grid, args.trials, args.out, seed=args.seed)
-
-    workers = args.workers
-    env_workers = os.environ.get(ENV_WORKERS)
-    if env_workers:
-        try:
-            workers = int(env_workers)
-        except ValueError:
-            workers = 0
-        if workers < 1:
-            print(f"config error: {ENV_WORKERS}: expected an integer >= 1, got {env_workers!r}",
-                  file=sys.stderr)
-            return 2
-    if workers is None:
-        workers = os.cpu_count() or 1
     try:
-        return cmd_clt(args.manifest, args.out, seed_override=args.seed, workers=workers,
+        if args.seed is not None:
+            _as_int(args.seed, "--seed", minimum=0)
+        if args.command == "selftest":
+            return cmd_selftest(seed=args.seed)
+        if args.command == "moments":
+            return cmd_moments(args.law, args.kappa, args.p_grid, args.trials, args.out, seed=args.seed)
+        env_workers = os.environ.get(ENV_WORKERS)
+        name, workers = ((ENV_WORKERS, _decode(env_workers, ENV_WORKERS)) if env_workers
+                         else ("--workers", args.workers))
+        if workers is not None:
+            _as_int(workers, name, minimum=1)
+        return cmd_clt(args.manifest, args.out, seed_override=args.seed,
+                       workers=workers or os.cpu_count() or 1,
                        validate_decomposition=args.validate_decomposition)
     except ManifestError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -24,14 +24,12 @@ p x q walk and stays as the reference the tests compare against.
 Trials are split into fixed-size chunks; each chunk owns a counter-based
 random stream keyed by (seed, stream tag, chunk index), so results are
 bit-identical for a fixed seed regardless of how chunks are scheduled
-across workers.
+across the workers of a process pool.
 """
 
 from __future__ import annotations
 
-import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import sqrt
 
 import numpy as np
@@ -263,9 +261,9 @@ def estimate_covariance(samples) -> CovarianceEstimate:
 class ExperimentReport:
     """Self-contained record of one verified experiment.
 
-    Re-running with the embedded seed reproduces every numeric field; wall
-    time is kept out of :meth:`to_dict` so serialized reports stay
-    byte-stable across runs and worker counts.
+    Re-running with the embedded seed reproduces every numeric field, and
+    no wall time is recorded, so serialized reports stay byte-stable across
+    runs and worker counts.
     """
 
     config: dict
@@ -284,7 +282,6 @@ class ExperimentReport:
     verdicts: dict
     overall: str
     max_decomposition_err: float | None = None
-    wall_time_s: float = 0.0
 
     def to_dict(self) -> dict:
         out = {
@@ -321,25 +318,17 @@ def _chunk_task(args):
         denom = 1.0 + np.sqrt(np.sum(xi.reshape(m, -1) ** 2, axis=1))
         err = np.abs((b_direct - b).reshape(m, -1)).max(axis=1)
         max_err = float((err / denom).max())
-    return chunk_idx, xi.reshape(m, -1), max_err
+    return xi.reshape(m, -1), max_err
 
 
-def _run_all_chunks(cfg: WalkConfig, tag: int, workers, validate: bool):
-    sizes = []
-    left = cfg.trials
-    while left > 0:
-        sizes.append(min(CHUNK_TRIALS, left))
-        left -= CHUNK_TRIALS
-    tasks = [(cfg, tag, idx, size, validate) for idx, size in enumerate(sizes)]
-    if workers is not None and workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=int(workers)) as pool:
-            results = list(pool.map(_chunk_task, tasks))
-    else:
-        results = [_chunk_task(t) for t in tasks]
-    results.sort(key=lambda r: r[0])
-    xi = np.concatenate([r[1] for r in results], axis=0)
-    max_err = max((r[2] for r in results), default=None) if validate else None
-    return xi, max_err
+def _run_all_chunks(cfg: WalkConfig, tag: int, pool, validate: bool):
+    """Run every chunk, on ``pool`` when given and there are several; both
+    maps return results in chunk order."""
+    tasks = [(cfg, tag, idx, min(CHUNK_TRIALS, cfg.trials - start), validate)
+             for idx, start in enumerate(range(0, cfg.trials, CHUNK_TRIALS))]
+    run = pool.map if pool is not None and len(tasks) > 1 else map
+    xis, errs = zip(*run(_chunk_task, tasks))
+    return np.concatenate(xis, axis=0), max(errs) if validate else None
 
 
 def _compare_covariance(emp: np.ndarray, se: np.ndarray, pred: np.ndarray, rel_tol: float):
@@ -389,19 +378,20 @@ def _ks_projections(samples: np.ndarray, q: int, alpha: float):
     return max(per_projection), critical, per_projection
 
 
-def verify_clt(cfg: WalkConfig, workers: int | None = None, validate_decomposition: bool = False,
+def verify_clt(cfg: WalkConfig, pool=None, validate_decomposition: bool = False,
                stream_tag: int = 0, checks=("exact", "limit", "ks"), rel_tol: float = 0.05,
                ks_alpha: float = 1e-3) -> ExperimentReport:
     """Run the configured experiment and compare the empirical covariance of
     the normalized statistic against the exact finite-n prediction and the
     asymptotic limit, with a normality check on scalar projections.
 
-    ``checks`` selects which comparisons feed the overall verdict; every
-    comparison is still computed and reported.
+    ``pool`` is an executor (such as a ``ProcessPoolExecutor``) that runs the
+    trial chunks; without one they run in this process.  ``checks`` selects
+    which comparisons feed the overall verdict; every comparison is still
+    computed and reported.
     """
-    t0 = time.perf_counter()
     q = cfg.nu.q
-    xi_vecs, max_err = _run_all_chunks(cfg, stream_tag, workers, validate_decomposition)
+    xi_vecs, max_err = _run_all_chunks(cfg, stream_tag, pool, validate_decomposition)
     scale = cfg.scale
     samples = scale * xi_vecs
     est = estimate_covariance(samples)
@@ -475,7 +465,6 @@ def verify_clt(cfg: WalkConfig, workers: int | None = None, validate_decompositi
         verdicts=verdicts,
         overall=overall,
         max_decomposition_err=max_err,
-        wall_time_s=time.perf_counter() - t0,
     )
 
 
@@ -492,7 +481,6 @@ class MomentDecayReport:
     slope_stderr: float | None = None
     intercept: float | None = None
     max_abs_z: float | None = None
-    points: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
         return {

@@ -221,10 +221,13 @@ def _moments_entry(eid, **extra):
     ("kappa", [[[0, 1], 2]]),  # column index >= q
     ("kappa", [[[-1, 0], 2]]),
     ("kappa", [[[0, 0], 9]]),
+    ("kappa", [[[0.5, 0], 2.7]]),  # would truncate to [[0, 0], 2]
+    ("kappa", [[["1", 0], True]]),  # would run as [[1, 0], 1]
     ("p_grid[1]", [2, 4.5, "8"]),
     ("p_grid[2]", [2, 4, "8"]),
     ("p_grid[0]", [0, 4, 8]),
-], ids=["row-outside-p", "col-outside-q", "negative-index", "weight-9", "float-p", "string-p", "zero-p"])
+], ids=["row-outside-p", "col-outside-q", "negative-index", "weight-9", "float-kappa", "string-bool-kappa",
+        "float-p", "string-p", "zero-p"])
 def test_bad_moments_entry_rejected_before_any_entry_runs(tmp_path, capsys, field, value):
     key = field.split("[")[0]
     entries = [_clt_entry("first"), _moments_entry("m", **{key: value})]
@@ -235,26 +238,55 @@ def test_bad_moments_entry_rejected_before_any_entry_runs(tmp_path, capsys, fiel
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("field, args", [
-    ("trials", ["--kappa", "0,0:2", "--p-grid", "8,16,32", "--trials", "10"]),
-    ("p_grid[0]", ["--kappa", "0,0:2", "--p-grid", "0,4,8", "--trials", "2000"]),
-    ("p_grid[1]", ["--kappa", "0,0:2", "--p-grid", "2,4.5,8", "--trials", "2000"]),
-    ("kappa", ["--kappa", "5,0:2", "--p-grid", "2,4,8", "--trials", "2000"]),
-], ids=["few-trials", "zero-p", "float-p", "row-outside-p"])
-def test_bad_moments_command_is_config_error(tmp_path, capsys, field, args):
+POINT_MASS_LAW = {"family": "point_mass", "params": {"radius": 1.0}}
+GOOD_MOMENTS_ARGS = ["--kappa", "0,0:2", "--p-grid", "2,4,8", "--trials", "2000"]
+
+
+@pytest.mark.parametrize("field, args, law", [
+    ("trials", ["--kappa", "0,0:2", "--p-grid", "8,16,32", "--trials", "10"], POINT_MASS_LAW),
+    ("p_grid[0]", ["--kappa", "0,0:2", "--p-grid", "0,4,8", "--trials", "2000"], POINT_MASS_LAW),
+    ("p_grid[1]", ["--kappa", "0,0:2", "--p-grid", "2,4.5,8", "--trials", "2000"], POINT_MASS_LAW),
+    ("kappa", ["--kappa", "5,0:2", "--p-grid", "2,4,8", "--trials", "2000"], POINT_MASS_LAW),
+    ("law", GOOD_MOMENTS_ARGS, {"q": 2, "atoms": [{"weight": 1.0, "radius": [1.0, 2.0, 2.0, 1.0]}]}),
+    ("law", GOOD_MOMENTS_ARGS, {"family": "point_mass", "params": {"radius": 1.0, "bogus": 2}}),
+    ("law", GOOD_MOMENTS_ARGS, [POINT_MASS_LAW]),
+], ids=["few-trials", "zero-p", "float-p", "row-outside-p", "non-psd-law", "unknown-param-law", "list-law"])
+def test_bad_moments_command_is_config_error(tmp_path, capsys, field, args, law):
     law_path = tmp_path / "law.json"
-    law_path.write_text(json.dumps({"family": "point_mass", "params": {"radius": 1.0}}))
+    law_path.write_text(json.dumps(law))
     code = cli.main(["moments", "--law", str(law_path), *args, "--out", str(tmp_path / "out")])
     assert code == 2
     assert f"config error: {field}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("value", ["abc", "0", "-2"])
-def test_bad_workers_env_is_config_error(tmp_path, capsys, monkeypatch, value):
+@pytest.mark.parametrize("name, value", [
+    (cli.ENV_WORKERS, "abc"), (cli.ENV_WORKERS, "0"), (cli.ENV_WORKERS, "-2"),
+    ("--workers", "0"), ("--workers", "-3"),
+], ids=["abc", "0", "-2", "flag-0", "flag--3"])
+def test_bad_workers_env_is_config_error(tmp_path, capsys, monkeypatch, name, value):
     manifest = _write_manifest(tmp_path / "m.json", [_clt_entry("c0")])
-    monkeypatch.setenv(cli.ENV_WORKERS, value)
-    code = cli.main(["clt", "--manifest", str(manifest), "--out", str(tmp_path / "out")])
+    args = ["clt", "--manifest", str(manifest), "--out", str(tmp_path / "out")]
+    if name == cli.ENV_WORKERS:
+        monkeypatch.setenv(cli.ENV_WORKERS, value)
+    else:
+        monkeypatch.delenv(cli.ENV_WORKERS, raising=False)
+        args += [name, value]
+    code = cli.main(args)
     assert code == 2
-    assert cli.ENV_WORKERS in capsys.readouterr().err
+    assert name in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["clt", "moments", "selftest"])
+def test_negative_seed_is_config_error(tmp_path, capsys, command):
+    law_path = tmp_path / "law.json"
+    law_path.write_text(json.dumps(POINT_MASS_LAW))
+    manifest = _write_manifest(tmp_path / "m.json", [_moments_entry("m")])
+    args = {"clt": ["--manifest", str(manifest), "--out", str(tmp_path / "out")],
+            "moments": ["--law", str(law_path), *GOOD_MOMENTS_ARGS, "--out", str(tmp_path / "out")],
+            "selftest": []}[command]
+    code = cli.main([command, *args, "--seed", "-1"])
+    assert code == 2
+    assert "config error: --seed" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()

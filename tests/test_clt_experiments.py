@@ -1,3 +1,5 @@
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -252,8 +254,9 @@ def test_verify_clt_degenerate_limit_skips_ks():
 
 def test_verify_clt_deterministic_and_worker_independent():
     cfg = _cfg(trials=CHUNK_TRIALS * 2 + 100, seed=21)
-    rep1 = verify_clt(cfg, workers=None, checks=("exact",))
-    rep2 = verify_clt(cfg, workers=2, checks=("exact",))
+    rep1 = verify_clt(cfg, checks=("exact",))
+    with ProcessPoolExecutor(2) as pool:
+        rep2 = verify_clt(cfg, pool=pool, checks=("exact",))
     assert rep1.to_dict() == rep2.to_dict()
 
 

@@ -7,9 +7,8 @@ a plain file name, and a ``kind``:
 
 * ``clt`` -- a walk experiment: ``regime`` (CLT_I | CLT_II | MIXED), ``n``,
   ``p``, ``trials``, ``law``, optional ``c`` (>= 0), ``checks`` (a list,
-  subset of ["exact", "limit", "ks"]), ``rel_tol`` (> 0) and ``fast_path``:
-  true (the default, any q) runs the Gram-state kernel, which tracks only
-  the q x q Gram matrix of the walk; false runs the direct p x q walk.
+  subset of ["exact", "limit", "ks"]) and ``rel_tol`` (> 0).  The walk
+  tracks only its q x q Gram matrix, so its cost does not depend on p.
 * ``moments`` -- a monomial-moment sweep: ``law``, ``kappa`` (list of
   ``[[row, col], exponent]``, total exponent 1 to 8, every index inside the
   smallest grid point by q), ``p_grid`` (integers >= q), ``trials``
@@ -21,7 +20,8 @@ Laws are ``{"q": q, "atoms": [{"weight": w, "radius": [row-major]}]}`` or
 ``two_point``, ``uniform_interval``.
 
 Every entry is validated before the first one runs, so a bad manifest
-exits with code 2 and a message naming the field, with nothing written.
+exits with code 2 and a message naming the field, with nothing written; a
+field its kind does not take is an error too.
 ``radwalk moments`` turns its flags into a moments entry and applies the
 same rules.  ``--seed`` must be an integer >= 0, and ``--workers`` (or
 ``RADWALK_WORKERS``, which takes precedence) an integer >= 1.
@@ -69,6 +69,12 @@ DEFAULT_SELFTEST_SEED = 20240811
 CSV_COLUMNS = ("id", "regime", "n", "p", "q", "predicted_var", "empirical_var",
                "stderr", "rel_frob_err", "ks_stat", "verdict")
 CHECKS = ("exact", "limit", "ks")
+# the fields each entry kind takes; any other key is a config error
+_FIELDS = {
+    "clt": {"id", "kind", "regime", "n", "p", "trials", "law", "c", "checks", "rel_tol"},
+    "moments": {"id", "kind", "law", "kappa", "p_grid", "trials"},
+    "selftest": {"id", "kind", "cases"},
+}
 # an entry id names its report file, so it must stay a plain file name
 _ID_PATTERN = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]*")
 
@@ -166,8 +172,11 @@ def load_manifest(path):
             raise ManifestError(f"{path_i}.id: duplicate id {eid!r}")
         seen.add(eid)
         kind = entry.setdefault("kind", "clt")
-        if kind not in ("clt", "moments", "selftest"):
+        if kind not in _FIELDS:
             raise ManifestError(f"{path_i}.kind: unknown kind {kind!r}")
+        for key in entry:
+            if key not in _FIELDS[kind]:
+                raise ManifestError(f"{path_i}.{key}: unknown field")
     return doc, hashlib.sha256(raw).hexdigest()
 
 
@@ -180,16 +189,12 @@ def _build_walk_config(entry, path, master_seed):
     c = entry.get("c")
     if c is not None:
         c = _as_nonnegative(c, f"{path}.c")
-    fast_path = entry.get("fast_path", True)
-    if not isinstance(fast_path, bool):
-        raise ManifestError(f"{path}.fast_path: expected true or false, got {fast_path!r}")
     checks = entry.get("checks", list(CHECKS))
     if not isinstance(checks, list) or any(chk not in CHECKS for chk in checks):
         raise ManifestError(f"{path}.checks: expected a list of checks from {list(CHECKS)}, got {checks!r}")
     rel_tol = _as_nonnegative(entry.get("rel_tol", 0.05), f"{path}.rel_tol", positive=True)
     try:
-        cfg = WalkConfig(nu=law, n=n, p=p, trials=trials, regime=regime, c=c,
-                         seed=master_seed, fast_path=fast_path)
+        cfg = WalkConfig(nu=law, n=n, p=p, trials=trials, regime=regime, c=c, seed=master_seed)
     except RadwalkError as exc:
         raise ManifestError(f"{path}: {exc}") from exc
     return cfg, tuple(checks), rel_tol
@@ -254,8 +259,7 @@ def _moments_verdict(report) -> str:
     return "PASS" if abs(report.slope - target) <= 0.5 else "FAIL"
 
 
-def cmd_clt(manifest_path, out_dir, seed_override=None, workers=None,
-            validate_decomposition=False) -> int:
+def cmd_clt(manifest_path, out_dir, seed_override=None, workers=None) -> int:
     """Run every manifest entry, write one JSON report per entry plus the
     suite CSV, and return 0 only if all verdicts PASS.
 
@@ -277,8 +281,8 @@ def cmd_clt(manifest_path, out_dir, seed_override=None, workers=None,
             kind = entry["kind"]
             if kind == "clt":
                 cfg, checks, rel_tol = args
-                report = verify_clt(cfg, pool=pool, validate_decomposition=validate_decomposition,
-                                    stream_tag=_entry_tag(eid), checks=checks, rel_tol=rel_tol)
+                report = verify_clt(cfg, pool=pool, stream_tag=_entry_tag(eid), checks=checks,
+                                    rel_tol=rel_tol)
                 _write_json(out / f"{eid}.json", {"meta": _meta(master_seed, config_hash),
                                                   "entry_id": eid, "report": report.to_dict()})
                 q = cfg.nu.q
@@ -417,8 +421,10 @@ def cmd_moments(law_path, kappa_text, p_grid_text, trials, out_dir, seed=0) -> i
     entry = {"law": law_cfg, "kappa": _decode("[" + ",".join(f"[[{t}]" for t in terms) + "]", "kappa"),
              "p_grid": _decode(f"[{p_grid_text}]", "p_grid"), "trials": trials}
     law, kappa, p_grid, trials = _parse_moments_entry(entry)
-    config_hash = hashlib.sha256(raw + f"|{kappa_text}|{p_grid_text}|{trials}".encode()).hexdigest()
-    rng = trial_stream(seed, _entry_tag(f"moments:{kappa_text}"), 0)
+    # keyed on the parsed sweep, so every spelling of it draws the same stream
+    sweep = json.dumps([kappa, p_grid, trials], separators=(",", ":"))
+    config_hash = hashlib.sha256(raw + f"|{sweep}".encode()).hexdigest()
+    rng = trial_stream(seed, _entry_tag(f"moments:{sweep}"), 0)
     report = moment_decay_experiment(law, kappa, p_grid, trials, rng)
     verdict = _moments_verdict(report)
 
@@ -449,8 +455,6 @@ def main(argv=None) -> int:
     p_clt.add_argument("--seed", type=int, default=None, help="override the manifest master seed")
     p_clt.add_argument("--workers", type=int, default=None)
     p_clt.add_argument("--out", default="out")
-    p_clt.add_argument("--validate-decomposition", action="store_true",
-                       help="accumulate the cross terms directly and check the decomposition identity")
 
     p_self = sub.add_parser("selftest", help="run the exact-identity suites")
     p_self.add_argument("--seed", type=int, default=DEFAULT_SELFTEST_SEED)
@@ -477,8 +481,7 @@ def main(argv=None) -> int:
         if workers is not None:
             _as_int(workers, name, minimum=1)
         return cmd_clt(args.manifest, args.out, seed_override=args.seed,
-                       workers=workers or os.cpu_count() or 1,
-                       validate_decomposition=args.validate_decomposition)
+                       workers=workers or os.cpu_count() or 1)
     except ManifestError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

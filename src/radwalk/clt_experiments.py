@@ -16,10 +16,11 @@ with zero cross-covariance between the parts: every cross term carries a
 factor that is odd in some row of one step, so its expectation vanishes.
 
 Xi_n depends on the walk only through its q x q Gram matrix S_k'S_k, which
-by orthogonal invariance is a Markov chain of its own.  The default kernel
-(``fast_path=True``) runs that chain, at a cost per step that does not
-depend on p; the direct kernel (``fast_path=False``) materializes the
-p x q walk and stays as the reference the tests compare against.
+by orthogonal invariance is a Markov chain of its own.  Every experiment
+runs that chain (:func:`_gram_chunk`), at a cost per step that does not
+depend on p.  The direct kernel (:func:`_walk_chunk`) materializes the
+p x q walk; no experiment runs it, and it stays as the oracle the tests
+compare the chain against.
 
 Trials are split into fixed-size chunks; each chunk owns a counter-based
 random stream keyed by (seed, stream tag, chunk index), so results are
@@ -85,7 +86,6 @@ class WalkConfig:
     regime: str
     c: float | None = None
     seed: int = 0
-    fast_path: bool = True  # Gram-state kernel; False runs the direct p x q walk
 
     def __post_init__(self):
         if self.regime not in REGIMES:
@@ -128,35 +128,30 @@ def _sym_batch(m: np.ndarray) -> np.ndarray:
     return (m + m.transpose(0, 2, 1)) / 2.0
 
 
-def _walk_chunk(nu: RadialLaw, n: int, p: int, m: int, rng: np.random.Generator,
-                validate: bool = False):
-    """m direct-path trials; returns (xi, a, b, b_direct) as (m, q, q) arrays.
+def _walk_chunk(nu: RadialLaw, n: int, p: int, m: int, rng: np.random.Generator):
+    """m direct-path trials; returns (xi, a) as (m, q, q) arrays.
 
-    The full (m, p, q) walk is kept, so this costs O(n p q) per trial; it is
-    the reference the Gram-state kernel is tested against.
+    The full (m, p, q) walk is kept, so this costs O(n p q) per trial.  No
+    experiment runs it: it is the oracle the tests check :func:`_gram_chunk`
+    against.
     """
     q = nu.q
     r2m = r2(nu)
     s = np.zeros((m, p, q))
     a = np.zeros((m, q, q))
-    b_direct = np.zeros((m, q, q)) if validate else None
     for _ in range(n):
         radii = nu.draw_radii(m, rng)
         x = _orbit_batch(p, radii, rng)
-        if validate:
-            cross = s.transpose(0, 2, 1) @ x
-            b_direct += cross + cross.transpose(0, 2, 1)
         s += x
         # x'x rather than r r: keeps the frames' orthonormality under test
         a += x.transpose(0, 2, 1) @ x - r2m
     xi = _sym_batch(s.transpose(0, 2, 1) @ s - n * r2m)
-    a = _sym_batch(a)
-    return xi, a, xi - a, b_direct
+    return xi, _sym_batch(a)
 
 
-def _gram_chunk(nu: RadialLaw, n: int, p: int, m: int, rng: np.random.Generator,
-                validate: bool = False):
-    """m Gram-state trials; returns (xi, a, b, b_direct) as (m, q, q) arrays.
+def _gram_chunk(nu: RadialLaw, n: int, p: int, m: int, rng: np.random.Generator):
+    """m Gram-state trials; returns (xi, a) as (m, q, q) arrays, the kernel
+    every experiment runs.  The cross part is b = xi - a.
 
     Only G = S'S is tracked.  Write the walk as S = Q_S G^{1/2} with Q_S a
     p x q orthonormal frame, and a fresh step as X = U r with U a uniform
@@ -183,7 +178,6 @@ def _gram_chunk(nu: RadialLaw, n: int, p: int, m: int, rng: np.random.Generator,
         r2s = float(r2m[0, 0])
         g = np.zeros(m)
         a = np.zeros(m)
-        b_direct = np.zeros(m) if validate else None
         cross = np.empty(m)
         for start in range(0, n, _STEP_BLOCK):
             k = min(_STEP_BLOCK, n - start)
@@ -197,20 +191,13 @@ def _gram_chunk(nu: RadialLaw, n: int, p: int, m: int, rng: np.random.Generator,
                 np.maximum(g, 0.0, out=cross)
                 np.sqrt(cross, out=cross)
                 cross *= ru2[j]
-                if validate:
-                    b_direct += cross
                 g += cross
                 g += rr[j]
             rr -= r2s
             a += rr.sum(axis=0)
-        xi = (g - n * r2s).reshape(m, 1, 1)
-        a = a.reshape(m, 1, 1)
-        if validate:
-            b_direct = b_direct.reshape(m, 1, 1)
-        return xi, a, xi - a, b_direct
+        return (g - n * r2s).reshape(m, 1, 1), a.reshape(m, 1, 1)
     g = np.zeros((m, q, q))
     a = np.zeros((m, q, q))
-    b_direct = np.zeros((m, q, q)) if validate else None
     for _ in range(n):
         radii = nu.draw_radii(m, rng)
         w, v = np.linalg.eigh(g)
@@ -218,13 +205,9 @@ def _gram_chunk(nu: RadialLaw, n: int, p: int, m: int, rng: np.random.Generator,
         c = root @ _stiefel_rows(p, q, q, m, rng) @ radii
         cross = c + c.transpose(0, 2, 1)
         rr = radii @ radii  # X'X = r'U'U r, and radii are symmetric
-        if validate:
-            b_direct += cross
         g = g + cross + rr
         a += rr - r2m
-    xi = _sym_batch(g - n * r2m)
-    a = _sym_batch(a)
-    return xi, a, xi - a, b_direct
+    return _sym_batch(g - n * r2m), _sym_batch(a)
 
 
 def predict_covariances(nu: RadialLaw, n: int, p: int):
@@ -235,7 +218,14 @@ def predict_covariances(nu: RadialLaw, n: int, p: int):
 
 
 def estimate_covariance(samples) -> CovarianceEstimate:
-    """Sample mean, unbiased covariance, and per-entry jackknife standard errors."""
+    """Sample mean, unbiased covariance, and per-entry jackknife standard errors.
+
+    Leaving out centred row c_i gives the rank-one downdate
+    S_(i) = (n-1)/(n-2) S - k c_i c_i' with k = n/((n-1)(n-2)), so with
+    M = C'C/n the jackknife variance is (n-1)/n k^2 ((C*C)'(C*C) - n M*M)
+    (Efron & Stein, Ann. Stat. 1981), clamped at 0: it can round below 0
+    when |c_ia c_ib| is constant over i.
+    """
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim == 1:
         x = x[:, None]
@@ -244,17 +234,15 @@ def estimate_covariance(samples) -> CovarianceEstimate:
         raise TooFewSamples(f"need at least 2 samples, got {n}")
     mean = x.mean(axis=0)
     xc = x - mean
-    cov = (xc.T @ xc) / (n - 1)
+    gram = xc.T @ xc
+    cov = gram / (n - 1)
     cov = (cov + cov.T) / 2.0
     if n < 3:
         return CovarianceEstimate(mean=mean, cov=cov, stderr=np.full((d, d), np.inf))
-    total = x.T @ x
-    mean_loo = (n * mean - x) / (n - 1)
-    cov_loo = (
-        total - np.einsum("ni,nj->nij", x, x) - (n - 1) * np.einsum("ni,nj->nij", mean_loo, mean_loo)
-    ) / (n - 2)
-    stderr = np.sqrt((n - 1) / n * np.sum((cov_loo - cov_loo.mean(axis=0)) ** 2, axis=0))
-    return CovarianceEstimate(mean=mean, cov=cov, stderr=stderr)
+    k = n / ((n - 1) * (n - 2))
+    sq, m = xc * xc, gram / n
+    var = (n - 1) / n * k * k * (sq.T @ sq - n * m * m)
+    return CovarianceEstimate(mean=mean, cov=cov, stderr=np.sqrt(np.maximum(var, 0.0)))
 
 
 @dataclass
@@ -281,10 +269,9 @@ class ExperimentReport:
     ks_per_projection: list | None
     verdicts: dict
     overall: str
-    max_decomposition_err: float | None = None
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "config": self.config,
             "normalization": self.normalization,
             "predicted_exact": self.predicted_exact.tolist(),
@@ -301,34 +288,22 @@ class ExperimentReport:
             "verdicts": self.verdicts,
             "overall": self.overall,
         }
-        if self.max_decomposition_err is not None:
-            out["max_decomposition_err"] = self.max_decomposition_err
-        return out
 
 
 def _chunk_task(args):
     """Top-level chunk runner (picklable for process pools)."""
-    cfg, tag, chunk_idx, size, validate = args
-    rng = trial_stream(cfg.seed, tag, chunk_idx)
-    runner = _gram_chunk if cfg.fast_path else _walk_chunk
-    xi, a, b, b_direct = runner(cfg.nu, cfg.n, cfg.p, size, rng, validate=validate)
-    m = xi.shape[0]
-    max_err = None
-    if validate:
-        denom = 1.0 + np.sqrt(np.sum(xi.reshape(m, -1) ** 2, axis=1))
-        err = np.abs((b_direct - b).reshape(m, -1)).max(axis=1)
-        max_err = float((err / denom).max())
-    return xi.reshape(m, -1), max_err
+    cfg, tag, chunk_idx, size = args
+    xi, _ = _gram_chunk(cfg.nu, cfg.n, cfg.p, size, trial_stream(cfg.seed, tag, chunk_idx))
+    return xi.reshape(size, -1)
 
 
-def _run_all_chunks(cfg: WalkConfig, tag: int, pool, validate: bool):
+def _run_all_chunks(cfg: WalkConfig, tag: int, pool):
     """Run every chunk, on ``pool`` when given and there are several; both
     maps return results in chunk order."""
-    tasks = [(cfg, tag, idx, min(CHUNK_TRIALS, cfg.trials - start), validate)
+    tasks = [(cfg, tag, idx, min(CHUNK_TRIALS, cfg.trials - start))
              for idx, start in enumerate(range(0, cfg.trials, CHUNK_TRIALS))]
     run = pool.map if pool is not None and len(tasks) > 1 else map
-    xis, errs = zip(*run(_chunk_task, tasks))
-    return np.concatenate(xis, axis=0), max(errs) if validate else None
+    return np.concatenate(list(run(_chunk_task, tasks)), axis=0)
 
 
 def _compare_covariance(emp: np.ndarray, se: np.ndarray, pred: np.ndarray, rel_tol: float):
@@ -378,8 +353,7 @@ def _ks_projections(samples: np.ndarray, q: int, alpha: float):
     return max(per_projection), critical, per_projection
 
 
-def verify_clt(cfg: WalkConfig, pool=None, validate_decomposition: bool = False,
-               stream_tag: int = 0, checks=("exact", "limit", "ks"), rel_tol: float = 0.05,
+def verify_clt(cfg: WalkConfig, pool=None, stream_tag: int = 0, checks=("exact", "limit", "ks"), rel_tol: float = 0.05,
                ks_alpha: float = 1e-3) -> ExperimentReport:
     """Run the configured experiment and compare the empirical covariance of
     the normalized statistic against the exact finite-n prediction and the
@@ -391,7 +365,7 @@ def verify_clt(cfg: WalkConfig, pool=None, validate_decomposition: bool = False,
     computed and reported.
     """
     q = cfg.nu.q
-    xi_vecs, max_err = _run_all_chunks(cfg, stream_tag, pool, validate_decomposition)
+    xi_vecs = _run_all_chunks(cfg, stream_tag, pool)
     scale = cfg.scale
     samples = scale * xi_vecs
     est = estimate_covariance(samples)
@@ -442,7 +416,6 @@ def verify_clt(cfg: WalkConfig, pool=None, validate_decomposition: bool = False,
         "regime": cfg.regime,
         "c": cfg.limit_c,
         "seed": cfg.seed,
-        "fast_path": cfg.fast_path,
         "stream_tag": stream_tag,
         "checks": list(checks),
         "rel_tol": rel_tol,
@@ -464,7 +437,6 @@ def verify_clt(cfg: WalkConfig, pool=None, validate_decomposition: bool = False,
         ks_per_projection=ks_all,
         verdicts=verdicts,
         overall=overall,
-        max_decomposition_err=max_err,
     )
 
 

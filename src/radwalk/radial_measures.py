@@ -279,7 +279,7 @@ _MOMENT_CHUNK = 32768
 
 
 def _orbit_batch(p: int, radii: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """(m, p, q) uniform draws on the orbits of the given radii."""
+    """(m, p, q) uniform draws on the orbits of the given radii; the tests' full-frame oracle."""
     m, q, _ = radii.shape
     if p < q:
         raise BadArity(f"need p >= q, got p={p}, q={q}")
@@ -306,7 +306,7 @@ def _wishart_identity(dof: int, q: int, m: int, rng: np.random.Generator) -> np.
     """
     if dof < q:
         h = rng.standard_normal((m, dof, q))
-        return np.einsum("mki,mkj->mij", h, h)
+        return h.transpose(0, 2, 1) @ h
     low = np.tril(rng.standard_normal((m, q, q)), -1)
     diag = np.sqrt(rng.chisquare(dof - np.arange(q), size=(m, q)))
     low[:, np.arange(q), np.arange(q)] = diag
@@ -331,18 +331,18 @@ def _stiefel_rows(p: int, k: int, q: int, m: int, rng: np.random.Generator) -> n
     if not 1 <= k <= p:
         raise BadArity(f"need 1 <= k <= p, got k={k}, p={p}")
     g = rng.standard_normal((m, k, q))
-    gm = np.einsum("mki,mkj->mij", g, g) + _wishart_identity(p - k, q, m, rng)
+    gm = g.transpose(0, 2, 1) @ g + _wishart_identity(p - k, q, m, rng)
     for _ in range(_MAX_RESAMPLES):
         w, v = np.linalg.eigh(gm)
         bad = w[:, 0] <= _RANK_TOL * w[:, -1]
         if not bad.any():
             break
         nbad = int(bad.sum())
-        g[bad] = rng.standard_normal((nbad, k, q))
-        gm[bad] = np.einsum("mki,mkj->mij", g[bad], g[bad]) + _wishart_identity(p - k, q, nbad, rng)
+        g[bad] = gb = rng.standard_normal((nbad, k, q))
+        gm[bad] = gb.transpose(0, 2, 1) @ gb + _wishart_identity(p - k, q, nbad, rng)
     else:
         raise RankDeficient(f"Gram matrix stayed singular after {_MAX_RESAMPLES} resamples (p={p}, q={q})")
-    inv_sqrt = np.einsum("mij,mj,mkj->mik", v, 1.0 / np.sqrt(w), v)
+    inv_sqrt = (v / np.sqrt(w)[:, None, :]) @ v.transpose(0, 2, 1)
     return g @ inv_sqrt
 
 

@@ -197,8 +197,7 @@ def test_criterion_03_radial_sampler_suite():
 
 
 def _two_point_variance_run(n, p, trials, regime, seed, rel_tol, checks):
-    cfg = WalkConfig(nu=TWO_POINT, n=n, p=p, trials=trials, regime=regime,
-                     seed=seed, fast_path=True)
+    cfg = WalkConfig(nu=TWO_POINT, n=n, p=p, trials=trials, regime=regime, seed=seed)
     with _pool() as pool:
         return verify_clt(cfg, pool=pool, checks=checks, rel_tol=rel_tol,
                           stream_tag=cli._entry_tag(f"acceptance-{n}-{p}"))
@@ -297,8 +296,7 @@ def test_criterion_08_matrix_case_q2():
     assert np.allclose(sig, sigma_nu(Q2_ATOMS), atol=1e-14)
     assert np.allclose(t, t_nu(Q2_ATOMS), atol=1e-14)
     target = sig + (n - 1) / p * t
-    cfg = WalkConfig(nu=Q2_ATOMS, n=n, p=p, trials=10_000, regime="CLT_II",
-                     seed=20240808, fast_path=False)
+    cfg = WalkConfig(nu=Q2_ATOMS, n=n, p=p, trials=10_000, regime="CLT_II", seed=20240808)
     with _pool() as pool:
         rep = verify_clt(cfg, pool=pool, checks=("exact",), rel_tol=0.10,
                          stream_tag=cli._entry_tag("acceptance-q2"))
@@ -358,7 +356,7 @@ def test_criterion_10_determinism_across_worker_counts(tmp_path):
         {"id": "walk1", "kind": "clt", "regime": "CLT_II", "n": 25, "p": 625, "trials": 1500,
          "law": TWO_POINT.to_config(), "checks": ["exact"]},
         {"id": "walk2", "kind": "clt", "regime": "MIXED", "n": 10, "p": 10, "trials": 1200,
-         "law": Q2_ATOMS.to_config(), "checks": ["exact"], "fast_path": False},
+         "law": Q2_ATOMS.to_config(), "checks": ["exact"]},
         {"id": "parity", "kind": "moments", "law": TWO_POINT.to_config(),
          "kappa": [[[0, 0], 1], [[1, 0], 2]], "p_grid": [10], "trials": 2000},
         {"id": "algebra", "kind": "selftest", "cases": 25},

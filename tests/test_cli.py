@@ -120,6 +120,20 @@ def test_moments_short_grid_is_config_error(tmp_path, capsys):
     assert "p_grid" in capsys.readouterr().err
 
 
+def test_moments_spellings_of_one_sweep_write_identical_csv(tmp_path, capsys):
+    law_path = tmp_path / "law.json"
+    law_path.write_text(json.dumps(TWO_POINT_LAW))
+    spellings = [("0,0:2", "8,16,32"), ("0,0:2;", "8,16,32"), (" 0,0:2", " 8, 16,32")]
+    outputs = []
+    for k, (kappa, p_grid) in enumerate(spellings):
+        out = tmp_path / f"out{k}"
+        code = cli.main(["moments", "--law", str(law_path), "--kappa", kappa, "--p-grid", p_grid,
+                         "--trials", "2000", "--out", str(out)])
+        assert code in (0, 1)
+        outputs.append((out / "moments.csv").read_bytes())
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
 def test_bad_kappa_spec_is_config_error(tmp_path, capsys):
     law_path = tmp_path / "law.json"
     law_path.write_text(json.dumps({"family": "point_mass", "params": {"radius": 1.0}}))
@@ -193,20 +207,24 @@ def test_negative_rel_tol_rejected(tmp_path, capsys):
     assert "entries[0].rel_tol" in capsys.readouterr().err
 
 
+# fast_path (a retired field) and reltol (a misspelt rel_tol) are unknown fields
 @pytest.mark.parametrize("field, value", [("rel_tol", "abc"), ("rel_tol", 0), ("c", "x"),
-                                          ("c", -0.5), ("fast_path", "false")])
+                                          ("c", -0.5), ("fast_path", "false"), ("reltol", 0.1)])
 def test_bad_clt_field_is_config_error(tmp_path, capsys, field, value):
     manifest = _write_manifest(tmp_path / "m.json", [_clt_entry("c0", **{field: value})])
     code = cli.main(["clt", "--manifest", str(manifest), "--out", str(tmp_path / "out")])
     assert code == 2
     assert f"entries[0].{field}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_bad_selftest_cases_is_config_error(tmp_path, capsys):
-    manifest = _write_manifest(tmp_path / "m.json", [{"id": "s", "kind": "selftest", "cases": "abc"}])
-    code = cli.main(["clt", "--manifest", str(manifest), "--out", str(tmp_path / "out")])
-    assert code == 2
-    assert "entries[0].cases" in capsys.readouterr().err
+    for field, value in (("cases", "abc"), ("trials", 100)):  # trials is not a selftest field
+        manifest = _write_manifest(tmp_path / "m.json", [{"id": "s", "kind": "selftest", field: value}])
+        code = cli.main(["clt", "--manifest", str(manifest), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"entries[0].{field}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 def _moments_entry(eid, **extra):
@@ -226,8 +244,9 @@ def _moments_entry(eid, **extra):
     ("p_grid[1]", [2, 4.5, "8"]),
     ("p_grid[2]", [2, 4, "8"]),
     ("p_grid[0]", [0, 4, 8]),
+    ("rel_tol", 0.05),  # a clt field, unknown to moments
 ], ids=["row-outside-p", "col-outside-q", "negative-index", "weight-9", "float-kappa", "string-bool-kappa",
-        "float-p", "string-p", "zero-p"])
+        "float-p", "string-p", "zero-p", "unknown-field"])
 def test_bad_moments_entry_rejected_before_any_entry_runs(tmp_path, capsys, field, value):
     key = field.split("[")[0]
     entries = [_clt_entry("first"), _moments_entry("m", **{key: value})]

@@ -421,7 +421,9 @@ def cmd_moments(law_path, kappa_text, p_grid_text, trials, out_dir, seed=0) -> i
     entry = {"law": law_cfg, "kappa": _decode("[" + ",".join(f"[[{t}]" for t in terms) + "]", "kappa"),
              "p_grid": _decode(f"[{p_grid_text}]", "p_grid"), "trials": trials}
     law, kappa, p_grid, trials = _parse_moments_entry(entry)
-    # keyed on the parsed sweep, so every spelling of it draws the same stream
+    # keyed on the canonical multi-index, so every spelling of the sweep
+    # draws the same stream and multiplies its factors in the same order
+    kappa = sorted(normalize_kappa(kappa).items())
     sweep = json.dumps([kappa, p_grid, trials], separators=(",", ":"))
     config_hash = hashlib.sha256(raw + f"|{sweep}".encode()).hexdigest()
     rng = trial_stream(seed, _entry_tag(f"moments:{sweep}"), 0)

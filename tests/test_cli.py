@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +42,24 @@ def test_clt_entry_reports_limit_prediction_of_one(tmp_path):
     report = json.loads((tmp_path / "out" / "c0.json").read_text())
     assert report["meta"]["master_seed"] == 7
     assert report["report"]["config"]["law"] == TWO_POINT_LAW
+
+
+def test_clt_run_with_ks_check_loads_no_scipy(tmp_path):
+    # a fresh interpreter, so no module loaded by the tests counts
+    entries = [{"id": "ks", "kind": "clt", "regime": "CLT_II", "n": 10, "p": 50, "trials": 200,
+                "law": TWO_POINT_LAW, "checks": ["exact", "limit", "ks"]}]
+    manifest = _write_manifest(tmp_path / "m.json", entries)
+    script = ("import sys\n"
+              "from radwalk import cli\n"
+              f"cli.cmd_clt({str(manifest)!r}, {str(tmp_path / 'out')!r}, workers=1)\n"
+              "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env,
+                         timeout=120, check=True)
+    report = json.loads((tmp_path / "out" / "ks.json").read_text())["report"]
+    assert report["verdicts"]["ks_normality"] in ("PASS", "FAIL")
+    assert run.stdout.splitlines()[-1] == "[]"
 
 
 def test_nonsymmetric_radius_names_atom_index(tmp_path, capsys):
@@ -123,15 +145,20 @@ def test_moments_short_grid_is_config_error(tmp_path, capsys):
 def test_moments_spellings_of_one_sweep_write_identical_csv(tmp_path, capsys):
     law_path = tmp_path / "law.json"
     law_path.write_text(json.dumps(TWO_POINT_LAW))
-    spellings = [("0,0:2", "8,16,32"), ("0,0:2;", "8,16,32"), (" 0,0:2", " 8, 16,32")]
-    outputs = []
-    for k, (kappa, p_grid) in enumerate(spellings):
-        out = tmp_path / f"out{k}"
-        code = cli.main(["moments", "--law", str(law_path), "--kappa", kappa, "--p-grid", p_grid,
-                         "--trials", "2000", "--out", str(out)])
-        assert code in (0, 1)
-        outputs.append((out / "moments.csv").read_bytes())
-    assert outputs[0] == outputs[1] == outputs[2]
+    sweeps = [
+        [("0,0:2", "8,16,32"), ("0,0:2;", "8,16,32"), (" 0,0:2", " 8, 16,32")],
+        # one multi-index with its terms reordered or split
+        [("0,0:1;1,0:2", "10,50"), ("1,0:2;0,0:1", "10,50"), ("0,0:1;1,0:1;1,0:1", "10,50")],
+    ]
+    for s, spellings in enumerate(sweeps):
+        outputs = []
+        for k, (kappa, p_grid) in enumerate(spellings):
+            out = tmp_path / f"out{s}{k}"
+            code = cli.main(["moments", "--law", str(law_path), "--kappa", kappa, "--p-grid", p_grid,
+                             "--trials", "2000", "--out", str(out)])
+            assert code in (0, 1)
+            outputs.append((out / "moments.csv").read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_bad_kappa_spec_is_config_error(tmp_path, capsys):

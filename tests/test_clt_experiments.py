@@ -11,6 +11,8 @@ from radwalk.clt_experiments import (
     WalkConfig,
     _compare_covariance,
     _gram_chunk,
+    _ks_projections,
+    _ks_statistic,
     _walk_chunk,
     estimate_covariance,
     moment_decay_experiment,
@@ -230,6 +232,27 @@ def test_compare_covariance_nan_fails():
         assert verdict == "FAIL"
         verdict, _ = _compare_covariance(pred.copy(), np.array([[np.nan]]), pred, 0.05)
         assert verdict == "FAIL"
+
+
+@pytest.mark.parametrize("n", [100, 1000, 20000])
+@pytest.mark.parametrize("kind", ["normal", "shifted", "scaled", "tied"])
+def test_ks_statistic_matches_scipy(n, kind):
+    rng = np.random.default_rng(n)
+    z = rng.standard_normal(n)
+    z = {"normal": z, "shifted": z + 0.05, "scaled": 1.1 * z, "tied": np.round(z, 1)}[kind]
+    assert abs(_ks_statistic(z) - stats.kstest(z, "norm").statistic) <= 1e-15
+
+
+@pytest.mark.parametrize("n", [100, 1000, 1024, 2048, 20000])
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_ks_projections_critical_value_matches_two_sided_exact(n, q):
+    # q = 1, 2, 3 test k = 1, 3, 6 upper-triangle projections at level alpha / k each
+    alpha, k = 1e-3, q * (q + 1) // 2
+    samples = np.random.default_rng(q).standard_normal((n, q * q))
+    stat, critical, per_projection = _ks_projections(samples, q, alpha)
+    expected = stats.kstwo.isf(alpha / k, n)
+    assert abs(critical - expected) <= 1e-6 * expected
+    assert len(per_projection) == k and stat == max(per_projection)
 
 
 def test_verify_clt_inconclusive_below_trial_floor():

@@ -65,11 +65,8 @@ from .radial_measures import (
     RadialSampleBatch,
     phi,
     r2,
-    r4_scalar,
     radial_moment_mc,
-    sample_radial,
     sample_radial_batch,
-    sample_uniform_orbit,
     sigma_nu,
     t_nu,
     uniform_sphere_cosine,

@@ -36,7 +36,7 @@ from math import erfc, log, sqrt
 import numpy as np
 
 from .errors import BadArity, TooFewSamples
-from .matrix_core import frobenius_norm
+from .matrix_core import chol_psd, frobenius_norm
 from .radial_measures import (
     RadialLaw,
     _orbit_batch,
@@ -152,16 +152,16 @@ def _gram_chunk(nu: RadialLaw, n: int, p: int, m: int, rng: np.random.Generator)
     """m Gram-state trials; returns (xi, a) as (m, q, q) arrays, the kernel
     every experiment runs.  The cross part is b = xi - a.
 
-    Only G = S'S is tracked.  Write the walk as S = Q_S G^{1/2} with Q_S a
-    p x q orthonormal frame, and a fresh step as X = U r with U a uniform
-    frame independent of S.  Then S'X = G^{1/2} (Q_S'U) r, and by
-    orthogonal invariance Q_S'U has the law of the top q rows of a uniform
-    frame, which :func:`_stiefel_rows` draws in O(q^3) work whatever p is.
-    So with c = G^{1/2} W r the Gram matrix updates as
+    Only G = S'S is tracked.  Any factor L with L L' = G writes the walk as
+    S = Q_S L' with Q_S a p x q orthonormal frame; take a fresh step as
+    X = U r with U a uniform frame independent of S.  Then S'X = L (Q_S'U) r,
+    and by orthogonal invariance Q_S'U has the law of the top q rows of a
+    uniform frame, which :func:`_stiefel_rows` draws in O(q^3) work whatever
+    p is.  So with c = L W r the Gram matrix updates as
 
         G <- G + c + c' + r r.
 
-    G^{1/2} comes from a batched eigh with eigenvalues clamped at 0, so
+    L comes from :func:`chol_psd`, whose zero pivots give zero columns, so
     G = 0 at the first step and rank-deficient radii need no special case.
 
     For q = 1 the same recursion runs on scalars, g <- g + 2 sqrt(g) r u + r^2,
@@ -199,9 +199,7 @@ def _gram_chunk(nu: RadialLaw, n: int, p: int, m: int, rng: np.random.Generator)
     a = np.zeros((m, q, q))
     for _ in range(n):
         radii = nu.draw_radii(m, rng)
-        w, v = np.linalg.eigh(g)
-        root = (v * np.sqrt(np.maximum(w, 0.0))[:, None, :]) @ v.transpose(0, 2, 1)
-        c = root @ _stiefel_rows(p, q, q, m, rng) @ radii
+        c = chol_psd(g) @ _stiefel_rows(p, q, q, m, rng) @ radii
         cross = c + c.transpose(0, 2, 1)
         rr = radii @ radii  # X'X = r'U'U r, and radii are symmetric
         g = g + cross + rr

@@ -21,6 +21,8 @@ __all__ = [
     "frobenius_norm",
     "sym_eig",
     "psd_sqrt",
+    "chol_psd",
+    "solve_lower_t",
 ]
 
 # Relative eigenvalue tolerance for treating a slightly indefinite matrix
@@ -113,3 +115,26 @@ def psd_sqrt(s, tol: float = DEFAULT_PSD_TOL) -> np.ndarray:
         raise NotPSD(f"eigenvalue {w[-1]:.3e} below tolerance floor {floor:.3e}")
     w = np.clip(w, 0.0, None)
     return symmetrize((v * np.sqrt(w)) @ v.T)
+
+
+def chol_psd(g) -> np.ndarray:
+    """Lower L with L L' = g for an (m, q, q) PSD stack, one column at a time
+    over the whole stack.  Pivots are clamped at 0 and a zero pivot gives a
+    zero column, so g = 0 and rank-deficient g need no special case."""
+    low = np.zeros_like(g)
+    for j in range(g.shape[-1]):
+        row = low[:, j, :j]
+        low[:, j, j] = piv = np.sqrt(np.maximum(g[:, j, j] - np.einsum("mk,mk->m", row, row), 0.0))
+        col = g[:, j + 1 :, j] - np.einsum("mik,mk->mi", low[:, j + 1 :, :j], row)
+        np.divide(col, piv[:, None], out=low[:, j + 1 :, j], where=piv[:, None] > 0.0)
+    return low
+
+
+def solve_lower_t(b, low) -> np.ndarray:
+    """b L^{-T} for (m, k, q) rows b and an (m, q, q) lower L with nonzero pivots,
+    by forward substitution: column j is (b_j - sum_{i<j} x_i L_ji) / L_jj."""
+    x = np.array(b, dtype=np.float64)
+    for j in range(low.shape[-1]):
+        x[..., j] -= np.einsum("mki,mi->mk", x[..., :j], low[:, j, :j])
+        x[..., j] /= low[:, j, j, None]
+    return x

@@ -12,8 +12,8 @@ Y = G (G'G)^{-1/2}, X = Y r, which inherits orthogonal invariance from G
 and needs only q x q eigenwork per draw.
 
 Monomial moments touch at most 8 rows, so their Monte Carlo draws only
-those rows: the top k rows of the frame are G_K (G_K'G_K + W)^{-1/2} with
-W ~ Wishart(p - k, I_q) drawn by Bartlett's decomposition.  Its time and
+those rows: the top k rows of the frame are G_K L^{-T}, L = chol(G_K'G_K + W),
+with W ~ Wishart(p - k, I_q) drawn by Bartlett's decomposition.  Its time and
 memory are bounded by (chunk, k, q) arrays whatever p is; the full
 (count, p, q) sampler stays as the reference for the walk and the tests.
 """
@@ -25,19 +25,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadArity, NotPSD, RankDeficient
-from .matrix_core import gram, psd_sqrt, symmetrize
+from .matrix_core import chol_psd, gram, psd_sqrt, solve_lower_t, symmetrize
 
 __all__ = [
     "RadialLaw",
     "RadialSampleBatch",
     "r2",
-    "r4_scalar",
     "sigma_nu",
     "t_nu",
     "phi",
     "uniform_sphere_cosine",
-    "sample_uniform_orbit",
-    "sample_radial",
     "sample_radial_batch",
     "normalize_kappa",
     "kappa_weight",
@@ -204,11 +201,6 @@ def r2(nu: RadialLaw) -> np.ndarray:
     return np.array([[nu.moment_scalar(2)]])
 
 
-def r4_scalar(nu: RadialLaw) -> float:
-    """E[r^4] for q = 1 laws."""
-    return nu.moment_scalar(4)
-
-
 def _squared_vecs(nu: RadialLaw) -> np.ndarray:
     return np.einsum("aij,ajk->aik", nu.radii, nu.radii).reshape(nu.weights.size, nu.q * nu.q)
 
@@ -316,15 +308,16 @@ def _wishart_identity(dof: int, q: int, m: int, rng: np.random.Generator) -> np.
 def _stiefel_rows(p: int, k: int, q: int, m: int, rng: np.random.Generator) -> np.ndarray:
     """(m, k, q) draws of the top k rows of a uniform p x q Stiefel frame.
 
-    The frame G (G'G)^{-1/2} of a p x q Gaussian G splits its Gram matrix
-    as G'G = G_K'G_K + G_R'G_R, where G_K holds the top k rows and the
-    independent remainder G_R'G_R follows Wishart(p - k, I_q).  So the top
-    rows are G_K (G_K'G_K + W)^{-1/2} with W drawn by
-    :func:`_wishart_identity`, and cost and memory depend on k and q, not
-    on p.  By orthogonal invariance any k fixed rows have this law, which
-    is all a monomial moment needs (the k rows it touches) and all a
-    q x q Gram-state walk update needs (k = q: the block Q_S'U of a fresh
-    step U against the walk's frame Q_S).
+    For a p x q Gaussian G and L L' = G'G, the frame G L^{-T} is orthonormal
+    and its law is invariant under O(p) on the left, so it is uniform.  With
+    G_K the top k rows, G'G = G_K'G_K + W, where W ~ Wishart(p - k, I_q) is
+    independent of G_K and drawn by :func:`_wishart_identity`.  So the top
+    rows are G_K L^{-T} at a cost and memory that depend on k and q, not p.
+    Draws whose smallest squared pivot is at most _RANK_TOL times the largest
+    diagonal entry of G'G are redrawn.  By orthogonal invariance any k fixed
+    rows have this law, which is all a monomial moment needs (the rows it
+    touches) and all a Gram-state walk step needs (k = q: the block Q_S'U of
+    a fresh step U against the walk's frame Q_S).
     """
     if p < q:
         raise BadArity(f"need p >= q, got p={p}, q={q}")
@@ -333,8 +326,8 @@ def _stiefel_rows(p: int, k: int, q: int, m: int, rng: np.random.Generator) -> n
     g = rng.standard_normal((m, k, q))
     gm = g.transpose(0, 2, 1) @ g + _wishart_identity(p - k, q, m, rng)
     for _ in range(_MAX_RESAMPLES):
-        w, v = np.linalg.eigh(gm)
-        bad = w[:, 0] <= _RANK_TOL * w[:, -1]
+        low = chol_psd(gm)
+        bad = (low.diagonal(0, 1, 2) ** 2).min(1) <= _RANK_TOL * gm.diagonal(0, 1, 2).max(1)
         if not bad.any():
             break
         nbad = int(bad.sum())
@@ -342,20 +335,7 @@ def _stiefel_rows(p: int, k: int, q: int, m: int, rng: np.random.Generator) -> n
         gm[bad] = gb.transpose(0, 2, 1) @ gb + _wishart_identity(p - k, q, nbad, rng)
     else:
         raise RankDeficient(f"Gram matrix stayed singular after {_MAX_RESAMPLES} resamples (p={p}, q={q})")
-    inv_sqrt = (v / np.sqrt(w)[:, None, :]) @ v.transpose(0, 2, 1)
-    return g @ inv_sqrt
-
-
-def sample_uniform_orbit(p: int, r, rng: np.random.Generator) -> np.ndarray:
-    """One uniform draw on the orbit {x : sqrt(x'x) = r}."""
-    r = np.atleast_2d(np.asarray(r, dtype=np.float64))
-    return _orbit_batch(p, r[None, :, :], rng)[0]
-
-
-def sample_radial(p: int, nu: RadialLaw, rng: np.random.Generator) -> np.ndarray:
-    """One draw from the unique radial lift of the law to p x q matrices."""
-    radii = nu.draw_radii(1, rng)
-    return _orbit_batch(p, radii, rng)[0]
+    return solve_lower_t(g, low)
 
 
 def sample_radial_batch(p: int, nu: RadialLaw, count: int, rng: np.random.Generator,

@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 
 from radwalk import NotPSD, ShapeMismatch
-from radwalk.matrix_core import frobenius_inner, frobenius_norm, gram, psd_sqrt, sym_eig
+from radwalk.matrix_core import (
+    chol_psd,
+    frobenius_inner,
+    frobenius_norm,
+    gram,
+    psd_sqrt,
+    solve_lower_t,
+    sym_eig,
+)
 
 from helpers import frobenius_loop, gram_loop, householder_orthogonal, random_psd
 
@@ -128,3 +136,44 @@ def test_frobenius_inner_matches_sequential_loop():
 def test_frobenius_inner_shape_mismatch():
     with pytest.raises(ShapeMismatch):
         frobenius_inner(np.ones((2, 2)), np.ones((2, 3)))
+
+
+def _psd_stacks():
+    rng = np.random.default_rng(21)
+    stacks = {}
+    for q in (2, 3):
+        a = rng.standard_normal((64, q + 5, q))
+        stacks[f"pd-{q}"] = a.transpose(0, 2, 1) @ a
+        stacks[f"zero-{q}"] = np.zeros((4, q, q))
+        v = rng.standard_normal((64, q, 1))
+        stacks[f"rank1-{q}"] = v @ v.transpose(0, 2, 1)
+    # first row and column exactly 0: the radius diag(0, 1), and PD blocks after it
+    b = stacks["pd-3"][:8].copy()
+    b[:, 0, :] = b[:, :, 0] = 0.0
+    stacks["zero-first-2"] = np.diag([0.0, 1.0])[None]
+    stacks["zero-first-3"] = b
+    return stacks
+
+
+@pytest.mark.parametrize("name", sorted(_psd_stacks()))
+def test_chol_psd_reproduces_stack(name):
+    g = _psd_stacks()[name]
+    low = chol_psd(g)
+    assert low.shape == g.shape
+    assert not np.triu(low, 1).any()
+    assert np.all(low.diagonal(axis1=1, axis2=2) >= 0.0)
+    err = np.abs(low @ low.transpose(0, 2, 1) - g).max(axis=(1, 2))
+    assert np.all(err <= 1e-12 * np.abs(g).max(axis=(1, 2)))
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_solve_lower_t_matches_solve(q):
+    rng = np.random.default_rng(22 + q)
+    low = chol_psd(_psd_stacks()[f"pd-{q}"])
+    for k in (1, q, 8):
+        b = rng.standard_normal((low.shape[0], k, q))
+        b0 = b.copy()
+        x = solve_lower_t(b, low)
+        want = np.linalg.solve(low, b.transpose(0, 2, 1)).transpose(0, 2, 1)
+        assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max(), k
+        assert np.array_equal(b, b0)  # b is left as it was

@@ -19,7 +19,6 @@ from .combinatorics import (
     apply_perm_kron,
     compositions,
     kron_multinomial_expand,
-    multiset_count,
     multiset_perms,
     ordered_tuples,
     pair_blocks,
@@ -41,7 +40,6 @@ from .gaussian_moments import (
     sample_matrix_normal,
     sum_moment,
     wick_moment,
-    word_pair_product,
 )
 from .kron_algebra import (
     PermMat,
@@ -53,7 +51,6 @@ from .kron_algebra import (
     vec,
 )
 from .matrix_core import (
-    frobenius_inner,
     frobenius_norm,
     gram,
     psd_sqrt,

@@ -9,17 +9,16 @@ in the package stay 0-based.
 from __future__ import annotations
 
 from itertools import combinations
-from math import factorial, prod
+from math import prod
 from typing import Iterator
 
 import numpy as np
 
 from .errors import BadArity
-from .kron_algebra import DEFAULT_ENTRY_CAP, _check_cap
+from .kron_algebra import DEFAULT_ENTRY_CAP, _check_cap, _kron2
 
 __all__ = [
     "compositions",
-    "multiset_count",
     "multiset_perms",
     "ordered_tuples",
     "pair_blocks",
@@ -49,12 +48,6 @@ def compositions(k: int, u: int, allow_zero: bool = False) -> list[tuple[int, ..
 
     rec((), k, u)
     return out
-
-
-def multiset_count(lam) -> int:
-    """Number of distinct words realizing the multiplicity vector ``lam``."""
-    k = sum(lam)
-    return factorial(k) // prod(factorial(int(x)) for x in lam)
 
 
 def multiset_perms(lam) -> Iterator[tuple[int, ...]]:
@@ -127,7 +120,7 @@ def apply_perm_kron(word, ms, entry_cap: int = DEFAULT_ENTRY_CAP) -> np.ndarray:
     _check_cap(prod(m.shape[0] for m in mats), prod(m.shape[1] for m in mats), entry_cap)
     out = mats[0]
     for m in mats[1:]:
-        out = np.kron(out, m)
+        out = _kron2(out, m)
     return out
 
 

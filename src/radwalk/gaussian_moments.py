@@ -1,6 +1,8 @@
 """Matrix-variate normal distributions on q x q matrices: exact sampling,
-exact even-order moments via the pair-partition (Wick) sum, and moments of
-sums of independent variables via the Hadamard-split expansion.
+exact even-order moments via Isserlis' theorem (one term per perfect
+matching of the positions), and moments of sums of independent variables via
+the Hadamard-split expansion, one Kronecker block of the two moment tensors
+per split.
 
 Conventions
 -----------
@@ -14,13 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from math import factorial
 
 import numpy as np
 
 from .combinatorics import multiset_perms, pair_blocks
 from .errors import BadArity, NotPSD, SizeOverflow
-from .kron_algebra import unvec, vec
+from .kron_algebra import _kron2, unvec, vec
 from .matrix_core import DEFAULT_PSD_TOL, sym_eig, symmetrize
 
 __all__ = [
@@ -28,7 +29,6 @@ __all__ = [
     "MatrixNormalSpec",
     "MomentTensor",
     "sample_matrix_normal",
-    "word_pair_product",
     "wick_moment",
     "moment_tensor",
     "sum_moment",
@@ -105,31 +105,23 @@ def _flat(pair: tuple[int, int], q: int) -> int:
     return i * q + j
 
 
-def word_pair_product(cov: np.ndarray, index_pairs, word) -> float:
-    """Contribution of one pairing word to the Wick sum.
+_PAIRINGS_CACHE: dict[int, tuple[tuple[tuple[int, int], ...], ...]] = {}
 
-    The word groups the k positions of ``index_pairs`` into two-element
-    blocks; the contribution is the product over blocks of the covariance
-    entry picked out by the block's two (row, col) pairs.
+
+def _pairings(u: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The (2u-1)!! perfect matchings of the positions 0..2u-1, as block tuples.
+
+    Each matching is named by u! pairing words over (2,...,2), one per
+    relabelling of its blocks; the one kept is the word whose symbols first
+    occur in the order 1, 2, ..., u, i.e. whose blocks start in increasing
+    position.
     """
-    q2 = cov.shape[0]
-    q = int(round(q2 ** 0.5))
-    pairs = tuple((int(i), int(j)) for i, j in index_pairs)
-    if len(word) != len(pairs):
-        raise BadArity("word length and index length differ")
-    out = 1.0
-    for p1, p2 in pair_blocks(word):
-        out *= cov[_flat(pairs[p1], q), _flat(pairs[p2], q)]
-    return float(out)
-
-
-_PAIR_WORDS_CACHE: dict[int, tuple[tuple[int, ...], ...]] = {}
-
-
-def _pair_words(u: int) -> tuple[tuple[int, ...], ...]:
-    if u not in _PAIR_WORDS_CACHE:
-        _PAIR_WORDS_CACHE[u] = tuple(multiset_perms((2,) * u))
-    return _PAIR_WORDS_CACHE[u]
+    if u not in _PAIRINGS_CACHE:
+        matchings = (pair_blocks(word) for word in multiset_perms((2,) * u))
+        _PAIRINGS_CACHE[u] = tuple(
+            blocks for blocks in matchings if all(a[0] < b[0] for a, b in zip(blocks, blocks[1:]))
+        )
+    return _PAIRINGS_CACHE[u]
 
 
 def _require_centered(spec: MatrixNormalSpec) -> None:
@@ -140,21 +132,26 @@ def _require_centered(spec: MatrixNormalSpec) -> None:
 def wick_moment(spec: MatrixNormalSpec, index_pairs) -> float:
     """E[Z_{i1 j1} * ... * Z_{ik jk}] for a centered spec.
 
-    Zero for odd k; for k = 2u the pairing words over (2,...,2) are summed
-    and divided by u! (each pairing is hit once per block relabeling).
+    Isserlis' theorem: zero for odd k; for k = 2u the sum over the (2u-1)!!
+    perfect matchings of the k positions of the product of the covariance
+    entries each matching's blocks pick out.  Every index pair is checked
+    against q, whatever the parity of k.
     """
     _require_centered(spec)
-    pairs = tuple((int(i), int(j)) for i, j in index_pairs)
-    k = len(pairs)
+    flat = [_flat((int(i), int(j)), spec.q) for i, j in index_pairs]
+    k = len(flat)
     if k == 0:
         return 1.0
     if k % 2 == 1:
         return 0.0
-    u = k // 2
+    cov = spec.cov[np.ix_(flat, flat)].tolist()
     total = 0.0
-    for word in _pair_words(u):
-        total += word_pair_product(spec.cov, pairs, word)
-    return total / factorial(u)
+    for blocks in _pairings(k // 2):
+        term = 1.0
+        for a, b in blocks:
+            term *= cov[a][b]
+        total += term
+    return total
 
 
 @dataclass
@@ -228,13 +225,21 @@ def moment_tensor(spec: MatrixNormalSpec, k: int) -> MomentTensor:
     return MomentTensor(q=q, k=k, _spec=spec, dense=_dense_from_entry(q, k, entry))
 
 
+def _dense_moment(spec: MatrixNormalSpec, k: int) -> np.ndarray:
+    """Dense order-k moment matrix of a centered spec; the 1 x 1 unit at k = 0."""
+    return np.ones((1, 1)) if k == 0 else moment_tensor(spec, k).as_matrix()
+
+
 def sum_moment(spec1: MatrixNormalSpec, spec2: MatrixNormalSpec, k: int) -> MomentTensor:
     """Order-k moment of Z1 + Z2 for independent centered variables.
 
     Computed as the Hadamard-split double sum over split sizes l and words
     mixing the two variables: each word contributes (moments of Z1 at its
-    slots) entrywise-times (moments of Z2 at the rest).  Equals the moment
-    tensor of the summed covariances.
+    slots) entrywise-times (moments of Z2 at the rest).  For one split that
+    product is the Kronecker product M1_l x M2_{k-l}, viewed as a tensor with
+    one row and one column axis per slot and moved to the word's slots by an
+    axis permutation.  Odd splits vanish, so only even l are summed.  Equals
+    the moment tensor of the summed covariances.
     """
     _require_centered(spec1)
     _require_centered(spec2)
@@ -243,28 +248,13 @@ def sum_moment(spec1: MatrixNormalSpec, spec2: MatrixNormalSpec, k: int) -> Mome
     q = spec1.q
     if q**k > DENSE_AXIS_CAP:
         raise SizeOverflow(f"q^k = {q ** k} per axis exceeds the dense cap {DENSE_AXIS_CAP}")
+    acc = np.zeros((q,) * (2 * k))
+    if k % 2 == 0:
+        for split in range(0, k + 1, 2):
+            block = _kron2(_dense_moment(spec1, split), _dense_moment(spec2, k - split)).reshape(acc.shape)
+            for word in multiset_perms((split, k - split)):
+                axes = np.argsort(np.argsort(word, kind="stable"))  # inverse of (slots of Z1, slots of Z2)
+                acc += block.transpose(np.concatenate([axes, axes + k]))
     side = q**k
-    acc = np.zeros((side, side))
-    rows = list(product(range(q), repeat=k))
-    memo1: dict[tuple, float] = {}
-    memo2: dict[tuple, float] = {}
-
-    def part_moment(spec, memo, pairs) -> float:
-        key = tuple(sorted(pairs))
-        if key not in memo:
-            memo[key] = wick_moment(spec, pairs)
-        return memo[key]
-
-    for split in range(k + 1):
-        for word in multiset_perms((split, k - split)):
-            slots1 = [t for t, sym in enumerate(word) if sym == 1]
-            slots2 = [t for t, sym in enumerate(word) if sym == 2]
-            for r, ridx in enumerate(rows):
-                for c, cidx in enumerate(rows):
-                    pairs = tuple(zip(ridx, cidx))
-                    f1 = part_moment(spec1, memo1, tuple(pairs[t] for t in slots1))
-                    if f1 == 0.0:
-                        continue
-                    f2 = part_moment(spec2, memo2, tuple(pairs[t] for t in slots2))
-                    acc[r, c] += f1 * f2
-    return MomentTensor(q=q, k=k, _spec=MatrixNormalSpec(q, np.zeros((q, q)), spec1.cov + spec2.cov), dense=acc)
+    summed = MatrixNormalSpec(q, np.zeros((q, q)), spec1.cov + spec2.cov)
+    return MomentTensor(q=q, k=k, _spec=summed, dense=acc.reshape(side, side))

@@ -40,12 +40,22 @@ def _check_cap(rows: int, cols: int, entry_cap: int) -> None:
         raise SizeOverflow(f"result would have {rows}x{cols} = {rows * cols} entries, cap is {entry_cap}")
 
 
+def _kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of two 2-D arrays, unchecked.
+
+    Forms the same products a_ij * b_kl as ``np.kron``, so the result is
+    bit-identical, without its general-rank set-up.
+    """
+    rows, cols = a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(rows, cols)
+
+
 def kron(a, b, entry_cap: int = DEFAULT_ENTRY_CAP) -> np.ndarray:
     """Kronecker product [a_ij * b] as a dense block matrix."""
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
     b = np.atleast_2d(np.asarray(b, dtype=np.float64))
     _check_cap(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1], entry_cap)
-    return np.kron(a, b)
+    return _kron2(a, b)
 
 
 def hadamard(a, b) -> np.ndarray:
@@ -65,7 +75,7 @@ def kron_power(a, k: int, entry_cap: int = DEFAULT_ENTRY_CAP) -> np.ndarray:
     _check_cap(a.shape[0] ** k, a.shape[1] ** k, entry_cap)
     out = a
     for _ in range(k - 1):
-        out = np.kron(a, out)
+        out = _kron2(a, out)
     return out
 
 

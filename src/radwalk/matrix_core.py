@@ -17,7 +17,6 @@ __all__ = [
     "as_matrix",
     "symmetrize",
     "gram",
-    "frobenius_inner",
     "frobenius_norm",
     "sym_eig",
     "psd_sqrt",
@@ -52,23 +51,6 @@ def gram(x) -> np.ndarray:
     """Gram matrix x'x, exactly symmetric, PSD up to rounding."""
     x = as_matrix(x)
     return symmetrize(x.T @ x)
-
-
-def frobenius_inner(x, y) -> float:
-    """Trace inner product tr(x'y) = sum_ij x_ij * y_ij.
-
-    The accumulation order is part of the contract: entry products are
-    summed sequentially in row-major order, so a plain double loop
-    reproduces the result bitwise.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape:
-        raise ShapeMismatch(f"shapes {x.shape} and {y.shape} differ")
-    prod = (x * y).ravel()
-    if prod.size == 0:
-        return 0.0
-    return float(np.cumsum(prod)[-1])
 
 
 def frobenius_norm(x) -> float:

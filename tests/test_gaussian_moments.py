@@ -4,14 +4,15 @@ from math import factorial
 import numpy as np
 import pytest
 
-from radwalk import SizeOverflow
+from radwalk import BadArity, SizeOverflow
+from radwalk.combinatorics import multiset_perms, pair_blocks
 from radwalk.gaussian_moments import (
     MatrixNormalSpec,
+    _pairings,
     moment_tensor,
     sample_matrix_normal,
     sum_moment,
     wick_moment,
-    word_pair_product,
 )
 
 
@@ -81,17 +82,66 @@ def test_wick_double_factorial_family():
             assert wick_moment(spec, ((0, 0),) * k) == _double_factorial(k) * sigma2 ** (k // 2)
 
 
-def test_word_pair_product_bookkeeping():
-    # q = 3; with 1-based pairs I = ((2,1),(2,2),(3,2),(2,1)) and word (1,2,1,2)
-    # the contribution is cov[(2,1),(3,2)] * cov[(2,2),(2,1)]
+def test_wick_moment_bookkeeping():
+    # q = 3; with 1-based pairs I = ((2,1),(2,2),(3,2),(2,1)) the moment is the
+    # sum over the 3 matchings of the 4 positions of their covariance products
     rng = np.random.default_rng(55)
     q = 3
     m = rng.standard_normal((q * q, q * q))
     cov = (m + m.T) / 2.0
     pairs = ((1, 0), (1, 1), (2, 1), (1, 0))  # 0-based
-    got = word_pair_product(cov, pairs, (1, 2, 1, 2))
-    expected = cov[1 * q + 0, 2 * q + 1] * cov[1 * q + 1, 1 * q + 0]
+    f = [i * q + j for i, j in pairs]
+    got = wick_moment(_centered(q, cov), pairs)
+    expected = (cov[f[0], f[1]] * cov[f[2], f[3]]
+                + cov[f[0], f[2]] * cov[f[1], f[3]]
+                + cov[f[0], f[3]] * cov[f[1], f[2]])
     assert got == expected
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_wick_odd_order_checks_indices(k):
+    rng = np.random.default_rng(64)
+    spec = _random_spec(2, rng)
+    with pytest.raises(BadArity):
+        wick_moment(spec, ((0, 0),) * (k - 1) + ((5, 5),))
+    with pytest.raises(BadArity):
+        wick_moment(spec, ((0, 2),) + ((0, 0),) * (k - 1))
+
+
+@pytest.mark.parametrize("u", [1, 2, 3, 4])
+def test_pairings_are_the_distinct_perfect_matchings(u):
+    pairings = _pairings(u)
+    assert len(pairings) == _double_factorial(2 * u)
+    seen = set()
+    for blocks in pairings:
+        assert len(blocks) == u
+        assert sorted(t for block in blocks for t in block) == list(range(2 * u))
+        seen.add(frozenset(frozenset(block) for block in blocks))
+    assert len(seen) == len(pairings)
+
+
+def _labelled_word_sum(spec, pairs):
+    # every pairing word over (2,...,2): each matching u! times, once per block labelling
+    q, cov = spec.q, spec.cov
+    u = len(pairs) // 2
+    total = 0.0
+    for word in multiset_perms((2,) * u):
+        term = 1.0
+        for a, b in pair_blocks(word):
+            term *= cov[pairs[a][0] * q + pairs[a][1], pairs[b][0] * q + pairs[b][1]]
+        total += term
+    return total / factorial(u)
+
+
+@pytest.mark.parametrize("q", [1, 2])
+@pytest.mark.parametrize("k", [2, 4, 6, 8])
+def test_wick_moment_matches_labelled_word_sum(q, k):
+    rng = np.random.default_rng(65 + 10 * q + k)
+    spec = _random_spec(q, rng)
+    for _ in range(3):
+        pairs = tuple((int(i), int(j)) for i, j in rng.integers(0, q, size=(k, 2)))
+        want = _labelled_word_sum(spec, pairs)
+        assert abs(wick_moment(spec, pairs) - want) <= 1e-13 * abs(want)
 
 
 def test_wick_invariant_under_simultaneous_pair_permutation():
@@ -191,6 +241,35 @@ def test_sum_moment_matches_summed_covariance():
         rhs = moment_tensor(_centered(q, s1.cov + s2.cov), k).as_matrix()
         scale = max(1.0, float(np.abs(rhs).max()))
         assert np.abs(lhs - rhs).max() <= 1e-10 * scale
+
+
+def _sum_moment_loop(spec1, spec2, k):
+    # the Hadamard-split double sum, entry by entry, over every split and word
+    q = spec1.q
+    rows = list(product(range(q), repeat=k))
+    out = np.zeros((q**k, q**k))
+    for split in range(k + 1):
+        for word in multiset_perms((split, k - split)):
+            for r, ridx in enumerate(rows):
+                for c, cidx in enumerate(rows):
+                    pairs = tuple(zip(ridx, cidx))
+                    f1 = wick_moment(spec1, tuple(pairs[t] for t, sym in enumerate(word) if sym == 1))
+                    f2 = wick_moment(spec2, tuple(pairs[t] for t, sym in enumerate(word) if sym == 2))
+                    out[r, c] += f1 * f2
+    return out
+
+
+@pytest.mark.parametrize("q", [1, 2])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_sum_moment_matches_entrywise_double_loop(q, k):
+    rng = np.random.default_rng(70 + 10 * q + k)
+    s1, s2 = _random_spec(q, rng), _random_spec(q, rng)
+    got = sum_moment(s1, s2, k).as_matrix()
+    if k % 2 == 1:
+        assert got.shape == (q**k, q**k) and not got.any()
+        return
+    want = _sum_moment_loop(s1, s2, k)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_wick_requires_centered_spec():

@@ -2,14 +2,22 @@ import numpy as np
 import pytest
 
 from radwalk import ShapeMismatch, SizeOverflow
-from radwalk.kron_algebra import PermMat, hadamard, kron, kron_power, reorder_perm, unvec, vec
-from radwalk.matrix_core import frobenius_inner
+from radwalk.kron_algebra import PermMat, _kron2, hadamard, kron, kron_power, reorder_perm, unvec, vec
 
-from helpers import kron_loop
+from helpers import frobenius_loop, kron_loop
 
 
 def _int_mat(rng, shape, lo=-4, hi=5):
     return rng.integers(lo, hi, size=shape).astype(float)
+
+
+def test_kron2_matches_np_kron_bitwise():
+    rng = np.random.default_rng(30)
+    shapes = [(r, c) for r in range(1, 5) for c in range(1, 5)]  # includes 1 x n and n x 1
+    for sa in shapes:
+        for sb in shapes:
+            a, b = rng.standard_normal(sa), rng.standard_normal(sb)
+            assert np.array_equal(_kron2(a, b), np.kron(a, b))
 
 
 def test_kron_scalar_factor():
@@ -112,7 +120,7 @@ def test_vec_preserves_inner_product():
     rng = np.random.default_rng(28)
     x = rng.standard_normal((3, 4))
     y = rng.standard_normal((3, 4))
-    assert frobenius_inner(vec(x), vec(y)) == frobenius_inner(x, y)
+    assert frobenius_loop(vec(x)[None, :], vec(y)[None, :]) == frobenius_loop(x, y)
 
 
 def test_unvec_round_trip():

@@ -4,7 +4,6 @@ import pytest
 from radwalk import NotPSD, ShapeMismatch
 from radwalk.matrix_core import (
     chol_psd,
-    frobenius_inner,
     frobenius_norm,
     gram,
     psd_sqrt,
@@ -12,7 +11,7 @@ from radwalk.matrix_core import (
     sym_eig,
 )
 
-from helpers import frobenius_loop, gram_loop, householder_orthogonal, random_psd
+from helpers import gram_loop, householder_orthogonal, random_psd
 
 
 def test_gram_column_vector():
@@ -110,32 +109,6 @@ def test_sym_eig_reconstruction_and_orthogonality():
 def test_sym_eig_rejects_nonsquare():
     with pytest.raises(ShapeMismatch):
         sym_eig(np.ones((2, 3)))
-
-
-def test_frobenius_inner_self_is_squared_norm():
-    rng = np.random.default_rng(18)
-    x = rng.standard_normal((3, 3))
-    v = frobenius_inner(x, x)
-    assert v >= 0.0
-    assert np.isclose(v, frobenius_norm(x) ** 2)
-
-
-def test_frobenius_inner_identity_pair():
-    assert frobenius_inner(np.eye(2), np.eye(2)) == 2.0
-
-
-def test_frobenius_inner_matches_sequential_loop():
-    # sequential row-major accumulation is part of the contract
-    rng = np.random.default_rng(19)
-    for shape in [(2, 4), (1, 3), (5, 2), (17, 23)]:
-        x = rng.standard_normal(shape)
-        y = rng.standard_normal(shape)
-        assert frobenius_inner(x, y) == frobenius_loop(x, y)
-
-
-def test_frobenius_inner_shape_mismatch():
-    with pytest.raises(ShapeMismatch):
-        frobenius_inner(np.ones((2, 2)), np.ones((2, 3)))
 
 
 def _psd_stacks():

@@ -290,18 +290,19 @@ def test_orbit_rank_deficient_after_retries():
             _stiefel_rows(p, k, 2, 3, ZeroRng())
 
 
-class _ZeroFirstSamples:
-    """Normal draws, except that the first Gaussian block is 0 on the samples in ``bad``."""
+class _FixedFirstSamples:
+    """Normal draws, except that the first Gaussian block is ``value`` on the samples in ``bad``."""
 
-    def __init__(self, seed, bad):
+    def __init__(self, seed, bad, value=0.0):
         self.rng = np.random.default_rng(seed)
         self.bad = bad
+        self.value = value
         self.blocks = []
 
     def standard_normal(self, shape):
         z = self.rng.standard_normal(shape)
         if not self.blocks:
-            z[self.bad] = 0.0
+            z[self.bad] = self.value
         self.blocks.append(z.copy())
         return z
 
@@ -309,22 +310,44 @@ class _ZeroFirstSamples:
         return self.rng.chisquare(df, size)
 
 
+def _redrawn_rows_oracle(rng, bad):
+    # g and its Wishart block, then one redraw of both for the bad samples only
+    g0, h0, g1, h1 = rng.blocks
+    g, h = g0.copy(), h0.copy()
+    g[bad], h[bad] = g1, h1
+    low = np.linalg.cholesky(g.transpose(0, 2, 1) @ g + h.transpose(0, 2, 1) @ h)
+    return np.linalg.solve(low, g.transpose(0, 2, 1)).transpose(0, 2, 1)
+
+
 @pytest.mark.parametrize("p", [2, 3])  # empty and direct (rank-1) Wishart parts: G_K = 0 is singular
 def test_stiefel_rows_redraw_only_singular_samples(p):
     k, q, m = 2, 2, 10
     bad = np.zeros(m, dtype=bool)
     bad[[1, 4, 5]] = True
-    rng = _ZeroFirstSamples(90 + p, bad)
+    rng = _FixedFirstSamples(90 + p, bad)
     rows = _stiefel_rows(p, k, q, m, rng)
-    # g and its Wishart block, then one redraw of both for the three bad samples only
-    g0, h0, g1, h1 = rng.blocks
+    g1, h1 = rng.blocks[2:]
     assert g1.shape == (3, k, q) and h1.shape == (3, p - k, q)
-    g, h = g0.copy(), h0.copy()
-    g[bad], h[bad] = g1, h1
-    low = np.linalg.cholesky(g.transpose(0, 2, 1) @ g + h.transpose(0, 2, 1) @ h)
-    want = np.linalg.solve(low, g.transpose(0, 2, 1)).transpose(0, 2, 1)
     assert np.all(np.isfinite(rows))
-    assert np.allclose(rows, want, rtol=0.0, atol=1e-12)
+    assert np.allclose(rows, _redrawn_rows_oracle(rng, bad), rtol=0.0, atol=1e-12)
+
+
+def test_stiefel_rows_redraw_nearly_singular_samples():
+    # p = k = q = 2, so W = 0 and G_K'G_K is the whole Gram matrix.  Its
+    # smallest squared pivot is det(G_K)^2 / 2 = 2e-14, about 1e-14 of its
+    # largest diagonal entry: positive, but below the rank guard's scale.
+    k = q = p = 2
+    m = 10
+    near = np.array([[1.0, 1.0], [1.0, 1.0 + 2e-7]])
+    low = np.linalg.cholesky(near.T @ near)
+    ratio = low[1, 1] ** 2 / (near.T @ near).diagonal().max()
+    assert 5e-15 < ratio < 2e-14
+    bad = np.zeros(m, dtype=bool)
+    bad[[0, 7]] = True
+    rng = _FixedFirstSamples(95, bad, near)
+    rows = _stiefel_rows(p, k, q, m, rng)
+    assert len(rng.blocks) == 4 and rng.blocks[2].shape == (2, k, q)
+    assert np.allclose(rows, _redrawn_rows_oracle(rng, bad), rtol=0.0, atol=1e-12)
 
 
 def test_p_smaller_than_q_rejected():

@@ -30,7 +30,7 @@ across the workers of a process pool.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import erfc, log, sqrt
 
 import numpy as np
@@ -242,6 +242,12 @@ def estimate_covariance(samples) -> CovarianceEstimate:
     return CovarianceEstimate(mean=mean, cov=cov, stderr=np.sqrt(np.maximum(var, 0.0)))
 
 
+def _fields_dict(report) -> dict:
+    """A report's fields by name, arrays as nested lists, for JSON."""
+    out = {f.name: getattr(report, f.name) for f in fields(report)}
+    return {name: v.tolist() if isinstance(v, np.ndarray) else v for name, v in out.items()}
+
+
 @dataclass
 class ExperimentReport:
     """Self-contained record of one verified experiment.
@@ -268,23 +274,7 @@ class ExperimentReport:
     overall: str
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "normalization": self.normalization,
-            "predicted_exact": self.predicted_exact.tolist(),
-            "predicted_limit": self.predicted_limit.tolist(),
-            "empirical_mean": self.empirical_mean.tolist(),
-            "empirical_cov": self.empirical_cov.tolist(),
-            "stderr": self.stderr.tolist(),
-            "rel_frob_err_exact": self.rel_frob_err_exact,
-            "rel_frob_err_limit": self.rel_frob_err_limit,
-            "z_scores_exact": self.z_scores_exact.tolist(),
-            "ks_stat": self.ks_stat,
-            "ks_critical": self.ks_critical,
-            "ks_per_projection": self.ks_per_projection,
-            "verdicts": self.verdicts,
-            "overall": self.overall,
-        }
+        return _fields_dict(self)
 
 
 def _chunk_task(args):
@@ -519,17 +509,7 @@ class MomentDecayReport:
     max_abs_z: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "branch": self.branch,
-            "p_grid": self.p_grid,
-            "estimates": self.estimates,
-            "stderrs": self.stderrs,
-            "weight": self.weight,
-            "slope": self.slope,
-            "slope_stderr": self.slope_stderr,
-            "intercept": self.intercept,
-            "max_abs_z": self.max_abs_z,
-        }
+        return _fields_dict(self)
 
 
 def moment_decay_experiment(nu: RadialLaw, kappa, p_grid, trials: int,

@@ -1,6 +1,7 @@
 """Matrix-variate normal distributions on q x q matrices: exact sampling,
 exact even-order moments via Isserlis' theorem (one term per perfect
-matching of the positions), and moments of sums of independent variables via
+matching of the positions), dense moment tensors as one outer product of the
+covariance per matching, and moments of sums of independent variables via
 the Hadamard-split expansion, one Kronecker block of the two moment tensors
 per split.
 
@@ -9,13 +10,14 @@ Conventions
 A spec with covariance ``cov`` describes the law of a random matrix ``Z``
 whose row-stacked vector ``vec(Z)`` is multivariate normal with covariance
 ``cov``; the entry ``cov[i*q + j, l*q + k]`` is Cov(Z_ij, Z_lk).  Moment
-indices are tuples of 0-based (row, col) pairs.
+indices are tuples of 0-based (row, col) pairs.  A dense order-k tensor is
+q^k x q^k: its row index packs the k row digits in base q, its column index
+the k column digits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 
 import numpy as np
 
@@ -193,36 +195,33 @@ class MomentTensor:
         return self.dense
 
 
-def _dense_from_entry(q: int, k: int, entry) -> np.ndarray:
-    side = q**k
-    out = np.empty((side, side))
-    rows = list(product(range(q), repeat=k))
-    for r, ridx in enumerate(rows):
-        for c, cidx in enumerate(rows):
-            out[r, c] = entry(tuple(zip(ridx, cidx)))
-    return out
-
-
 def moment_tensor(spec: MatrixNormalSpec, k: int) -> MomentTensor:
-    """Order-k moment tensor of a centered spec, entrywise through the Wick sum."""
+    """Order-k moment tensor of a centered spec.
+
+    Dense, the tensor is the Wick sum itself: for each perfect matching, the
+    outer product of one copy of the covariance per block, its axes moved to
+    the row and column digits of the block's two slots.  Products and sums
+    run in :func:`wick_moment`'s order, so every dense entry equals
+    ``wick_moment`` at its index bit for bit.
+    """
     _require_centered(spec)
     if k < 1:
         raise BadArity(f"k must be >= 1, got {k}")
     q = spec.q
     if q**k > DENSE_AXIS_CAP:
         return MomentTensor(q=q, k=k, _spec=spec, dense=None)
-    if k % 2 == 1:
-        return MomentTensor(q=q, k=k, _spec=spec, dense=np.zeros((q**k, q**k)))
-    # identical pair multisets share one Wick value
-    memo: dict[tuple, float] = {}
-
-    def entry(pairs) -> float:
-        key = tuple(sorted(pairs))
-        if key not in memo:
-            memo[key] = wick_moment(spec, pairs)
-        return memo[key]
-
-    return MomentTensor(q=q, k=k, _spec=spec, dense=_dense_from_entry(q, k, entry))
+    acc = np.zeros((q,) * (2 * k))
+    if k % 2 == 0:
+        cov4 = spec.cov.reshape(q, q, q, q)  # cov4[i, j, l, m] = Cov(Z_ij, Z_lm)
+        for blocks in _pairings(k // 2):
+            term = np.ones(())
+            for _ in blocks:
+                term = np.multiply.outer(term, cov4)
+            # block (a, b) holds (row a, col a, row b, col b)
+            slots = [axis for a, b in blocks for axis in (a, k + a, b, k + b)]
+            acc += term.transpose(np.argsort(slots))
+    side = q**k
+    return MomentTensor(q=q, k=k, _spec=spec, dense=acc.reshape(side, side))
 
 
 def _dense_moment(spec: MatrixNormalSpec, k: int) -> np.ndarray:
@@ -245,6 +244,8 @@ def sum_moment(spec1: MatrixNormalSpec, spec2: MatrixNormalSpec, k: int) -> Mome
     _require_centered(spec2)
     if spec1.q != spec2.q:
         raise BadArity("specs must share q")
+    if k < 1:
+        raise BadArity(f"k must be >= 1, got {k}")
     q = spec1.q
     if q**k > DENSE_AXIS_CAP:
         raise SizeOverflow(f"q^k = {q ** k} per axis exceeds the dense cap {DENSE_AXIS_CAP}")

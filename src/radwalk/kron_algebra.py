@@ -1,18 +1,20 @@
 """Kronecker and Hadamard products, Kronecker powers, vec, and the
 factor-reordering permutation matrices for products of several factors.
 
-The reordering constructor decomposes the factor permutation into adjacent
-transpositions and composes one exact permutation pair per step, so the
-defining identity
+The row index of a k-fold Kronecker product is a mixed-radix number with one
+digit per factor, and so is its column index.  Reordering the factors
+transposes those digit vectors, so the permutation pair (P, Q) in
 
     A_{sigma(0)} x ... x A_{sigma(k-1)} = P (A_0 x ... x A_{k-1}) Q
 
-holds with pure integer index arithmetic, no rounding.
+is one axis transpose of an index array per side (the commutation matrix of
+Magnus & Neudecker, Ann. Stat. 1979, for k factors): pure integer index
+arithmetic, no rounding.
 """
 
 from __future__ import annotations
 
-from functools import reduce
+import operator
 from math import prod
 
 import numpy as np
@@ -106,9 +108,12 @@ class PermMat:
     __slots__ = ("size", "image")
 
     def __init__(self, image):
-        image = np.asarray(image, dtype=np.int64)
+        raw = np.asarray(image)
+        image = raw.astype(np.int64, copy=False)
         if image.ndim != 1:
             raise ShapeMismatch("image must be a 1-D index array")
+        if not np.array_equal(image, raw):
+            raise ValueError("image entries must be integers")
         n = image.size
         seen = np.zeros(n, dtype=bool)
         if n and (image.min() < 0 or image.max() >= n):
@@ -120,10 +125,6 @@ class PermMat:
         self.image = image
         self.image.flags.writeable = False
 
-    @classmethod
-    def identity(cls, size: int) -> "PermMat":
-        return cls(np.arange(size, dtype=np.int64))
-
     def inverse(self) -> "PermMat":
         inv = np.empty(self.size, dtype=np.int64)
         inv[self.image] = np.arange(self.size, dtype=np.int64)
@@ -132,12 +133,6 @@ class PermMat:
     def transpose(self) -> "PermMat":
         # P' = P^{-1} for permutation matrices.
         return self.inverse()
-
-    def compose(self, other: "PermMat") -> "PermMat":
-        """Matrix product self @ other as a permutation."""
-        if self.size != other.size:
-            raise ShapeMismatch("permutation sizes differ")
-        return PermMat(other.image[self.image])
 
     def apply_left(self, m) -> np.ndarray:
         """P @ M (row permutation)."""
@@ -165,30 +160,10 @@ class PermMat:
         return f"PermMat({self.image.tolist()})"
 
 
-def _perm_kron(p1: PermMat, p2: PermMat) -> PermMat:
-    """Kronecker product of two permutation matrices, as an index map."""
-    n2 = p2.size
-    img = (p1.image[:, None] * n2 + p2.image[None, :]).reshape(-1)
-    return PermMat(img)
-
-
-def _swap_pair(rows_a: int, rows_b: int, cols_a: int, cols_b: int) -> tuple[PermMat, PermMat]:
-    """Permutations (P, Q) with B x A = P (A x B) Q for the given shapes."""
-    ia = np.arange(rows_a, dtype=np.int64)
-    ib = np.arange(rows_b, dtype=np.int64)
-    p_img = np.empty(rows_a * rows_b, dtype=np.int64)
-    # row (i_b, i_a) of B x A comes from row (i_a, i_b) of A x B
-    p_img[(ib[:, None] * rows_a + ia[None, :]).reshape(-1)] = (
-        ia[None, :] * rows_b + ib[:, None]
-    ).reshape(-1)
-    ja = np.arange(cols_a, dtype=np.int64)
-    jb = np.arange(cols_b, dtype=np.int64)
-    q_img = np.empty(cols_a * cols_b, dtype=np.int64)
-    # column (j_a, j_b) of A x B lands at column (j_b, j_a) of B x A
-    q_img[(ja[:, None] * cols_b + jb[None, :]).reshape(-1)] = (
-        jb[None, :] * cols_a + ja[:, None]
-    ).reshape(-1)
-    return PermMat(p_img), PermMat(q_img)
+def _digit_perm(dims, sigma) -> np.ndarray:
+    """Index map sending each position of the digit-reordered mixed-radix
+    numbering to its position in the original one."""
+    return np.arange(prod(dims), dtype=np.int64).reshape(dims).transpose(sigma).reshape(-1)
 
 
 def reorder_perm(shapes, sigma, entry_cap: int = DEFAULT_ENTRY_CAP) -> tuple[PermMat, PermMat]:
@@ -212,32 +187,14 @@ def reorder_perm(shapes, sigma, entry_cap: int = DEFAULT_ENTRY_CAP) -> tuple[Per
     k = len(shapes)
     if k < 1:
         raise BadArity("need at least one factor")
+    try:
+        sigma = [operator.index(t) for t in sigma]
+    except TypeError:
+        raise BadArity(f"sigma entries must be integers, got {sigma!r}") from None
     if sorted(sigma) != list(range(k)):
         raise BadArity(f"sigma must be a permutation of 0..{k - 1}")
-    total_rows = prod(r for r, _ in shapes)
-    total_cols = prod(c for _, c in shapes)
-    _check_cap(total_rows, 1, entry_cap)
-    _check_cap(total_cols, 1, entry_cap)
-
-    p_total = PermMat.identity(total_rows)
-    q_total = PermMat.identity(total_cols)
-    order = list(range(k))
-    target = list(sigma)
-    for t in range(k):
-        j = order.index(target[t])
-        while j > t:
-            # swap adjacent factors at positions j-1, j of the current order
-            left_rows = prod(shapes[f][0] for f in order[: j - 1])
-            right_rows = prod(shapes[f][0] for f in order[j + 1 :])
-            left_cols = prod(shapes[f][1] for f in order[: j - 1])
-            right_cols = prod(shapes[f][1] for f in order[j + 1 :])
-            ra, ca = shapes[order[j - 1]]
-            rb, cb = shapes[order[j]]
-            p2, q2 = _swap_pair(ra, rb, ca, cb)
-            p_step = reduce(_perm_kron, [PermMat.identity(left_rows), p2, PermMat.identity(right_rows)])
-            q_step = reduce(_perm_kron, [PermMat.identity(left_cols), q2, PermMat.identity(right_cols)])
-            p_total = p_step.compose(p_total)
-            q_total = q_total.compose(q_step)
-            order[j - 1], order[j] = order[j], order[j - 1]
-            j -= 1
-    return p_total, q_total
+    rows = [r for r, _ in shapes]
+    cols = [c for _, c in shapes]
+    _check_cap(prod(rows), 1, entry_cap)
+    _check_cap(prod(cols), 1, entry_cap)
+    return PermMat(_digit_perm(rows, sigma)), PermMat(_digit_perm(cols, sigma)).inverse()

@@ -180,6 +180,14 @@ def test_moment_tensor_accessor_agrees_with_dense():
     t = moment_tensor(spec, 4)
     for idx in [(((0, 0), (0, 1), (1, 0), (1, 1))), (((1, 1), (1, 1), (0, 0), (0, 0)))]:
         assert t[idx] == wick_moment(spec, idx)
+    # every dense entry is the Wick sum at its index, bit for bit
+    for q, k in [(2, 4), (3, 4), (2, 6)]:
+        spec = _random_spec(q, rng)
+        dense = moment_tensor(spec, k).as_matrix()
+        rows = list(product(range(q), repeat=k))
+        for r, ridx in enumerate(rows):
+            for c, cidx in enumerate(rows):
+                assert dense[r, c] == wick_moment(spec, tuple(zip(ridx, cidx)))
 
 
 def test_moment_tensor_accessor_only_beyond_cap():
@@ -223,6 +231,13 @@ def test_sum_moment_with_degenerate_partner():
     lhs = sum_moment(spec1, spec2, 4).as_matrix()
     rhs = moment_tensor(spec1, 4).as_matrix()
     assert np.allclose(lhs, rhs, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_sum_moment_rejects_order_below_one(k):
+    spec = _centered(1, np.array([[1.0]]))
+    with pytest.raises(BadArity):
+        sum_moment(spec, spec, k)
 
 
 def test_sum_moment_univariate_variances_add():

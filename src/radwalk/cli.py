@@ -44,7 +44,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from functools import reduce
-from math import factorial, isfinite
+from math import factorial
 from pathlib import Path
 
 import numpy as np
@@ -60,7 +60,7 @@ from .combinatorics import kron_multinomial_expand
 from .errors import RadwalkError
 from .gaussian_moments import MatrixNormalSpec, moment_tensor, sum_moment, wick_moment
 from .kron_algebra import PermMat, hadamard, kron, reorder_perm
-from .radial_measures import RadialLaw, kappa_all_rows_even, normalize_kappa
+from .radial_measures import RadialLaw, _real, kappa_all_rows_even, normalize_kappa
 
 ENV_WORKERS = "RADWALK_WORKERS"
 ENV_SKEW_KRON = "RADWALK_SELFTEST_SKEW_KRON"
@@ -110,11 +110,13 @@ def _as_int(value, path, minimum=None):
 
 def _as_nonnegative(value, path, positive=False):
     """A finite JSON number that is >= 0, or > 0 when ``positive``."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not isfinite(value):
-        raise ManifestError(f"{path}: expected a finite number, got {value!r}")
+    try:
+        value = _real(value, path)
+    except ValueError as exc:
+        raise ManifestError(str(exc)) from exc
     if value < 0 or (positive and value == 0):
         raise ManifestError(f"{path}: must be {'> 0' if positive else '>= 0'}, got {value}")
-    return float(value)
+    return value
 
 
 def _parse_law(cfg, path):
@@ -123,7 +125,8 @@ def _parse_law(cfg, path):
     try:
         return RadialLaw.from_config(cfg)
     except (RadwalkError, ValueError, KeyError, TypeError) as exc:
-        raise ManifestError(f"{path}.{exc}" if str(exc).startswith("atoms[") else f"{path}: {exc}") from exc
+        named = str(exc).startswith(("q:", "params.", "atoms["))  # the message starts with its field
+        raise ManifestError(f"{path}.{exc}" if named else f"{path}: {exc}") from exc
 
 
 def _parse_kappa(spec, path):
@@ -397,8 +400,8 @@ def run_selftest_suites(seed: int = DEFAULT_SELFTEST_SEED, cases: int = 200):
             covs.append(m @ m.T)
         s1 = MatrixNormalSpec(q, np.zeros((q, q)), covs[0])
         s2 = MatrixNormalSpec(q, np.zeros((q, q)), covs[1])
-        lhs = sum_moment(s1, s2, k).as_matrix()
-        rhs = moment_tensor(MatrixNormalSpec(q, np.zeros((q, q)), covs[0] + covs[1]), k).as_matrix()
+        lhs = sum_moment(s1, s2, k)
+        rhs = moment_tensor(MatrixNormalSpec(q, np.zeros((q, q)), covs[0] + covs[1]), k)
         scale = max(1.0, float(np.abs(rhs).max()))
         worst = max(worst, float(np.abs(lhs - rhs).max()) / scale)
     results.append(("gaussian-sum-moment", worst <= 1e-10, f"max rel dev {worst:.3e}"))

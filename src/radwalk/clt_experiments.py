@@ -52,6 +52,7 @@ from .radial_measures import (
 
 __all__ = [
     "CHUNK_TRIALS",
+    "KS_ALPHA",
     "REGIMES",
     "WalkConfig",
     "CovarianceEstimate",
@@ -70,6 +71,8 @@ CHUNK_TRIALS = 512
 # Steps whose radii and cosines the q = 1 kernel draws at once: large enough
 # to amortize the draw calls, small enough that the block stays in cache.
 _STEP_BLOCK = 32
+# Family-wise significance level of the KS normality check.
+KS_ALPHA = 1e-3
 
 REGIMES = ("CLT_I", "CLT_II", "MIXED")
 
@@ -407,11 +410,12 @@ def _ks_projections(samples: np.ndarray, q: int, alpha: float):
     return max(per_projection), critical, per_projection
 
 
-def verify_clt(cfg: WalkConfig, pool=None, stream_tag: int = 0, checks=("exact", "limit", "ks"), rel_tol: float = 0.05,
-               ks_alpha: float = 1e-3) -> ExperimentReport:
+def verify_clt(cfg: WalkConfig, pool=None, stream_tag: int = 0, checks=("exact", "limit", "ks"),
+               rel_tol: float = 0.05) -> ExperimentReport:
     """Run the configured experiment and compare the empirical covariance of
     the normalized statistic against the exact finite-n prediction and the
-    asymptotic limit, with a normality check on scalar projections.
+    asymptotic limit, with a KS normality check on scalar projections at
+    level ``KS_ALPHA``.
 
     ``pool`` is an executor (such as a ``ProcessPoolExecutor``) that runs the
     trial chunks; without one they run in this process.  ``checks`` selects
@@ -439,7 +443,7 @@ def verify_clt(cfg: WalkConfig, pool=None, stream_tag: int = 0, checks=("exact",
         ks_stat = ks_crit = ks_all = None
         verdict_ks = "SKIPPED"
     else:
-        ks_stat, ks_crit, ks_all = _ks_projections(samples, q, ks_alpha)
+        ks_stat, ks_crit, ks_all = _ks_projections(samples, q, KS_ALPHA)
         verdict_ks = "SKIPPED" if ks_stat is None else ("PASS" if ks_stat < ks_crit else "FAIL")
 
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -473,7 +477,7 @@ def verify_clt(cfg: WalkConfig, pool=None, stream_tag: int = 0, checks=("exact",
         "stream_tag": stream_tag,
         "checks": list(checks),
         "rel_tol": rel_tol,
-        "ks_alpha": ks_alpha,
+        "ks_alpha": KS_ALPHA,
     }
     return ExperimentReport(
         config=config_echo,

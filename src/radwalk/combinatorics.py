@@ -15,7 +15,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import BadArity
-from .kron_algebra import DEFAULT_ENTRY_CAP, _check_cap, _kron2
+from .kron_algebra import _check_cap, _kron2
 
 __all__ = [
     "compositions",
@@ -105,7 +105,7 @@ def pair_blocks(word) -> tuple[tuple[int, int], ...]:
     return tuple((ps[0], ps[1]) for ps in positions)
 
 
-def apply_perm_kron(word, ms, entry_cap: int = DEFAULT_ENTRY_CAP) -> np.ndarray:
+def apply_perm_kron(word, ms) -> np.ndarray:
     """Kronecker product of the matrices ``ms`` in word order.
 
     Symbol ``i`` of the word selects ``ms[i-1]``; the result is the k-fold
@@ -117,14 +117,14 @@ def apply_perm_kron(word, ms, entry_cap: int = DEFAULT_ENTRY_CAP) -> np.ndarray:
     if any(s < 1 or s > len(ms) for s in word):
         raise BadArity(f"word symbols must index the {len(ms)} operands")
     mats = [np.atleast_2d(np.asarray(ms[s - 1], dtype=np.float64)) for s in word]
-    _check_cap(prod(m.shape[0] for m in mats), prod(m.shape[1] for m in mats), entry_cap)
+    _check_cap(prod(m.shape[0] for m in mats), prod(m.shape[1] for m in mats))
     out = mats[0]
     for m in mats[1:]:
         out = _kron2(out, m)
     return out
 
 
-def kron_multinomial_expand(xs, k: int, entry_cap: int = DEFAULT_ENTRY_CAP) -> np.ndarray:
+def kron_multinomial_expand(xs, k: int) -> np.ndarray:
     """Expand (x_1 + ... + x_n)^{x,k} as the quadruple sum over u-subsets,
     compositions, and multiset words.
 
@@ -140,7 +140,7 @@ def kron_multinomial_expand(xs, k: int, entry_cap: int = DEFAULT_ENTRY_CAP) -> n
     if any(m.shape != shape for m in mats):
         raise BadArity("all operands must share one shape")
     rows, cols = shape[0] ** k, shape[1] ** k
-    _check_cap(rows, cols, entry_cap)
+    _check_cap(rows, cols)
     acc = np.zeros((rows, cols))
     for u in range(1, min(k, n) + 1):
         lams = compositions(k, u)
@@ -148,5 +148,5 @@ def kron_multinomial_expand(xs, k: int, entry_cap: int = DEFAULT_ENTRY_CAP) -> n
             chosen = [mats[i - 1] for i in mu]
             for lam in lams:
                 for word in multiset_perms(lam):
-                    acc += apply_perm_kron(word, chosen, entry_cap=entry_cap)
+                    acc += apply_perm_kron(word, chosen)
     return acc

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import BadArity, ShapeMismatch, SizeOverflow
 
 __all__ = [
-    "DEFAULT_ENTRY_CAP",
+    "ENTRY_CAP",
     "kron",
     "hadamard",
     "kron_power",
@@ -32,14 +32,14 @@ __all__ = [
     "reorder_perm",
 ]
 
-# Dense results above this many entries are refused; every experiment in
-# this package needs far less (k <= 8 factors of size q <= 8).
-DEFAULT_ENTRY_CAP = 1_000_000
+# Dense results above this many entries are refused, Kronecker products and
+# moment tensors alike; every experiment in this package needs far less.
+ENTRY_CAP = 1_000_000
 
 
-def _check_cap(rows: int, cols: int, entry_cap: int) -> None:
-    if rows * cols > entry_cap:
-        raise SizeOverflow(f"result would have {rows}x{cols} = {rows * cols} entries, cap is {entry_cap}")
+def _check_cap(rows: int, cols: int) -> None:
+    if rows * cols > ENTRY_CAP:
+        raise SizeOverflow(f"result would have {rows}x{cols} = {rows * cols} entries, cap is {ENTRY_CAP}")
 
 
 def _kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -52,11 +52,11 @@ def _kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(rows, cols)
 
 
-def kron(a, b, entry_cap: int = DEFAULT_ENTRY_CAP) -> np.ndarray:
+def kron(a, b) -> np.ndarray:
     """Kronecker product [a_ij * b] as a dense block matrix."""
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
     b = np.atleast_2d(np.asarray(b, dtype=np.float64))
-    _check_cap(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1], entry_cap)
+    _check_cap(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
     return _kron2(a, b)
 
 
@@ -69,12 +69,12 @@ def hadamard(a, b) -> np.ndarray:
     return a * b
 
 
-def kron_power(a, k: int, entry_cap: int = DEFAULT_ENTRY_CAP) -> np.ndarray:
+def kron_power(a, k: int) -> np.ndarray:
     """k-fold Kronecker power a x a x ... x a (k >= 1)."""
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
     if k < 1:
         raise BadArity(f"k must be >= 1, got {k}")
-    _check_cap(a.shape[0] ** k, a.shape[1] ** k, entry_cap)
+    _check_cap(a.shape[0] ** k, a.shape[1] ** k)
     out = a
     for _ in range(k - 1):
         out = _kron2(a, out)
@@ -125,14 +125,11 @@ class PermMat:
         self.image = image
         self.image.flags.writeable = False
 
-    def inverse(self) -> "PermMat":
+    def transpose(self) -> "PermMat":
+        """P', which is P^{-1} for a permutation matrix."""
         inv = np.empty(self.size, dtype=np.int64)
         inv[self.image] = np.arange(self.size, dtype=np.int64)
         return PermMat(inv)
-
-    def transpose(self) -> "PermMat":
-        # P' = P^{-1} for permutation matrices.
-        return self.inverse()
 
     def apply_left(self, m) -> np.ndarray:
         """P @ M (row permutation)."""
@@ -146,7 +143,9 @@ class PermMat:
         m = np.asarray(m)
         if m.shape[1] != self.size:
             raise ShapeMismatch(f"matrix has {m.shape[1]} cols, permutation size is {self.size}")
-        return m[:, self.inverse().image]
+        out = np.empty_like(m)
+        out[:, self.image] = m
+        return out
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.size, self.size))
@@ -166,7 +165,7 @@ def _digit_perm(dims, sigma) -> np.ndarray:
     return np.arange(prod(dims), dtype=np.int64).reshape(dims).transpose(sigma).reshape(-1)
 
 
-def reorder_perm(shapes, sigma, entry_cap: int = DEFAULT_ENTRY_CAP) -> tuple[PermMat, PermMat]:
+def reorder_perm(shapes, sigma) -> tuple[PermMat, PermMat]:
     """Permutation pair (P, Q) for reordering the factors of a Kronecker product.
 
     Parameters
@@ -195,6 +194,6 @@ def reorder_perm(shapes, sigma, entry_cap: int = DEFAULT_ENTRY_CAP) -> tuple[Per
         raise BadArity(f"sigma must be a permutation of 0..{k - 1}")
     rows = [r for r, _ in shapes]
     cols = [c for _, c in shapes]
-    _check_cap(prod(rows), 1, entry_cap)
-    _check_cap(prod(cols), 1, entry_cap)
-    return PermMat(_digit_perm(rows, sigma)), PermMat(_digit_perm(cols, sigma)).inverse()
+    _check_cap(prod(rows), 1)
+    _check_cap(prod(cols), 1)
+    return PermMat(_digit_perm(rows, sigma)), PermMat(_digit_perm(cols, sigma)).transpose()

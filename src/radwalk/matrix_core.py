@@ -13,7 +13,7 @@ import numpy as np
 from .errors import NoConvergence, NotPSD, ShapeMismatch
 
 __all__ = [
-    "DEFAULT_PSD_TOL",
+    "PSD_TOL",
     "as_matrix",
     "symmetrize",
     "gram",
@@ -26,7 +26,7 @@ __all__ = [
 
 # Relative eigenvalue tolerance for treating a slightly indefinite matrix
 # (rounding noise on a Gram matrix) as PSD.
-DEFAULT_PSD_TOL = 1e-10
+PSD_TOL = 1e-10
 
 
 def as_matrix(x, name: str = "x") -> np.ndarray:
@@ -84,15 +84,15 @@ def sym_eig(s) -> tuple[np.ndarray, np.ndarray]:
     return w[::-1].copy(), v[:, ::-1].copy()
 
 
-def psd_sqrt(s, tol: float = DEFAULT_PSD_TOL) -> np.ndarray:
+def psd_sqrt(s) -> np.ndarray:
     """Unique PSD square root of a PSD matrix.
 
-    Eigenvalues in ``[-tol * ||s||_F, 0)`` are treated as rounding noise and
-    clamped to zero; anything below that floor raises :class:`NotPSD`.
+    Eigenvalues in ``[-PSD_TOL * ||s||_F, 0)`` are treated as rounding noise
+    and clamped to zero; anything below that floor raises :class:`NotPSD`.
     """
     w, v = sym_eig(s)
     scale = float(np.linalg.norm(np.asarray(s, dtype=np.float64)))
-    floor = -tol * scale
+    floor = -PSD_TOL * scale
     if w[-1] < floor:
         raise NotPSD(f"eigenvalue {w[-1]:.3e} below tolerance floor {floor:.3e}")
     w = np.clip(w, 0.0, None)

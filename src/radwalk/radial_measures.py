@@ -20,6 +20,7 @@ memory are bounded by (chunk, k, q) arrays whatever p is; the full
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +47,14 @@ _WEIGHT_TOL = 1e-12
 _RADIUS_EIG_FLOOR = -1e-10
 
 
+def _real(value, field: str) -> float:
+    """A config number as a float; NaN, infinities, bools, strings and
+    integers beyond the float range are refused, naming the field."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{field}: expected a finite number, got {value!r}")
+    return float(value)
+
+
 class RadialLaw:
     """Probability law on the PSD cone of q x q matrices.
 
@@ -70,9 +79,9 @@ class RadialLaw:
                 raise ValueError(f"atom weights sum to {weights.sum()!r}, not 1")
             for a, r in enumerate(radii):
                 if not np.array_equal(r, r.T):
-                    raise NotPSD(f"atom {a}: radius is not symmetric")
+                    raise NotPSD(f"atoms[{a}].radius: matrix is not symmetric")
                 if np.linalg.eigvalsh(r).min() < _RADIUS_EIG_FLOOR:
-                    raise NotPSD(f"atom {a}: radius has a negative eigenvalue")
+                    raise NotPSD(f"atoms[{a}].radius: matrix has a negative eigenvalue")
             weights.flags.writeable = False
             radii.flags.writeable = False
         self.weights = weights
@@ -149,6 +158,8 @@ class RadialLaw:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "RadialLaw":
+        """Inverse of :meth:`to_config`.  A bad ``q`` or number raises
+        ValueError naming its field (``q``, ``params.b``, ``atoms[0].weight``)."""
         if "family" in cfg:
             family = cfg["family"]
             params = cfg.get("params", {})
@@ -159,22 +170,23 @@ class RadialLaw:
             }
             if family not in makers:
                 raise ValueError(f"unknown law family {family!r}")
-            return makers[family](**params)
-        q = int(cfg["q"])
+            if not isinstance(params, dict):
+                raise ValueError(f"params: expected an object, got {params!r}")
+            return makers[family](**{name: _real(v, f"params.{name}") for name, v in params.items()})
+        q = cfg["q"]
+        if isinstance(q, bool) or not isinstance(q, int) or q < 1:
+            raise ValueError(f"q: expected an integer >= 1, got {q!r}")
         atoms = cfg["atoms"]
         if not atoms:
             raise ValueError("atoms list is empty")
         weights, radii = [], []
         for a, atom in enumerate(atoms):
-            entries = np.asarray(atom["radius"], dtype=np.float64)
+            entries = np.asarray(atom["radius"], dtype=object).reshape(-1)
             if entries.size != q * q:
                 raise ValueError(f"atoms[{a}].radius: expected {q * q} entries, got {entries.size}")
-            r = entries.reshape(q, q)
-            if np.abs(r - r.T).max() > 1e-12 * max(1.0, np.abs(r).max()):
-                raise ValueError(f"atoms[{a}].radius: matrix is not symmetric")
-            weights.append(float(atom["weight"]))
-            radii.append(r)
-        return cls.from_atoms(np.array(radii), weights)
+            weights.append(_real(atom["weight"], f"atoms[{a}].weight"))
+            radii.append([_real(v, f"atoms[{a}].radius") for v in entries])
+        return cls.from_atoms(np.array(radii).reshape(-1, q, q), weights)
 
     def __repr__(self):
         if self.family == "atoms":
@@ -186,12 +198,8 @@ class RadialLaw:
 class RadialSampleBatch:
     """A batch of lifted samples with the radii that generated them."""
 
-    p: int
-    q: int
-    count: int
     samples: np.ndarray  # (count, p, q)
     radii: np.ndarray  # (count, q, q)
-    seed: object = None
 
 
 def r2(nu: RadialLaw) -> np.ndarray:
@@ -338,12 +346,11 @@ def _stiefel_rows(p: int, k: int, q: int, m: int, rng: np.random.Generator) -> n
     return solve_lower_t(g, low)
 
 
-def sample_radial_batch(p: int, nu: RadialLaw, count: int, rng: np.random.Generator,
-                        seed=None) -> RadialSampleBatch:
+def sample_radial_batch(p: int, nu: RadialLaw, count: int, rng: np.random.Generator) -> RadialSampleBatch:
     """Batch of lifted draws, keeping the radii for exact per-sample checks."""
     radii = nu.draw_radii(count, rng)
     samples = _orbit_batch(p, radii, rng)
-    return RadialSampleBatch(p=p, q=nu.q, count=count, samples=samples, radii=radii, seed=seed)
+    return RadialSampleBatch(samples=samples, radii=radii)
 
 
 def normalize_kappa(kappa) -> dict[tuple[int, int], int]:

@@ -234,11 +234,25 @@ def test_negative_rel_tol_rejected(tmp_path, capsys):
     assert "entries[0].rel_tol" in capsys.readouterr().err
 
 
-# fast_path (a retired field) and reltol (a misspelt rel_tol) are unknown fields
-@pytest.mark.parametrize("field, value", [("rel_tol", "abc"), ("rel_tol", 0), ("c", "x"),
-                                          ("c", -0.5), ("fast_path", "false"), ("reltol", 0.1)])
+def _atom_law(q=1, weight=1.0, radius=(1.0,)):
+    return {"q": q, "atoms": [{"weight": weight, "radius": list(radius)}]}
+
+
+# fast_path (a retired field) and reltol (a misspelt rel_tol) are unknown fields;
+# a law field is named by its path inside the law
+@pytest.mark.parametrize("field, value", [
+    ("rel_tol", "abc"), ("rel_tol", 0), ("c", "x"), ("c", -0.5), ("fast_path", "false"), ("reltol", 0.1),
+    pytest.param("rel_tol", 10**400, id="rel_tol-int-beyond-float"),
+    pytest.param("law.q", _atom_law(q=1.5), id="law.q-1.5"),
+    pytest.param("law.q", _atom_law(q=0, radius=()), id="law.q-0"),
+    pytest.param("law.params.b", {"family": "uniform_interval", "params": {"a": 0.0, "b": float("inf")}},
+                 id="law.params.b-inf"),
+    pytest.param("law.atoms[0].weight", _atom_law(weight="a"), id="law.atoms.weight-a"),
+    pytest.param("law.atoms[0].radius", _atom_law(q=2, radius=(1.0, float("nan"), 0.0, 1.0)),
+                 id="law.atoms.radius-nan"),
+])
 def test_bad_clt_field_is_config_error(tmp_path, capsys, field, value):
-    manifest = _write_manifest(tmp_path / "m.json", [_clt_entry("c0", **{field: value})])
+    manifest = _write_manifest(tmp_path / "m.json", [_clt_entry("c0", **{field.split(".")[0]: value})])
     code = cli.main(["clt", "--manifest", str(manifest), "--out", str(tmp_path / "out")])
     assert code == 2
     assert f"entries[0].{field}" in capsys.readouterr().err
@@ -296,7 +310,11 @@ GOOD_MOMENTS_ARGS = ["--kappa", "0,0:2", "--p-grid", "2,4,8", "--trials", "2000"
     ("law", GOOD_MOMENTS_ARGS, {"q": 2, "atoms": [{"weight": 1.0, "radius": [1.0, 2.0, 2.0, 1.0]}]}),
     ("law", GOOD_MOMENTS_ARGS, {"family": "point_mass", "params": {"radius": 1.0, "bogus": 2}}),
     ("law", GOOD_MOMENTS_ARGS, [POINT_MASS_LAW]),
-], ids=["few-trials", "zero-p", "float-p", "row-outside-p", "non-psd-law", "unknown-param-law", "list-law"])
+    ("law.q", GOOD_MOMENTS_ARGS, _atom_law(q=1.5)),
+    ("law.params.radius", GOOD_MOMENTS_ARGS, {"family": "point_mass", "params": {"radius": float("nan")}}),
+    ("law.atoms[0].weight", GOOD_MOMENTS_ARGS, _atom_law(weight="a")),
+], ids=["few-trials", "zero-p", "float-p", "row-outside-p", "non-psd-law", "unknown-param-law", "list-law",
+        "float-q-law", "nan-param-law", "string-weight-law"])
 def test_bad_moments_command_is_config_error(tmp_path, capsys, field, args, law):
     law_path = tmp_path / "law.json"
     law_path.write_text(json.dumps(law))

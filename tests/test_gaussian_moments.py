@@ -108,7 +108,7 @@ def test_wick_odd_order_checks_indices(k):
         wick_moment(spec, ((0, 2),) + ((0, 0),) * (k - 1))
 
 
-@pytest.mark.parametrize("u", [1, 2, 3, 4])
+@pytest.mark.parametrize("u", [1, 2, 3, 4, 5])
 def test_pairings_are_the_distinct_perfect_matchings(u):
     pairings = _pairings(u)
     assert len(pairings) == _double_factorial(2 * u)
@@ -118,6 +118,11 @@ def test_pairings_are_the_distinct_perfect_matchings(u):
         assert sorted(t for block in blocks for t in block) == list(range(2 * u))
         seen.add(frozenset(frozenset(block) for block in blocks))
     assert len(seen) == len(pairings)
+    if u <= 4:
+        # the canonical pairing words (blocks start in increasing position), in lexicographic order
+        matchings = (pair_blocks(word) for word in multiset_perms((2,) * u))
+        canonical = [b for b in matchings if all(x[0] < y[0] for x, y in zip(b, b[1:]))]
+        assert list(pairings) == canonical
 
 
 def _labelled_word_sum(spec, pairs):
@@ -157,7 +162,7 @@ def test_wick_invariant_under_simultaneous_pair_permutation():
 def test_moment_tensor_order_two_is_covariance():
     rng = np.random.default_rng(57)
     spec = _random_spec(2, rng)
-    m2 = moment_tensor(spec, 2).as_matrix()
+    m2 = moment_tensor(spec, 2)
     q = 2
     for i, j, l, k in product(range(q), repeat=4):
         assert m2[i * q + l, j * q + k] == spec.cov[i * q + j, l * q + k]
@@ -166,39 +171,38 @@ def test_moment_tensor_order_two_is_covariance():
 def test_moment_tensor_odd_is_zero():
     rng = np.random.default_rng(58)
     spec = _random_spec(2, rng)
-    assert not moment_tensor(spec, 3).as_matrix().any()
+    assert not moment_tensor(spec, 3).any()
 
 
 def test_moment_tensor_univariate_sixth():
     spec = _centered(1, np.array([[1.0]]))
-    assert moment_tensor(spec, 6).as_matrix()[0, 0] == 15.0
+    assert moment_tensor(spec, 6)[0, 0] == 15.0
 
 
-def test_moment_tensor_accessor_agrees_with_dense():
+def test_moment_tensor_entries_equal_wick_moment():
     rng = np.random.default_rng(59)
     spec = _random_spec(2, rng)
     t = moment_tensor(spec, 4)
     for idx in [(((0, 0), (0, 1), (1, 0), (1, 1))), (((1, 1), (1, 1), (0, 0), (0, 0)))]:
-        assert t[idx] == wick_moment(spec, idx)
-    # every dense entry is the Wick sum at its index, bit for bit
+        assert t[_pack(idx, 0), _pack(idx, 1)] == wick_moment(spec, idx)
+    # every entry is the Wick sum at its index, bit for bit
     for q, k in [(2, 4), (3, 4), (2, 6)]:
         spec = _random_spec(q, rng)
-        dense = moment_tensor(spec, k).as_matrix()
+        dense = moment_tensor(spec, k)
         rows = list(product(range(q), repeat=k))
         for r, ridx in enumerate(rows):
             for c, cidx in enumerate(rows):
                 assert dense[r, c] == wick_moment(spec, tuple(zip(ridx, cidx)))
 
 
-def test_moment_tensor_accessor_only_beyond_cap():
-    rng = np.random.default_rng(60)
-    spec = _random_spec(3, rng)
-    t = moment_tensor(spec, 8)  # 3^8 = 6561 per axis, above the dense cap
-    assert t.dense is None
-    idx = ((0, 0),) * 8
-    assert t[idx] == wick_moment(spec, idx)
+@pytest.mark.parametrize("q, k", [(3, 8), (2, 10)])
+def test_dense_moments_refused_beyond_entry_cap(q, k):
+    # q^k = 6561 and 1024 per axis: both above the 10^6-entry cap
+    spec = _random_spec(q, np.random.default_rng(60))
     with pytest.raises(SizeOverflow):
-        t.as_matrix()
+        moment_tensor(spec, k)
+    with pytest.raises(SizeOverflow):
+        sum_moment(spec, spec, k)
 
 
 def test_moment_tensor_matches_monte_carlo():
@@ -207,7 +211,7 @@ def test_moment_tensor_matches_monte_carlo():
     n = 200_000
     draws = sample_matrix_normal(spec, rng, size=n).reshape(n, 4)
     for k in (2, 3, 4):
-        dense = moment_tensor(spec, k).as_matrix()
+        dense = moment_tensor(spec, k)
         for idx in product(product(range(2), repeat=2), repeat=k):
             prod_samples = np.ones(n)
             for i, j in idx:
@@ -228,8 +232,8 @@ def test_sum_moment_with_degenerate_partner():
     rng = np.random.default_rng(62)
     spec1 = _random_spec(2, rng)
     spec2 = _centered(2, np.zeros((4, 4)))
-    lhs = sum_moment(spec1, spec2, 4).as_matrix()
-    rhs = moment_tensor(spec1, 4).as_matrix()
+    lhs = sum_moment(spec1, spec2, 4)
+    rhs = moment_tensor(spec1, 4)
     assert np.allclose(lhs, rhs, rtol=0, atol=1e-12)
 
 
@@ -243,7 +247,7 @@ def test_sum_moment_rejects_order_below_one(k):
 def test_sum_moment_univariate_variances_add():
     s1 = _centered(1, np.array([[1.0]]))
     s2 = _centered(1, np.array([[1.0]]))
-    assert sum_moment(s1, s2, 2).as_matrix()[0, 0] == 2.0
+    assert sum_moment(s1, s2, 2)[0, 0] == 2.0
 
 
 def test_sum_moment_matches_summed_covariance():
@@ -252,8 +256,8 @@ def test_sum_moment_matches_summed_covariance():
         q = int(rng.integers(1, 3))
         k = int(rng.integers(2, 5))
         s1, s2 = _random_spec(q, rng), _random_spec(q, rng)
-        lhs = sum_moment(s1, s2, k).as_matrix()
-        rhs = moment_tensor(_centered(q, s1.cov + s2.cov), k).as_matrix()
+        lhs = sum_moment(s1, s2, k)
+        rhs = moment_tensor(_centered(q, s1.cov + s2.cov), k)
         scale = max(1.0, float(np.abs(rhs).max()))
         assert np.abs(lhs - rhs).max() <= 1e-10 * scale
 
@@ -279,7 +283,7 @@ def _sum_moment_loop(spec1, spec2, k):
 def test_sum_moment_matches_entrywise_double_loop(q, k):
     rng = np.random.default_rng(70 + 10 * q + k)
     s1, s2 = _random_spec(q, rng), _random_spec(q, rng)
-    got = sum_moment(s1, s2, k).as_matrix()
+    got = sum_moment(s1, s2, k)
     if k % 2 == 1:
         assert got.shape == (q**k, q**k) and not got.any()
         return

@@ -112,7 +112,13 @@ def test_from_config_names_bad_atom():
         {"weight": 0.5, "radius": [1.0, 0.0, 0.0, 1.0]},
         {"weight": 0.5, "radius": [1.0, 0.3, 0.0, 1.0]},
     ]}
-    with pytest.raises(ValueError, match=r"atoms\[1\]"):
+    with pytest.raises(NotPSD, match=r"^atoms\[1\]\.radius: "):
+        RadialLaw.from_config(cfg)
+
+
+def test_slightly_asymmetric_radius_is_refused_naming_the_field():
+    cfg = {"q": 2, "atoms": [{"weight": 1.0, "radius": [1.0, 1e-15, 0.0, 1.0]}]}
+    with pytest.raises(NotPSD, match=r"^atoms\[0\]\.radius: matrix is not symmetric"):
         RadialLaw.from_config(cfg)
 
 

@@ -5,26 +5,30 @@ Manifests are JSON: a suite name, a master seed, and a list of entries.
 Each entry has a unique ``id``, which names its report file and so must be
 a plain file name, and a ``kind``:
 
-* ``clt`` -- a walk experiment: ``regime`` (CLT_I | CLT_II | MIXED), ``n``,
-  ``p``, ``trials``, ``law``, optional ``c`` (>= 0), ``checks`` (a list,
-  subset of ["exact", "limit", "ks"]) and ``rel_tol`` (> 0).  The walk
-  tracks only its q x q Gram matrix, so its cost does not depend on p.
+* ``clt`` -- a walk experiment: ``regime``, ``n``, ``p``, ``trials``,
+  ``law``, optional ``c``, ``checks`` and ``rel_tol``, the fields of a
+  :class:`~radwalk.clt_experiments.WalkConfig`, run by
+  ``verify_clt(cfg, pool=None)``.  The walk tracks only its q x q Gram
+  matrix, so its cost does not depend on p.
 * ``moments`` -- a monomial-moment sweep: ``law``, ``kappa`` (list of
-  ``[[row, col], exponent]``, total exponent 1 to 8, every index inside the
-  smallest grid point by q), ``p_grid`` (integers >= q), ``trials``
-  (>= 1000).
+  ``[[row, col], exponent]``), ``p_grid`` and ``trials``, the fields of a
+  :class:`~radwalk.clt_experiments.MomentSweep`, run by
+  ``moment_decay_experiment(sweep, rng)``.
 * ``selftest`` -- the exact-identity suites, optional ``cases``.
 
 Laws are ``{"q": q, "atoms": [{"weight": w, "radius": [row-major]}]}`` or
 ``{"family": name, "params": {...}}`` with families ``point_mass``,
-``two_point``, ``uniform_interval``.
+``two_point``, ``uniform_interval``, parsed by ``RadialLaw.from_config``.
 
-Every entry is validated before the first one runs, so a bad manifest
-exits with code 2 and a message naming the field, with nothing written; a
-field its kind does not take is an error too.
-``radwalk moments`` turns its flags into a moments entry and applies the
-same rules.  ``--seed`` must be an integer >= 0, and ``--workers`` (or
-``RADWALK_WORKERS``, which takes precedence) an integer >= 1.
+Each rule on a field is stated once, in ``WalkConfig``, ``MomentSweep`` or
+``RadialLaw``, whose errors name the field; this module reads the JSON,
+refuses keys an entry's kind does not take, and prefixes the entry's path
+to the errors.  Every entry is validated before the first one runs, so a
+bad manifest exits with code 2 and a message naming the field, with
+nothing written.  ``radwalk moments`` turns its flags into a moments entry
+and applies the same rules.  ``--seed`` must be an integer >= 0, and
+``--workers`` (or ``RADWALK_WORKERS``, which takes precedence) an integer
+>= 1.
 
 One process pool of that many workers serves every walk entry of a run.
 Every output file embeds the tool version, the master seed, and a SHA-256
@@ -51,6 +55,7 @@ import numpy as np
 
 from . import __version__
 from .clt_experiments import (
+    MomentSweep,
     WalkConfig,
     moment_decay_experiment,
     trial_stream,
@@ -60,15 +65,13 @@ from .combinatorics import kron_multinomial_expand
 from .errors import RadwalkError
 from .gaussian_moments import MatrixNormalSpec, moment_tensor, sum_moment, wick_moment
 from .kron_algebra import PermMat, hadamard, kron, reorder_perm
-from .radial_measures import RadialLaw, _real, kappa_all_rows_even, normalize_kappa
+from .radial_measures import RadialLaw, _integer
 
 ENV_WORKERS = "RADWALK_WORKERS"
-ENV_SKEW_KRON = "RADWALK_SELFTEST_SKEW_KRON"
 DEFAULT_SELFTEST_SEED = 20240811
 
 CSV_COLUMNS = ("id", "regime", "n", "p", "q", "predicted_var", "empirical_var",
                "stderr", "rel_frob_err", "ks_stat", "verdict")
-CHECKS = ("exact", "limit", "ks")
 # the fields each entry kind takes; any other key is a config error
 _FIELDS = {
     "clt": {"id", "kind", "regime", "n", "p", "trials", "law", "c", "checks", "rel_tol"},
@@ -100,23 +103,11 @@ def _require(mapping, key, prefix):
     return mapping[key]
 
 
-def _as_int(value, path, minimum=None):
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ManifestError(f"{path}: expected an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ManifestError(f"{path}: must be >= {minimum}, got {value}")
-    return value
-
-
-def _as_nonnegative(value, path, positive=False):
-    """A finite JSON number that is >= 0, or > 0 when ``positive``."""
+def _as_int(value, path, minimum):
     try:
-        value = _real(value, path)
-    except ValueError as exc:
+        return _integer(value, path, minimum)
+    except RadwalkError as exc:
         raise ManifestError(str(exc)) from exc
-    if value < 0 or (positive and value == 0):
-        raise ManifestError(f"{path}: must be {'> 0' if positive else '>= 0'}, got {value}")
-    return value
 
 
 def _parse_law(cfg, path):
@@ -127,13 +118,6 @@ def _parse_law(cfg, path):
     except (RadwalkError, ValueError, KeyError, TypeError) as exc:
         named = str(exc).startswith(("q:", "params.", "atoms["))  # the message starts with its field
         raise ManifestError(f"{path}.{exc}" if named else f"{path}: {exc}") from exc
-
-
-def _parse_kappa(spec, path):
-    try:
-        return [((_as_int(ij[0], path), _as_int(ij[1], path)), _as_int(e, path)) for ij, e in spec]
-    except (TypeError, ValueError, IndexError, KeyError) as exc:
-        raise ManifestError(f"{path}: expected a list of [[row, col], exponent] items ({exc})") from exc
 
 
 def _decode(text, field):
@@ -183,26 +167,6 @@ def load_manifest(path):
     return doc, hashlib.sha256(raw).hexdigest()
 
 
-def _build_walk_config(entry, path, master_seed):
-    law = _parse_law(_require(entry, "law", f"{path}."), f"{path}.law")
-    regime = _require(entry, "regime", f"{path}.")
-    n = _as_int(_require(entry, "n", f"{path}."), f"{path}.n", minimum=1)
-    p = _as_int(_require(entry, "p", f"{path}."), f"{path}.p", minimum=1)
-    trials = _as_int(_require(entry, "trials", f"{path}."), f"{path}.trials", minimum=100)
-    c = entry.get("c")
-    if c is not None:
-        c = _as_nonnegative(c, f"{path}.c")
-    checks = entry.get("checks", list(CHECKS))
-    if not isinstance(checks, list) or any(chk not in CHECKS for chk in checks):
-        raise ManifestError(f"{path}.checks: expected a list of checks from {list(CHECKS)}, got {checks!r}")
-    rel_tol = _as_nonnegative(entry.get("rel_tol", 0.05), f"{path}.rel_tol", positive=True)
-    try:
-        cfg = WalkConfig(nu=law, n=n, p=p, trials=trials, regime=regime, c=c, seed=master_seed)
-    except RadwalkError as exc:
-        raise ManifestError(f"{path}: {exc}") from exc
-    return cfg, tuple(checks), rel_tol
-
-
 def _meta(master_seed, config_hash):
     return {"tool": "radwalk", "version": __version__,
             "master_seed": master_seed, "config_sha256": config_hash}
@@ -217,42 +181,23 @@ def _summary_scalar(matrix: np.ndarray, q: int) -> float:
     return float(m[0, 0]) if q == 1 else float(np.linalg.norm(m))
 
 
-def _parse_moments_entry(entry, prefix=""):
-    """Validate a moments sweep into the arguments its runner takes;
-    ``prefix`` is the entry path plus a dot in a manifest, empty on the
-    command line."""
-    law = _parse_law(_require(entry, "law", prefix), f"{prefix}law")
-    q = law.q
-    kappa = _parse_kappa(_require(entry, "kappa", prefix), f"{prefix}kappa")
-    p_grid = _require(entry, "p_grid", prefix)
-    trials = _require(entry, "trials", prefix)
-    if not isinstance(p_grid, list) or not p_grid:
-        raise ManifestError(f"{prefix}p_grid: expected a nonempty list")
-    for k, p in enumerate(p_grid):
-        _as_int(p, f"{prefix}p_grid[{k}]", minimum=max(1, q))
-    _as_int(trials, f"{prefix}trials", minimum=1000)
+def _parse_entry(entry, prefix, master_seed=0):
+    """Validate one entry into the config its runner takes; ``prefix`` is
+    the entry path plus a dot in a manifest, empty on the command line."""
+    kind = entry["kind"]
+    if kind == "selftest":
+        return _as_int(entry.get("cases", 50), f"{prefix}cases", minimum=1)
+    required = ("regime", "n", "p") if kind == "clt" else ("kappa", "p_grid")
+    for key in ("law", *required, "trials"):
+        _require(entry, key, prefix)
+    fields = {key: value for key, value in entry.items() if key not in ("id", "kind", "law")}
+    nu = _parse_law(entry["law"], f"{prefix}law")
     try:
-        kap = normalize_kappa(kappa)
-    except RadwalkError as exc:
-        raise ManifestError(f"{prefix}kappa: {exc}") from exc
-    if not 1 <= sum(kap.values()) <= 8:
-        raise ManifestError(f"{prefix}kappa: total exponent must be 1 to 8, got {sum(kap.values())}")
-    for i, j in kap:
-        if i >= min(p_grid) or j >= q:
-            raise ManifestError(f"{prefix}kappa: index ({i},{j}) lies outside {min(p_grid)}x{q}, "
-                                f"the smallest p_grid point by q")
-    if kappa_all_rows_even(kap) and len(p_grid) < 3:
-        raise ManifestError(f"{prefix}p_grid: decay slope needs at least 3 points")
-    return law, kappa, p_grid, trials
-
-
-def _parse_entry(entry, path, master_seed):
-    """Validate one entry into the arguments its runner takes."""
-    if entry["kind"] == "clt":
-        return _build_walk_config(entry, path, master_seed)
-    if entry["kind"] == "moments":
-        return _parse_moments_entry(entry, f"{path}.")
-    return _as_int(entry.get("cases", 50), f"{path}.cases", minimum=1)
+        if kind == "clt":
+            return WalkConfig(nu=nu, seed=master_seed, stream_tag=_entry_tag(entry["id"]), **fields)
+        return MomentSweep(nu=nu, **fields)
+    except RadwalkError as exc:  # its message starts with the field's name
+        raise ManifestError(f"{prefix}{exc}") from exc
 
 
 def _moments_verdict(report) -> str:
@@ -273,19 +218,17 @@ def cmd_clt(manifest_path, out_dir, seed_override=None, workers=None) -> int:
     doc, config_hash = load_manifest(manifest_path)
     master_seed = doc["seed"] if seed_override is None else seed_override
     entries = doc.get("entries", [])
-    parsed = [_parse_entry(entry, f"entries[{i}]", master_seed) for i, entry in enumerate(entries)]
+    parsed = [_parse_entry(entry, f"entries[{i}].", master_seed) for i, entry in enumerate(entries)]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     all_pass = True
     with ProcessPoolExecutor(max_workers=workers) if workers and workers > 1 else nullcontext() as pool:
-        for entry, args in zip(entries, parsed):
+        for entry, cfg in zip(entries, parsed):
             eid = entry["id"]
             kind = entry["kind"]
             if kind == "clt":
-                cfg, checks, rel_tol = args
-                report = verify_clt(cfg, pool=pool, stream_tag=_entry_tag(eid), checks=checks,
-                                    rel_tol=rel_tol)
+                report = verify_clt(cfg, pool=pool)
                 _write_json(out / f"{eid}.json", {"meta": _meta(master_seed, config_hash),
                                                   "entry_id": eid, "report": report.to_dict()})
                 q = cfg.nu.q
@@ -300,14 +243,14 @@ def cmd_clt(manifest_path, out_dir, seed_override=None, workers=None) -> int:
                 ))
                 all_pass &= report.overall == "PASS"
             elif kind == "moments":
-                report = moment_decay_experiment(*args, trial_stream(master_seed, _entry_tag(eid), 0))
+                report = moment_decay_experiment(cfg, trial_stream(master_seed, _entry_tag(eid), 0))
                 verdict = _moments_verdict(report)
                 _write_json(out / f"{eid}.json", {"meta": _meta(master_seed, config_hash),
                                                   "entry_id": eid, "verdict": verdict,
                                                   "report": report.to_dict()})
                 all_pass &= verdict == "PASS"
             else:  # selftest
-                results = run_selftest_suites(seed=master_seed, cases=args)
+                results = run_selftest_suites(seed=master_seed, cases=cfg)
                 ok = all(passed for _, passed, _ in results)
                 _write_json(out / f"{eid}.json", {"meta": _meta(master_seed, config_hash),
                                                   "entry_id": eid,
@@ -320,15 +263,6 @@ def cmd_clt(manifest_path, out_dir, seed_override=None, workers=None) -> int:
     lines += [",".join(row) + "\n" for row in rows]
     (out / "summary.csv").write_text("".join(lines))
     return 0 if all_pass else 1
-
-
-def _selftest_kron(a, b):
-    """Kronecker product routed through the corrupted-build canary hook."""
-    out = np.kron(np.atleast_2d(np.asarray(a, dtype=np.float64)),
-                  np.atleast_2d(np.asarray(b, dtype=np.float64)))
-    if os.environ.get(ENV_SKEW_KRON):
-        out = out + 1e-6
-    return out
 
 
 def run_selftest_suites(seed: int = DEFAULT_SELFTEST_SEED, cases: int = 200):
@@ -345,7 +279,7 @@ def run_selftest_suites(seed: int = DEFAULT_SELFTEST_SEED, cases: int = 200):
         mats = [rng.integers(-4, 5, size=sh).astype(float) for sh in shapes]
         sigma = rng.permutation(k)
         p, q = reorder_perm(shapes, sigma)
-        observed = reduce(_selftest_kron, [mats[i] for i in sigma])
+        observed = reduce(np.kron, [mats[i] for i in sigma])
         expected = p.apply_left(q.apply_right(reduce(kron, mats)))
         if not np.array_equal(observed, expected):
             ok = False
@@ -360,7 +294,7 @@ def run_selftest_suites(seed: int = DEFAULT_SELFTEST_SEED, cases: int = 200):
         shape = (int(rng.integers(1, 3)), int(rng.integers(1, 3)))
         xs = [rng.standard_normal(shape) for _ in range(n)]
         expansion = kron_multinomial_expand(xs, k)
-        power = reduce(_selftest_kron, [sum(xs)] * k)
+        power = reduce(np.kron, [sum(xs)] * k)
         scale = max(1.0, float(np.abs(power).max()))
         worst = max(worst, float(np.abs(expansion - power).max()) / scale)
     results.append(("kron-multinomial", worst <= 1e-12, f"max rel dev {worst:.3e}"))
@@ -421,16 +355,16 @@ def cmd_moments(law_path, kappa_text, p_grid_text, trials, out_dir, seed=0) -> i
     law_cfg, raw = _read_json(law_path, "law")
     # "row,col:exp;..." is the manifest's [[[row, col], exp], ...] without its brackets
     terms = (t.replace(":", "],") for t in kappa_text.split(";") if t.strip())
-    entry = {"law": law_cfg, "kappa": _decode("[" + ",".join(f"[[{t}]" for t in terms) + "]", "kappa"),
+    entry = {"kind": "moments", "law": law_cfg,
+             "kappa": _decode("[" + ",".join(f"[[{t}]" for t in terms) + "]", "kappa"),
              "p_grid": _decode(f"[{p_grid_text}]", "p_grid"), "trials": trials}
-    law, kappa, p_grid, trials = _parse_moments_entry(entry)
+    sweep = _parse_entry(entry, "")
     # keyed on the canonical multi-index, so every spelling of the sweep
     # draws the same stream and multiplies its factors in the same order
-    kappa = sorted(normalize_kappa(kappa).items())
-    sweep = json.dumps([kappa, p_grid, trials], separators=(",", ":"))
-    config_hash = hashlib.sha256(raw + f"|{sweep}".encode()).hexdigest()
-    rng = trial_stream(seed, _entry_tag(f"moments:{sweep}"), 0)
-    report = moment_decay_experiment(law, kappa, p_grid, trials, rng)
+    key = json.dumps([sweep.kappa, sweep.p_grid, sweep.trials], separators=(",", ":"))
+    config_hash = hashlib.sha256(raw + f"|{key}".encode()).hexdigest()
+    rng = trial_stream(seed, _entry_tag(f"moments:{key}"), 0)
+    report = moment_decay_experiment(sweep, rng)
     verdict = _moments_verdict(report)
 
     out = Path(out_dir)

@@ -39,10 +39,12 @@ from .errors import BadArity, TooFewSamples
 from .matrix_core import chol_psd, frobenius_norm
 from .radial_measures import (
     RadialLaw,
+    _integer,
+    _monomial_rules,
     _orbit_batch,
+    _real,
     _stiefel_rows,
     kappa_all_rows_even,
-    kappa_weight,
     r2,
     radial_moment_mc,
     sigma_nu,
@@ -54,7 +56,9 @@ __all__ = [
     "CHUNK_TRIALS",
     "KS_ALPHA",
     "REGIMES",
+    "CHECKS",
     "WalkConfig",
+    "MomentSweep",
     "CovarianceEstimate",
     "ExperimentReport",
     "MomentDecayReport",
@@ -75,11 +79,18 @@ _STEP_BLOCK = 32
 KS_ALPHA = 1e-3
 
 REGIMES = ("CLT_I", "CLT_II", "MIXED")
+# Each check a walk experiment can request, and the verdict it reads.
+CHECKS = {"exact": "exact_covariance", "limit": "limit_covariance", "ks": "ks_normality"}
 
 
 @dataclass(frozen=True)
 class WalkConfig:
-    """Parameters of one walk experiment."""
+    """Parameters of one walk experiment, checked on construction.
+
+    ``checks`` selects which comparisons feed the overall verdict, from
+    ``CHECKS``; ``stream_tag`` keys the random streams next to ``seed``.
+    A bad field raises BadArity whose message starts with the field's name.
+    """
 
     nu: RadialLaw
     n: int
@@ -88,16 +99,26 @@ class WalkConfig:
     regime: str
     c: float | None = None
     seed: int = 0
+    checks: tuple = tuple(CHECKS)
+    rel_tol: float = 0.05
+    stream_tag: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.nu, RadialLaw):
+            raise BadArity(f"nu: expected a RadialLaw, got {self.nu!r}")
         if self.regime not in REGIMES:
-            raise BadArity(f"regime must be one of {REGIMES}, got {self.regime!r}")
-        if self.p < self.nu.q:
-            raise BadArity(f"need p >= q, got p={self.p}, q={self.nu.q}")
-        if self.trials < 100:
-            raise BadArity(f"need trials >= 100, got {self.trials}")
-        if self.seed < 0:
-            raise BadArity("seed must be nonnegative")
+            raise BadArity(f"regime: must be one of {REGIMES}, got {self.regime!r}")
+        for name, minimum in (("n", 1), ("p", self.nu.q), ("trials", 100), ("seed", 0), ("stream_tag", 0)):
+            object.__setattr__(self, name, _integer(getattr(self, name), name, minimum))
+        if self.c is not None and _real(self.c, "c") < 0:
+            raise BadArity(f"c: must be >= 0, got {self.c}")
+        checks = self.checks
+        if not isinstance(checks, (list, tuple)) or not all(isinstance(k, str) and k in CHECKS for k in checks):
+            raise BadArity(f"checks: expected a list of checks from {list(CHECKS)}, got {checks!r}")
+        object.__setattr__(self, "checks", tuple(checks))
+        object.__setattr__(self, "rel_tol", _real(self.rel_tol, "rel_tol"))
+        if self.rel_tol <= 0:
+            raise BadArity(f"rel_tol: must be > 0, got {self.rel_tol}")
 
     @property
     def scale(self) -> float:
@@ -282,15 +303,15 @@ class ExperimentReport:
 
 def _chunk_task(args):
     """Top-level chunk runner (picklable for process pools)."""
-    cfg, tag, chunk_idx, size = args
-    xi, _ = _gram_chunk(cfg.nu, cfg.n, cfg.p, size, trial_stream(cfg.seed, tag, chunk_idx))
+    cfg, chunk_idx, size = args
+    xi, _ = _gram_chunk(cfg.nu, cfg.n, cfg.p, size, trial_stream(cfg.seed, cfg.stream_tag, chunk_idx))
     return xi.reshape(size, -1)
 
 
-def _run_all_chunks(cfg: WalkConfig, tag: int, pool):
+def _run_all_chunks(cfg: WalkConfig, pool):
     """Run every chunk, on ``pool`` when given and there are several; both
     maps return results in chunk order."""
-    tasks = [(cfg, tag, idx, min(CHUNK_TRIALS, cfg.trials - start))
+    tasks = [(cfg, idx, min(CHUNK_TRIALS, cfg.trials - start))
              for idx, start in enumerate(range(0, cfg.trials, CHUNK_TRIALS))]
     run = pool.map if pool is not None and len(tasks) > 1 else map
     return np.concatenate(list(run(_chunk_task, tasks)), axis=0)
@@ -410,20 +431,19 @@ def _ks_projections(samples: np.ndarray, q: int, alpha: float):
     return max(per_projection), critical, per_projection
 
 
-def verify_clt(cfg: WalkConfig, pool=None, stream_tag: int = 0, checks=("exact", "limit", "ks"),
-               rel_tol: float = 0.05) -> ExperimentReport:
+def verify_clt(cfg: WalkConfig, pool=None) -> ExperimentReport:
     """Run the configured experiment and compare the empirical covariance of
     the normalized statistic against the exact finite-n prediction and the
     asymptotic limit, with a KS normality check on scalar projections at
     level ``KS_ALPHA``.
 
     ``pool`` is an executor (such as a ``ProcessPoolExecutor``) that runs the
-    trial chunks; without one they run in this process.  ``checks`` selects
-    which comparisons feed the overall verdict; every comparison is still
+    trial chunks; without one they run in this process.  Only the comparisons
+    in ``cfg.checks`` feed the overall verdict; every comparison is still
     computed and reported.
     """
     q = cfg.nu.q
-    xi_vecs = _run_all_chunks(cfg, stream_tag, pool)
+    xi_vecs = _run_all_chunks(cfg, pool)
     scale = cfg.scale
     samples = scale * xi_vecs
     est = estimate_covariance(samples)
@@ -435,8 +455,8 @@ def verify_clt(cfg: WalkConfig, pool=None, stream_tag: int = 0, checks=("exact",
     else:
         predicted_limit = sigma_nu(cfg.nu) + cfg.limit_c * t_nu(cfg.nu)
 
-    verdict_exact, rel_exact = _compare_covariance(est.cov, est.stderr, predicted_exact, rel_tol)
-    verdict_limit, rel_limit = _compare_covariance(est.cov, est.stderr, predicted_limit, rel_tol)
+    verdict_exact, rel_exact = _compare_covariance(est.cov, est.stderr, predicted_exact, cfg.rel_tol)
+    verdict_limit, rel_limit = _compare_covariance(est.cov, est.stderr, predicted_limit, cfg.rel_tol)
 
     degenerate = float(np.abs(predicted_limit).max()) == 0.0
     if degenerate:
@@ -455,8 +475,7 @@ def verify_clt(cfg: WalkConfig, pool=None, stream_tag: int = 0, checks=("exact",
         "limit_covariance": verdict_limit,
         "ks_normality": verdict_ks,
     }
-    requested = [verdicts[{"exact": "exact_covariance", "limit": "limit_covariance", "ks": "ks_normality"}[c]]
-                 for c in checks]
+    requested = [verdicts[CHECKS[c]] for c in cfg.checks]
     if any(v == "FAIL" for v in requested):
         overall = "FAIL"
     elif any(v == "INCONCLUSIVE" for v in requested) or cfg.trials < 1000:
@@ -474,9 +493,9 @@ def verify_clt(cfg: WalkConfig, pool=None, stream_tag: int = 0, checks=("exact",
         "regime": cfg.regime,
         "c": cfg.limit_c,
         "seed": cfg.seed,
-        "stream_tag": stream_tag,
-        "checks": list(checks),
-        "rel_tol": rel_tol,
+        "stream_tag": cfg.stream_tag,
+        "checks": list(cfg.checks),
+        "rel_tol": cfg.rel_tol,
         "ks_alpha": KS_ALPHA,
     }
     return ExperimentReport(
@@ -498,6 +517,32 @@ def verify_clt(cfg: WalkConfig, pool=None, stream_tag: int = 0, checks=("exact",
     )
 
 
+@dataclass(frozen=True)
+class MomentSweep:
+    """Parameters of one monomial-moment sweep, checked on construction: the
+    rules of :func:`radial_moment_mc` at the smallest grid point, and 3 grid
+    points for a slope.  ``kappa`` is stored as sorted ((row, col), exponent)
+    pairs; a bad field raises BadArity whose message starts with its name."""
+
+    nu: RadialLaw
+    kappa: tuple
+    p_grid: tuple
+    trials: int
+
+    def __post_init__(self):
+        if not isinstance(self.nu, RadialLaw):
+            raise BadArity(f"nu: expected a RadialLaw, got {self.nu!r}")
+        if not isinstance(self.p_grid, (list, tuple)) or not self.p_grid:
+            raise BadArity(f"p_grid: expected a nonempty list, got {self.p_grid!r}")
+        grid = tuple(_integer(p, f"p_grid[{k}]", self.nu.q) for k, p in enumerate(self.p_grid))
+        kappa = _monomial_rules(self.kappa, min(grid), self.nu.q, self.trials)
+        if kappa_all_rows_even(kappa) and len(grid) < 3:
+            raise BadArity(f"p_grid: decay slope needs at least 3 points, got {len(grid)}")
+        object.__setattr__(self, "kappa", tuple(kappa.items()))
+        object.__setattr__(self, "p_grid", grid)
+        object.__setattr__(self, "trials", int(self.trials))
+
+
 @dataclass
 class MomentDecayReport:
     """Either a log-log decay fit (all row sums even) or a parity z-score sweep."""
@@ -516,26 +561,23 @@ class MomentDecayReport:
         return _fields_dict(self)
 
 
-def moment_decay_experiment(nu: RadialLaw, kappa, p_grid, trials: int,
-                            rng: np.random.Generator) -> MomentDecayReport:
-    """Estimate the monomial moment across a dimension grid and either fit
-    its log-log decay slope (even branch) or report parity z-scores (odd)."""
-    p_grid = [int(p) for p in p_grid]
-    even = kappa_all_rows_even(kappa)
-    if even and len(p_grid) < 3:
-        raise BadArity("decay slope needs at least 3 grid points")
+def moment_decay_experiment(sweep: MomentSweep, rng: np.random.Generator) -> MomentDecayReport:
+    """Estimate the monomial moment across the sweep's dimension grid and
+    either fit its log-log decay slope (even branch) or report parity
+    z-scores (odd)."""
+    even = kappa_all_rows_even(sweep.kappa)
     ests, ses = [], []
-    for p in p_grid:
-        est, se = radial_moment_mc(p, nu, kappa, trials, rng)
+    for p in sweep.p_grid:
+        est, se = radial_moment_mc(p, sweep.nu, sweep.kappa, sweep.trials, rng)
         ests.append(est)
         ses.append(se)
     report = MomentDecayReport(
         branch="decay" if even else "parity",
-        p_grid=p_grid, estimates=ests, stderrs=ses, weight=kappa_weight(kappa),
+        p_grid=list(sweep.p_grid), estimates=ests, stderrs=ses, weight=sum(e for _, e in sweep.kappa),
     )
     if even:
         logs = np.log(np.abs(ests))
-        coef, cov = np.polyfit(np.log(p_grid), logs, 1, cov=True)
+        coef, cov = np.polyfit(np.log(sweep.p_grid), logs, 1, cov=True)
         report.slope = float(coef[0])
         report.intercept = float(coef[1])
         report.slope_stderr = float(np.sqrt(cov[0, 0]))

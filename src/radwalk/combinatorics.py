@@ -27,23 +27,19 @@ __all__ = [
 ]
 
 
-def compositions(k: int, u: int, allow_zero: bool = False) -> list[tuple[int, ...]]:
-    """All u-part compositions of k in lexicographic order.
-
-    With ``allow_zero`` parts range over the nonnegative integers
-    (count C(k+u-1, u-1)); otherwise every part is >= 1 (count C(k-1, u-1)).
-    """
+def compositions(k: int, u: int) -> list[tuple[int, ...]]:
+    """All u-part compositions of k into parts >= 1, in lexicographic order
+    (count C(k-1, u-1))."""
     if k < 0 or u < 1:
         raise BadArity(f"need k >= 0 and u >= 1, got k={k}, u={u}")
-    lo = 0 if allow_zero else 1
     out: list[tuple[int, ...]] = []
 
     def rec(prefix: tuple[int, ...], remaining: int, parts_left: int) -> None:
         if parts_left == 1:
-            if remaining >= lo:
+            if remaining >= 1:
                 out.append(prefix + (remaining,))
             return
-        for v in range(lo, remaining - lo * (parts_left - 1) + 1):
+        for v in range(1, remaining - parts_left + 2):
             rec(prefix + (v,), remaining - v, parts_left - 1)
 
     rec((), k, u)

@@ -22,7 +22,7 @@ class SizeOverflow(RadwalkError):
 
 
 class BadArity(RadwalkError):
-    """An index set, word, or tuple has the wrong arity for its operands."""
+    """An index set, word, tuple or config field has the wrong arity, type or range."""
 
 
 class RankDeficient(RadwalkError):

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -38,7 +39,6 @@ __all__ = [
     "uniform_sphere_cosine",
     "sample_radial_batch",
     "normalize_kappa",
-    "kappa_weight",
     "kappa_all_rows_even",
     "radial_moment_mc",
 ]
@@ -51,8 +51,16 @@ def _real(value, field: str) -> float:
     """A config number as a float; NaN, infinities, bools, strings and
     integers beyond the float range are refused, naming the field."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
-        raise ValueError(f"{field}: expected a finite number, got {value!r}")
+        raise BadArity(f"{field}: expected a finite number, got {value!r}")
     return float(value)
+
+
+def _integer(value, field: str, minimum: int) -> int:
+    """A config integer >= ``minimum`` as an int; bools, floats and strings
+    are refused, naming the field."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < minimum:
+        raise BadArity(f"{field}: expected an integer >= {minimum}, got {value!r}")
+    return int(value)
 
 
 class RadialLaw:
@@ -61,7 +69,8 @@ class RadialLaw:
     Use the classmethod constructors.  Discrete laws store ``weights`` and
     ``radii``; the continuous q = 1 family ``uniform_interval`` stores its
     endpoints and exposes the same exact moment interface.  All supported
-    laws are bounded, so fourth moments are finite by construction.
+    laws are bounded; a law whose exact moments up to order 4 overflow a
+    float is refused, naming its largest parameter or radius.
     """
 
     def __init__(self, q, family, weights=None, radii=None, params=None):
@@ -87,6 +96,15 @@ class RadialLaw:
         self.weights = weights
         self.radii = radii
         self._cum = None if weights is None else np.cumsum(weights)
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                finite = np.isfinite(sigma_nu(self)).all() and np.isfinite(t_nu(self)).all()
+            except OverflowError:  # a float power in the closed-form moments
+                finite = False
+        if not finite:
+            field = (f"params.{max(self.params, key=lambda k: abs(self.params[k]))}" if self.params
+                     else f"atoms[{np.abs(radii).max(axis=(1, 2)).argmax()}].radius")
+            raise BadArity(f"{field}: the law's moments up to order 4 are not finite")
 
     @classmethod
     def from_atoms(cls, radii, weights) -> "RadialLaw":
@@ -159,7 +177,7 @@ class RadialLaw:
     @classmethod
     def from_config(cls, cfg: dict) -> "RadialLaw":
         """Inverse of :meth:`to_config`.  A bad ``q`` or number raises
-        ValueError naming its field (``q``, ``params.b``, ``atoms[0].weight``)."""
+        BadArity naming its field (``q``, ``params.b``, ``atoms[0].weight``)."""
         if "family" in cfg:
             family = cfg["family"]
             params = cfg.get("params", {})
@@ -173,9 +191,7 @@ class RadialLaw:
             if not isinstance(params, dict):
                 raise ValueError(f"params: expected an object, got {params!r}")
             return makers[family](**{name: _real(v, f"params.{name}") for name, v in params.items()})
-        q = cfg["q"]
-        if isinstance(q, bool) or not isinstance(q, int) or q < 1:
-            raise ValueError(f"q: expected an integer >= 1, got {q!r}")
+        q = _integer(cfg["q"], "q", 1)
         atoms = cfg["atoms"]
         if not atoms:
             raise ValueError("atoms list is empty")
@@ -354,24 +370,35 @@ def sample_radial_batch(p: int, nu: RadialLaw, count: int, rng: np.random.Genera
 
 
 def normalize_kappa(kappa) -> dict[tuple[int, int], int]:
-    """Canonicalize a sparse matrix multi-index to {(row, col): exponent}."""
+    """Canonicalize a sparse matrix multi-index, given as a dict or as
+    ((row, col), exponent) items of integers >= 0, to {(row, col): exponent}
+    with repeated entries merged, zero exponents dropped and keys sorted."""
     items = kappa.items() if isinstance(kappa, dict) else kappa
     out: dict[tuple[int, int], int] = {}
-    for key, e in items:
-        i, j = (int(key[0]), int(key[1]))
-        e = int(e)
-        if e < 0:
-            raise BadArity("exponents must be nonnegative")
-        if e == 0:
-            continue
-        if i < 0 or j < 0:
-            raise BadArity("index entries must be nonnegative")
-        out[(i, j)] = out.get((i, j), 0) + e
-    return out
+    try:
+        for (i, j), e in items:
+            e = _integer(e, "kappa", 0)
+            if e:
+                key = (_integer(i, "kappa", 0), _integer(j, "kappa", 0))
+                out[key] = out.get(key, 0) + e
+    except (TypeError, ValueError) as exc:
+        raise BadArity(f"kappa: expected [[row, col], exponent] items ({exc})") from exc
+    return dict(sorted(out.items()))
 
 
-def kappa_weight(kappa) -> int:
-    return sum(normalize_kappa(kappa).values())
+def _monomial_rules(kappa, p: int, q: int, trials: int) -> dict[tuple[int, int], int]:
+    """The canonical kappa of a monomial-moment estimate on p x q matrices,
+    after checking its rules: total exponent 1 to 8, every index inside
+    p x q, and trials >= 1000."""
+    kap = normalize_kappa(kappa)
+    weight = sum(kap.values())
+    if not 1 <= weight <= 8:
+        raise BadArity(f"kappa: total exponent must be 1 to 8, got {weight}")
+    for i, j in kap:
+        if i >= p or j >= q:
+            raise BadArity(f"kappa: index ({i},{j}) lies outside {p}x{q}")
+    _integer(trials, "trials", 1000)
+    return kap
 
 
 def kappa_all_rows_even(kappa) -> bool:
@@ -390,15 +417,7 @@ def radial_moment_mc(p: int, nu: RadialLaw, kappa, trials: int,
     Only the distinct rows that kappa touches are drawn (at most 8, by
     :func:`_stiefel_rows`), so time and memory do not depend on p.
     """
-    kap = normalize_kappa(kappa)
-    weight = sum(kap.values())
-    if weight == 0 or weight > 8:
-        raise BadArity(f"need 1 <= |kappa| <= 8, got {weight}")
-    if trials < 1000:
-        raise BadArity(f"need trials >= 1000, got {trials}")
-    for i, j in kap:
-        if i >= p or j >= nu.q:
-            raise BadArity(f"kappa index ({i},{j}) outside {p}x{nu.q}")
+    kap = _monomial_rules(kappa, p, nu.q, trials)
     rows = sorted({i for i, _ in kap})
     local = {(rows.index(i), j): e for (i, j), e in kap.items()}
     vals = np.empty(trials)

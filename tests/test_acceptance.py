@@ -19,6 +19,7 @@ import numpy as np
 
 from radwalk import cli
 from radwalk.clt_experiments import (
+    MomentSweep,
     WalkConfig,
     moment_decay_experiment,
     trial_stream,
@@ -197,10 +198,10 @@ def test_criterion_03_radial_sampler_suite():
 
 
 def _two_point_variance_run(n, p, trials, regime, seed, rel_tol, checks):
-    cfg = WalkConfig(nu=TWO_POINT, n=n, p=p, trials=trials, regime=regime, seed=seed)
+    cfg = WalkConfig(nu=TWO_POINT, n=n, p=p, trials=trials, regime=regime, seed=seed, checks=checks,
+                     rel_tol=rel_tol, stream_tag=cli._entry_tag(f"acceptance-{n}-{p}"))
     with _pool() as pool:
-        return verify_clt(cfg, pool=pool, checks=checks, rel_tol=rel_tol,
-                          stream_tag=cli._entry_tag(f"acceptance-{n}-{p}"))
+        return verify_clt(cfg, pool=pool)
 
 
 def test_criterion_04_finite_n_variance_identity():
@@ -296,10 +297,10 @@ def test_criterion_08_matrix_case_q2():
     assert np.allclose(sig, sigma_nu(Q2_ATOMS), atol=1e-14)
     assert np.allclose(t, t_nu(Q2_ATOMS), atol=1e-14)
     target = sig + (n - 1) / p * t
-    cfg = WalkConfig(nu=Q2_ATOMS, n=n, p=p, trials=10_000, regime="CLT_II", seed=20240808)
+    cfg = WalkConfig(nu=Q2_ATOMS, n=n, p=p, trials=10_000, regime="CLT_II", seed=20240808,
+                     checks=("exact",), rel_tol=0.10, stream_tag=cli._entry_tag("acceptance-q2"))
     with _pool() as pool:
-        rep = verify_clt(cfg, pool=pool, checks=("exact",), rel_tol=0.10,
-                         stream_tag=cli._entry_tag("acceptance-q2"))
+        rep = verify_clt(cfg, pool=pool)
     assert np.allclose(rep.predicted_exact, target, atol=1e-12)
     rel = frobenius_norm(rep.empirical_cov - target) / frobenius_norm(target)
     elapsed = time.perf_counter() - t0
@@ -336,12 +337,12 @@ def test_criterion_09_moment_parity_and_decay():
 
     grid = [8, 16, 32, 64, 128]
     delta = RadialLaw.point_mass(1.0)
-    rep1 = moment_decay_experiment(delta, {(0, 0): 2}, grid, 40_000,
+    rep1 = moment_decay_experiment(MomentSweep(delta, {(0, 0): 2}, grid, 40_000),
                                    trial_stream(20240810, 1, 0))
     slope1_ok = abs(rep1.slope - (-1.0)) <= 0.5
     pointwise_ok = all(abs(est - 1.0 / p) <= 4.0 * se
                        for p, est, se in zip(grid, rep1.estimates, rep1.stderrs))
-    rep2 = moment_decay_experiment(delta, {(0, 0): 2, (1, 0): 2}, grid, 40_000,
+    rep2 = moment_decay_experiment(MomentSweep(delta, {(0, 0): 2, (1, 0): 2}, grid, 40_000),
                                    trial_stream(20240810, 2, 0))
     slope2_ok = abs(rep2.slope - (-2.0)) <= 0.5
     elapsed = time.perf_counter() - t0

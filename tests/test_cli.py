@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from radwalk import cli
+from radwalk.clt_experiments import MomentSweep, WalkConfig
 
 
 TWO_POINT_LAW = {"family": "two_point",
@@ -100,7 +101,8 @@ def test_selftest_passes_and_seed_override_keeps_verdicts(capsys):
 
 
 def test_selftest_canary_detects_skewed_kron(monkeypatch, capsys):
-    monkeypatch.setenv(cli.ENV_SKEW_KRON, "1")
+    kron = cli.kron
+    monkeypatch.setattr(cli, "kron", lambda a, b: kron(a, b) + 1e-6)
     assert cli.main(["selftest"]) == 1
     assert "FAIL" in capsys.readouterr().out
 
@@ -195,6 +197,13 @@ def test_seed_override_changes_outputs(tmp_path):
     assert rb["meta"]["master_seed"] == 2
 
 
+def test_demo_manifest_entries_parse_into_their_configs():
+    doc, _ = cli.load_manifest(Path(__file__).resolve().parents[1] / "manifests" / "demo.json")
+    kinds = {"clt": WalkConfig, "moments": MomentSweep, "selftest": int}
+    for i, entry in enumerate(doc["entries"]):
+        assert isinstance(cli._parse_entry(entry, f"entries[{i}].", doc["seed"]), kinds[entry["kind"]])
+
+
 def test_csv_floats_round_trip():
     assert cli._fmt(1.792) == "1.792"
     x = 1.0 + 8.0 * 99 / 1000
@@ -250,6 +259,10 @@ def _atom_law(q=1, weight=1.0, radius=(1.0,)):
     pytest.param("law.atoms[0].weight", _atom_law(weight="a"), id="law.atoms.weight-a"),
     pytest.param("law.atoms[0].radius", _atom_law(q=2, radius=(1.0, float("nan"), 0.0, 1.0)),
                  id="law.atoms.radius-nan"),
+    # finite numbers whose moments up to order 4 overflow a float
+    pytest.param("law.params.b", {"family": "uniform_interval", "params": {"a": 0.0, "b": 1e200}},
+                 id="law.params.b-1e200"),
+    pytest.param("law.atoms[0].radius", _atom_law(radius=(1e200,)), id="law.atoms.radius-1e200"),
 ])
 def test_bad_clt_field_is_config_error(tmp_path, capsys, field, value):
     manifest = _write_manifest(tmp_path / "m.json", [_clt_entry("c0", **{field.split(".")[0]: value})])

@@ -8,6 +8,7 @@ from radwalk import BadArity, TooFewSamples
 from radwalk.clt_experiments import (
     CHUNK_TRIALS,
     _STEP_BLOCK,
+    MomentSweep,
     WalkConfig,
     _compare_covariance,
     _gram_chunk,
@@ -47,6 +48,17 @@ def test_config_validation():
         WalkConfig(nu=Q2_ATOMS, n=5, p=1, trials=200, regime="CLT_II")
     assert _cfg().scale == pytest.approx(1.0 / np.sqrt(20))
     assert _cfg(regime="CLT_I").scale == pytest.approx(np.sqrt(100) / 20)
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: _cfg(n=2.5), "n"),
+    (lambda: _cfg(checks=("exct",)), "checks"),
+    (lambda: MomentSweep(RadialLaw.point_mass(1.0), {(0.5, 0): 2.7}, [10, 20, 40], 2000), "kappa"),
+], ids=["float-n", "misspelt-check", "float-kappa"])
+def test_configs_refuse_a_bad_field_naming_it(make, field):
+    # construction draws nothing, so a bad field is refused before any trial runs
+    with pytest.raises(BadArity, match=rf"^{field}: "):
+        make()
 
 
 def test_single_step_trial_has_no_cross_terms():
@@ -205,8 +217,8 @@ def test_zero_cross_covariance_of_parts():
 
 
 def test_verify_clt_exact_check_passes():
-    cfg = _cfg(n=30, p=900, trials=4096, seed=11)
-    rep = verify_clt(cfg, checks=("exact",))
+    cfg = _cfg(n=30, p=900, trials=4096, seed=11, checks=("exact",))
+    rep = verify_clt(cfg)
     assert rep.verdicts["exact_covariance"] == "PASS"
     assert rep.overall == "PASS"
     target = sigma_nu(TWO_POINT)[0, 0] + 29 / 900 * t_nu(TWO_POINT)[0, 0]
@@ -218,8 +230,9 @@ def test_fast_path_p1_covariance_is_finite():
     # error below zero; the square root of that must not turn into NaN.  At
     # 2048 trials the stderr (about 8 % of the variance) only allows a PASS
     # at a 20 % relative band; at the default 5 % the verdict is INCONCLUSIVE.
-    cfg = WalkConfig(nu=TWO_POINT, n=50, p=1, trials=2048, regime="CLT_I", seed=20240811)
-    rep = verify_clt(cfg, checks=("exact",), rel_tol=0.2)
+    cfg = WalkConfig(nu=TWO_POINT, n=50, p=1, trials=2048, regime="CLT_I", seed=20240811,
+                     checks=("exact",), rel_tol=0.2)
+    rep = verify_clt(cfg)
     assert np.all(np.isfinite(rep.empirical_cov))
     assert np.all(np.isfinite(rep.stderr))
     assert rep.verdicts["exact_covariance"] == "PASS"
@@ -256,8 +269,8 @@ def test_ks_projections_critical_value_matches_two_sided_exact(n, q):
 
 
 def test_verify_clt_inconclusive_below_trial_floor():
-    cfg = _cfg(trials=512, seed=3)
-    rep = verify_clt(cfg, checks=("exact",))
+    cfg = _cfg(trials=512, seed=3, checks=("exact",))
+    rep = verify_clt(cfg)
     assert rep.overall in ("INCONCLUSIVE", "FAIL")
     assert rep.overall != "PASS"
 
@@ -265,8 +278,8 @@ def test_verify_clt_inconclusive_below_trial_floor():
 def test_verify_clt_degenerate_limit_skips_ks():
     # point mass with a single step: Xi is identically zero, limit is a point mass
     cfg = WalkConfig(nu=RadialLaw.point_mass(1.0), n=1, p=16, trials=1024,
-                     regime="CLT_II", seed=5)
-    rep = verify_clt(cfg, checks=("limit",))
+                     regime="CLT_II", seed=5, checks=("limit",))
+    rep = verify_clt(cfg)
     assert rep.verdicts["ks_normality"] == "SKIPPED"
     assert not rep.predicted_limit.any()
     assert not rep.empirical_cov.any()
@@ -275,10 +288,10 @@ def test_verify_clt_degenerate_limit_skips_ks():
 
 
 def test_verify_clt_deterministic_and_worker_independent():
-    cfg = _cfg(trials=CHUNK_TRIALS * 2 + 100, seed=21)
-    rep1 = verify_clt(cfg, checks=("exact",))
+    cfg = _cfg(trials=CHUNK_TRIALS * 2 + 100, seed=21, checks=("exact",))
+    rep1 = verify_clt(cfg)
     with ProcessPoolExecutor(2) as pool:
-        rep2 = verify_clt(cfg, pool=pool, checks=("exact",))
+        rep2 = verify_clt(cfg, pool=pool)
     assert rep1.to_dict() == rep2.to_dict()
 
 
@@ -288,8 +301,7 @@ def test_verify_clt_report_is_self_contained():
     echo = rep.config
     again = verify_clt(WalkConfig(nu=RadialLaw.from_config(echo["law"]), n=echo["n"], p=echo["p"],
                                   trials=echo["trials"], regime=echo["regime"], c=echo["c"],
-                                  seed=echo["seed"]),
-                       stream_tag=echo["stream_tag"])
+                                  seed=echo["seed"], stream_tag=echo["stream_tag"]))
     assert rep.to_dict() == again.to_dict()
 
 
@@ -307,8 +319,8 @@ def test_clt1_normalization_and_a_part_shrinks():
 
 def test_moment_decay_slope_inverse_p():
     rng = np.random.default_rng(101)
-    rep = moment_decay_experiment(RadialLaw.point_mass(1.0), {(0, 0): 2},
-                                  [8, 16, 32, 64, 128], 10_000, rng)
+    rep = moment_decay_experiment(MomentSweep(RadialLaw.point_mass(1.0), {(0, 0): 2},
+                                              [8, 16, 32, 64, 128], 10_000), rng)
     assert rep.branch == "decay"
     assert abs(rep.slope - (-1.0)) <= 0.3
     for p, est, se in zip(rep.p_grid, rep.estimates, rep.stderrs):
@@ -317,7 +329,7 @@ def test_moment_decay_slope_inverse_p():
 
 def test_moment_decay_parity_branch():
     rng = np.random.default_rng(102)
-    rep = moment_decay_experiment(TWO_POINT, {(0, 0): 1, (1, 0): 2}, [10, 50], 5000, rng)
+    rep = moment_decay_experiment(MomentSweep(TWO_POINT, {(0, 0): 1, (1, 0): 2}, [10, 50], 5000), rng)
     assert rep.branch == "parity"
     assert rep.max_abs_z < 4.0
 
@@ -325,7 +337,7 @@ def test_moment_decay_parity_branch():
 def test_moment_decay_needs_three_points_for_slope():
     rng = np.random.default_rng(103)
     with pytest.raises(BadArity):
-        moment_decay_experiment(RadialLaw.point_mass(1.0), {(0, 0): 2}, [8], 2000, rng)
+        moment_decay_experiment(MomentSweep(RadialLaw.point_mass(1.0), {(0, 0): 2}, [8], 2000), rng)
 
 
 def test_trial_stream_reproducible_and_split():

@@ -432,9 +432,13 @@ def test_moment_mc_memory_does_not_grow_with_p():
 
 def test_moment_mc_validates_inputs():
     rng = np.random.default_rng(87)
+    state = rng.bit_generator.state
     with pytest.raises(BadArity):
         radial_moment_mc(5, TWO_POINT, {(0, 0): 10}, 2000, rng)
     with pytest.raises(BadArity):
         radial_moment_mc(5, TWO_POINT, {(0, 0): 2}, 10, rng)
     with pytest.raises(BadArity):
         radial_moment_mc(5, TWO_POINT, {(9, 0): 2}, 2000, rng)
+    with pytest.raises(BadArity, match=r"^kappa: "):  # not truncated to {(0, 0): 2}
+        radial_moment_mc(10, RadialLaw.point_mass(1.0), {(0.5, 0): 2.7}, 2000, rng)
+    assert rng.bit_generator.state == state  # each was refused before any draw

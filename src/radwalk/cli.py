@@ -6,7 +6,7 @@ Each entry has a unique ``id``, which names its report file and so must be
 a plain file name, and a ``kind``:
 
 * ``clt`` -- a walk experiment: ``regime``, ``n``, ``p``, ``trials``,
-  ``law``, optional ``c``, ``checks`` and ``rel_tol``, the fields of a
+  ``law``, optional ``checks`` and ``rel_tol``, the fields of a
   :class:`~radwalk.clt_experiments.WalkConfig`, run by
   ``verify_clt(cfg, pool=None)``.  The walk tracks only its q x q Gram
   matrix, so its cost does not depend on p.
@@ -27,8 +27,7 @@ to the errors.  Every entry is validated before the first one runs, so a
 bad manifest exits with code 2 and a message naming the field, with
 nothing written.  ``radwalk moments`` turns its flags into a moments entry
 and applies the same rules.  ``--seed`` must be an integer >= 0, and
-``--workers`` (or ``RADWALK_WORKERS``, which takes precedence) an integer
->= 1.
+``--workers`` an integer >= 1.
 
 One process pool of that many workers serves every walk entry of a run.
 Every output file embeds the tool version, the master seed, and a SHA-256
@@ -67,14 +66,13 @@ from .gaussian_moments import MatrixNormalSpec, moment_tensor, sum_moment, wick_
 from .kron_algebra import PermMat, hadamard, kron, reorder_perm
 from .radial_measures import RadialLaw, _integer
 
-ENV_WORKERS = "RADWALK_WORKERS"
 DEFAULT_SELFTEST_SEED = 20240811
 
 CSV_COLUMNS = ("id", "regime", "n", "p", "q", "predicted_var", "empirical_var",
                "stderr", "rel_frob_err", "ks_stat", "verdict")
 # the fields each entry kind takes; any other key is a config error
 _FIELDS = {
-    "clt": {"id", "kind", "regime", "n", "p", "trials", "law", "c", "checks", "rel_tol"},
+    "clt": {"id", "kind", "regime", "n", "p", "trials", "law", "checks", "rel_tol"},
     "moments": {"id", "kind", "law", "kappa", "p_grid", "trials"},
     "selftest": {"id", "kind", "cases"},
 }
@@ -110,16 +108,6 @@ def _as_int(value, path, minimum):
         raise ManifestError(str(exc)) from exc
 
 
-def _parse_law(cfg, path):
-    if not isinstance(cfg, dict):
-        raise ManifestError(f"{path}: expected an object")
-    try:
-        return RadialLaw.from_config(cfg)
-    except (RadwalkError, ValueError, KeyError, TypeError) as exc:
-        named = str(exc).startswith(("q:", "params.", "atoms["))  # the message starts with its field
-        raise ManifestError(f"{path}.{exc}" if named else f"{path}: {exc}") from exc
-
-
 def _decode(text, field):
     try:
         return json.loads(text)
@@ -140,7 +128,6 @@ def load_manifest(path):
     doc, raw = _read_json(path, "manifest")
     if not isinstance(doc, dict):
         raise ManifestError("manifest: top level must be an object")
-    doc.setdefault("suite", "suite")
     doc.setdefault("seed", 0)
     _as_int(doc["seed"], "seed", minimum=0)
     entries = doc.get("entries", [])
@@ -159,7 +146,7 @@ def load_manifest(path):
             raise ManifestError(f"{path_i}.id: duplicate id {eid!r}")
         seen.add(eid)
         kind = entry.setdefault("kind", "clt")
-        if kind not in _FIELDS:
+        if not isinstance(kind, str) or kind not in _FIELDS:
             raise ManifestError(f"{path_i}.kind: unknown kind {kind!r}")
         for key in entry:
             if key not in _FIELDS[kind]:
@@ -177,8 +164,7 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _summary_scalar(matrix: np.ndarray, q: int) -> float:
-    m = np.asarray(matrix)
-    return float(m[0, 0]) if q == 1 else float(np.linalg.norm(m))
+    return float(matrix[0, 0]) if q == 1 else float(np.linalg.norm(matrix))
 
 
 def _parse_entry(entry, prefix, master_seed=0):
@@ -191,7 +177,12 @@ def _parse_entry(entry, prefix, master_seed=0):
     for key in ("law", *required, "trials"):
         _require(entry, key, prefix)
     fields = {key: value for key, value in entry.items() if key not in ("id", "kind", "law")}
-    nu = _parse_law(entry["law"], f"{prefix}law")
+    if not isinstance(entry["law"], dict):
+        raise ManifestError(f"{prefix}law: expected an object")
+    try:
+        nu = RadialLaw.from_config(entry["law"])
+    except RadwalkError as exc:  # its message starts with the field's path in the law
+        raise ManifestError(f"{prefix}law.{exc}") from exc
     try:
         if kind == "clt":
             return WalkConfig(nu=nu, seed=master_seed, stream_tag=_entry_tag(entry["id"]), **fields)
@@ -414,13 +405,10 @@ def main(argv=None) -> int:
             return cmd_selftest(seed=args.seed)
         if args.command == "moments":
             return cmd_moments(args.law, args.kappa, args.p_grid, args.trials, args.out, seed=args.seed)
-        env_workers = os.environ.get(ENV_WORKERS)
-        name, workers = ((ENV_WORKERS, _decode(env_workers, ENV_WORKERS)) if env_workers
-                         else ("--workers", args.workers))
-        if workers is not None:
-            _as_int(workers, name, minimum=1)
+        if args.workers is not None:
+            _as_int(args.workers, "--workers", minimum=1)
         return cmd_clt(args.manifest, args.out, seed_override=args.seed,
-                       workers=workers or os.cpu_count() or 1)
+                       workers=args.workers or os.cpu_count() or 1)
     except ManifestError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

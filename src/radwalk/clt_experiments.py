@@ -17,10 +17,7 @@ factor that is odd in some row of one step, so its expectation vanishes.
 
 Xi_n depends on the walk only through its q x q Gram matrix S_k'S_k, which
 by orthogonal invariance is a Markov chain of its own.  Every experiment
-runs that chain (:func:`_gram_chunk`), at a cost per step that does not
-depend on p.  The direct kernel (:func:`_walk_chunk`) materializes the
-p x q walk; no experiment runs it, and it stays as the oracle the tests
-compare the chain against.
+runs that chain (:func:`_gram_chunk`), at a cost per step independent of p.
 
 Trials are split into fixed-size chunks; each chunk owns a counter-based
 random stream keyed by (seed, stream tag, chunk index), so results are
@@ -36,12 +33,11 @@ from math import erfc, log, sqrt
 import numpy as np
 
 from .errors import BadArity, TooFewSamples
-from .matrix_core import chol_psd, frobenius_norm
+from .matrix_core import chol_psd, frobenius_norm, symmetrize
 from .radial_measures import (
     RadialLaw,
     _integer,
     _monomial_rules,
-    _orbit_batch,
     _real,
     _stiefel_rows,
     kappa_all_rows_even,
@@ -97,7 +93,6 @@ class WalkConfig:
     p: int
     trials: int
     regime: str
-    c: float | None = None
     seed: int = 0
     checks: tuple = tuple(CHECKS)
     rel_tol: float = 0.05
@@ -110,8 +105,6 @@ class WalkConfig:
             raise BadArity(f"regime: must be one of {REGIMES}, got {self.regime!r}")
         for name, minimum in (("n", 1), ("p", self.nu.q), ("trials", 100), ("seed", 0), ("stream_tag", 0)):
             object.__setattr__(self, name, _integer(getattr(self, name), name, minimum))
-        if self.c is not None and _real(self.c, "c") < 0:
-            raise BadArity(f"c: must be >= 0, got {self.c}")
         checks = self.checks
         if not isinstance(checks, (list, tuple)) or not all(isinstance(k, str) and k in CHECKS for k in checks):
             raise BadArity(f"checks: expected a list of checks from {list(CHECKS)}, got {checks!r}")
@@ -130,8 +123,6 @@ class WalkConfig:
     @property
     def limit_c(self) -> float:
         """Ratio entering the CLT II limit covariance Sigma + c T."""
-        if self.c is not None:
-            return float(self.c)
         return 0.0 if self.regime == "CLT_II" else self.n / self.p
 
 
@@ -145,31 +136,6 @@ class CovarianceEstimate:
 def trial_stream(seed: int, tag: int, chunk: int) -> np.random.Generator:
     """Counter-based stream for one work unit, independent of scheduling."""
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((int(seed), int(tag), int(chunk)))))
-
-
-def _sym_batch(m: np.ndarray) -> np.ndarray:
-    return (m + m.transpose(0, 2, 1)) / 2.0
-
-
-def _walk_chunk(nu: RadialLaw, n: int, p: int, m: int, rng: np.random.Generator):
-    """m direct-path trials; returns (xi, a) as (m, q, q) arrays.
-
-    The full (m, p, q) walk is kept, so this costs O(n p q) per trial.  No
-    experiment runs it: it is the oracle the tests check :func:`_gram_chunk`
-    against.
-    """
-    q = nu.q
-    r2m = r2(nu)
-    s = np.zeros((m, p, q))
-    a = np.zeros((m, q, q))
-    for _ in range(n):
-        radii = nu.draw_radii(m, rng)
-        x = _orbit_batch(p, radii, rng)
-        s += x
-        # x'x rather than r r: keeps the frames' orthonormality under test
-        a += x.transpose(0, 2, 1) @ x - r2m
-    xi = _sym_batch(s.transpose(0, 2, 1) @ s - n * r2m)
-    return xi, _sym_batch(a)
 
 
 def _gram_chunk(nu: RadialLaw, n: int, p: int, m: int, rng: np.random.Generator):
@@ -228,7 +194,7 @@ def _gram_chunk(nu: RadialLaw, n: int, p: int, m: int, rng: np.random.Generator)
         rr = radii @ radii  # X'X = r'U'U r, and radii are symmetric
         g = g + cross + rr
         a += rr - r2m
-    return _sym_batch(g - n * r2m), _sym_batch(a)
+    return symmetrize(g - n * r2m), symmetrize(a)
 
 
 def predict_covariances(nu: RadialLaw, n: int, p: int):
@@ -256,8 +222,7 @@ def estimate_covariance(samples) -> CovarianceEstimate:
     mean = x.mean(axis=0)
     xc = x - mean
     gram = xc.T @ xc
-    cov = gram / (n - 1)
-    cov = (cov + cov.T) / 2.0
+    cov = symmetrize(gram / (n - 1))
     if n < 3:
         return CovarianceEstimate(mean=mean, cov=cov, stderr=np.full((d, d), np.inf))
     k = n / ((n - 1) * (n - 2))
@@ -470,11 +435,7 @@ def verify_clt(cfg: WalkConfig, pool=None) -> ExperimentReport:
         z = (est.cov - predicted_exact) / est.stderr
     z[np.isnan(z)] = 0.0
 
-    verdicts = {
-        "exact_covariance": verdict_exact,
-        "limit_covariance": verdict_limit,
-        "ks_normality": verdict_ks,
-    }
+    verdicts = {"exact_covariance": verdict_exact, "limit_covariance": verdict_limit, "ks_normality": verdict_ks}
     requested = [verdicts[CHECKS[c]] for c in cfg.checks]
     if any(v == "FAIL" for v in requested):
         overall = "FAIL"

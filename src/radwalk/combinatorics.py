@@ -21,7 +21,6 @@ __all__ = [
     "compositions",
     "multiset_perms",
     "ordered_tuples",
-    "pair_blocks",
     "apply_perm_kron",
     "kron_multinomial_expand",
 ]
@@ -78,27 +77,6 @@ def ordered_tuples(n: int, u: int) -> Iterator[tuple[int, ...]]:
     if u > n:
         raise BadArity(f"cannot choose {u} ordered indices from {{1..{n}}}")
     return iter(combinations(range(1, n + 1), u))
-
-
-def pair_blocks(word) -> tuple[tuple[int, int], ...]:
-    """Positions (0-based) of the two occurrences of each symbol of a pairing word.
-
-    The word must realize the multiplicity vector (2, ..., 2); block ``i``
-    of the result holds the two positions of symbol ``i+1``.  The blocks
-    partition {0..k-1}.
-    """
-    word = tuple(int(s) for s in word)
-    if not word:
-        raise BadArity("empty word has no blocks")
-    u = max(word)
-    positions: list[list[int]] = [[] for _ in range(u)]
-    for pos, sym in enumerate(word):
-        if sym < 1 or sym > u:
-            raise BadArity(f"symbol {sym} outside alphabet 1..{u}")
-        positions[sym - 1].append(pos)
-    if any(len(ps) != 2 for ps in positions):
-        raise BadArity("every symbol must occur exactly twice in a pairing word")
-    return tuple((ps[0], ps[1]) for ps in positions)
 
 
 def apply_perm_kron(word, ms) -> np.ndarray:

@@ -42,9 +42,9 @@ def as_matrix(x, name: str = "x") -> np.ndarray:
 
 
 def symmetrize(s) -> np.ndarray:
-    """Exact symmetrization (M + M') / 2."""
+    """Exact symmetrization (M + M') / 2 over the last two axes of a stack."""
     s = np.asarray(s, dtype=np.float64)
-    return (s + s.T) / 2.0
+    return (s + np.swapaxes(s, -1, -2)) / 2.0
 
 
 def gram(x) -> np.ndarray:

@@ -11,11 +11,11 @@ on the orbit {x : sqrt(x'x) = r} via the Gaussian polar construction
 Y = G (G'G)^{-1/2}, X = Y r, which inherits orthogonal invariance from G
 and needs only q x q eigenwork per draw.
 
-Monomial moments touch at most 8 rows, so their Monte Carlo draws only
-those rows: the top k rows of the frame are G_K L^{-T}, L = chol(G_K'G_K + W),
-with W ~ Wishart(p - k, I_q) drawn by Bartlett's decomposition.  Its time and
-memory are bounded by (chunk, k, q) arrays whatever p is; the full
-(count, p, q) sampler stays as the reference for the walk and the tests.
+Monomial moments and the Gram walk's step need only a few rows of a uniform
+frame, so they draw those alone: the top k rows are G_K L^{-T}, L L' = H'H,
+for the stacked factor H = [G_K; F] with F'F ~ Wishart(p - k, I_q) drawn by
+Bartlett's decomposition.  Time and memory are bounded by (chunk, k + q, q)
+arrays whatever p is; the full (count, p, q) sampler stays as the reference.
 """
 
 from __future__ import annotations
@@ -45,6 +45,8 @@ __all__ = [
 
 _WEIGHT_TOL = 1e-12
 _RADIUS_EIG_FLOOR = -1e-10
+# the parameters each named law family takes
+_FAMILIES = {"point_mass": ("radius",), "two_point": ("r_a", "p_a", "r_b"), "uniform_interval": ("a", "b")}
 
 
 def _real(value, field: str) -> float:
@@ -61,6 +63,21 @@ def _integer(value, field: str, minimum: int) -> int:
     if isinstance(value, bool) or not isinstance(value, Integral) or value < minimum:
         raise BadArity(f"{field}: expected an integer >= {minimum}, got {value!r}")
     return int(value)
+
+
+def _config_keys(obj, name: str, keys) -> None:
+    """Refuse a law config object at path ``name`` unless its keys are ``keys``."""
+    if not isinstance(obj, dict):
+        raise BadArity(f"{name or 'law'}: expected an object, got {obj!r}")
+    odd = [key for key in obj if key not in keys] + [key for key in keys if key not in obj]
+    if odd:
+        field = f"{name}.{odd[0]}" if name else odd[0]
+        raise BadArity(f"{field}: {'unknown field' if odd[0] in obj else 'missing'}")
+
+
+def _param_rule(ok: bool, name: str, rule: str, value) -> None:
+    if not ok:
+        raise BadArity(f"params.{name}: must {rule}, got {value!r}")
 
 
 class RadialLaw:
@@ -83,9 +100,9 @@ class RadialLaw:
             if radii.shape != (weights.size, self.q, self.q):
                 raise BadArity(f"radii must have shape (n, {self.q}, {self.q}), got {radii.shape}")
             if np.any(weights <= 0):
-                raise ValueError("atom weights must be positive")
+                raise BadArity(f"atoms[{np.argmax(weights <= 0)}].weight: must be positive")
             if abs(weights.sum() - 1.0) > _WEIGHT_TOL:
-                raise ValueError(f"atom weights sum to {weights.sum()!r}, not 1")
+                raise BadArity(f"atoms: weights sum to {float(weights.sum())!r}, not 1")
             for a, r in enumerate(radii):
                 if not np.array_equal(r, r.T):
                     raise NotPSD(f"atoms[{a}].radius: matrix is not symmetric")
@@ -117,12 +134,16 @@ class RadialLaw:
     @classmethod
     def point_mass(cls, radius: float) -> "RadialLaw":
         """q = 1 point mass at a single nonnegative radius."""
+        _param_rule(radius >= 0, "radius", "be >= 0", radius)
         return cls(1, "point_mass", weights=[1.0], radii=np.array([[[float(radius)]]]),
                    params={"radius": float(radius)})
 
     @classmethod
     def two_point(cls, r_a: float, p_a: float, r_b: float) -> "RadialLaw":
         """q = 1 two-point law: radius r_a with probability p_a, else r_b."""
+        _param_rule(r_a >= 0, "r_a", "be >= 0", r_a)
+        _param_rule(0 < p_a < 1, "p_a", "lie in (0, 1)", p_a)
+        _param_rule(r_b >= 0, "r_b", "be >= 0", r_b)
         return cls(1, "two_point", weights=[p_a, 1.0 - p_a],
                    radii=np.array([[[float(r_a)]], [[float(r_b)]]]),
                    params={"r_a": float(r_a), "p_a": float(p_a), "r_b": float(r_b)})
@@ -131,8 +152,8 @@ class RadialLaw:
     def uniform_interval(cls, a: float, b: float) -> "RadialLaw":
         """q = 1 radius uniform on [a, b], 0 <= a < b, with closed-form moments."""
         a, b = float(a), float(b)
-        if not 0.0 <= a < b:
-            raise ValueError(f"need 0 <= a < b, got a={a}, b={b}")
+        _param_rule(a >= 0, "a", "be >= 0", a)
+        _param_rule(b > a, "b", f"exceed a = {a}", b)
         return cls(1, "uniform_interval", params={"a": a, "b": b})
 
     def moment_scalar(self, k: int) -> float:
@@ -176,30 +197,27 @@ class RadialLaw:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "RadialLaw":
-        """Inverse of :meth:`to_config`.  A bad ``q`` or number raises
-        BadArity naming its field (``q``, ``params.b``, ``atoms[0].weight``)."""
+        """Inverse of :meth:`to_config`.  Every error is a RadwalkError whose
+        message starts with the field's path in the law: ``q``, ``params.b``,
+        ``atoms[0].radius`` or, for a key the law does not take, the key."""
         if "family" in cfg:
-            family = cfg["family"]
-            params = cfg.get("params", {})
-            makers = {
-                "point_mass": cls.point_mass,
-                "two_point": cls.two_point,
-                "uniform_interval": cls.uniform_interval,
-            }
-            if family not in makers:
-                raise ValueError(f"unknown law family {family!r}")
-            if not isinstance(params, dict):
-                raise ValueError(f"params: expected an object, got {params!r}")
-            return makers[family](**{name: _real(v, f"params.{name}") for name, v in params.items()})
+            _config_keys(cfg, "", ("family", "params"))
+            family, params = cfg["family"], cfg["params"]
+            if not isinstance(family, str) or family not in _FAMILIES:
+                raise BadArity(f"family: expected one of {list(_FAMILIES)}, got {family!r}")
+            _config_keys(params, "params", _FAMILIES[family])
+            return getattr(cls, family)(**{name: _real(v, f"params.{name}") for name, v in params.items()})
+        _config_keys(cfg, "", ("q", "atoms"))
         q = _integer(cfg["q"], "q", 1)
         atoms = cfg["atoms"]
-        if not atoms:
-            raise ValueError("atoms list is empty")
+        if not isinstance(atoms, list) or not atoms:
+            raise BadArity(f"atoms: expected a nonempty list, got {atoms!r}")
         weights, radii = [], []
         for a, atom in enumerate(atoms):
+            _config_keys(atom, f"atoms[{a}]", ("weight", "radius"))
             entries = np.asarray(atom["radius"], dtype=object).reshape(-1)
             if entries.size != q * q:
-                raise ValueError(f"atoms[{a}].radius: expected {q * q} entries, got {entries.size}")
+                raise BadArity(f"atoms[{a}].radius: expected {q * q} entries, got {entries.size}")
             weights.append(_real(atom["weight"], f"atoms[{a}].weight"))
             radii.append([_real(v, f"atoms[{a}].radius") for v in entries])
         return cls.from_atoms(np.array(radii).reshape(-1, q, q), weights)
@@ -312,54 +330,53 @@ def _orbit_batch(p: int, radii: np.ndarray, rng: np.random.Generator) -> np.ndar
     return g @ (inv_sqrt @ radii)
 
 
-def _wishart_identity(dof: int, q: int, m: int, rng: np.random.Generator) -> np.ndarray:
-    """(m, q, q) draws of Wishart(dof, I_q), in O(q^2) work per draw whatever dof is.
+def _wishart_factor(dof: int, q: int, m: int, rng: np.random.Generator) -> np.ndarray:
+    """(m, f, q) factors F with F'F ~ Wishart(dof, I_q), in O(q^2) work per draw whatever dof is.
 
-    For dof >= q, Bartlett's decomposition (Odell & Feiveson, JASA 1966):
-    W = L L' with L lower triangular, L_ii = sqrt(chi2(dof - i)) and
-    N(0, 1) entries below the diagonal.  For dof < q the law is singular
-    and W = H'H is built from a (dof, q) Gaussian H drawn directly.
+    For dof >= q, F is the transposed Bartlett factor (Odell & Feiveson, JASA
+    1966): upper triangular, F_ii = sqrt(chi2(dof - i)), N(0, 1) entries
+    above the diagonal.  For dof < q the law is singular and F is a (dof, q)
+    Gaussian drawn directly.
     """
     if dof < q:
-        h = rng.standard_normal((m, dof, q))
-        return h.transpose(0, 2, 1) @ h
-    low = np.tril(rng.standard_normal((m, q, q)), -1)
-    diag = np.sqrt(rng.chisquare(dof - np.arange(q), size=(m, q)))
-    low[:, np.arange(q), np.arange(q)] = diag
-    return low @ low.transpose(0, 2, 1)
+        return rng.standard_normal((m, dof, q))
+    up = np.triu(rng.standard_normal((m, q, q)).transpose(0, 2, 1), 1)
+    up[:, np.arange(q), np.arange(q)] = np.sqrt(rng.chisquare(dof - np.arange(q), size=(m, q)))
+    return up
 
 
 def _stiefel_rows(p: int, k: int, q: int, m: int, rng: np.random.Generator) -> np.ndarray:
     """(m, k, q) draws of the top k rows of a uniform p x q Stiefel frame.
 
     For a p x q Gaussian G and L L' = G'G, the frame G L^{-T} is orthonormal
-    and its law is invariant under O(p) on the left, so it is uniform.  With
-    G_K the top k rows, G'G = G_K'G_K + W, where W ~ Wishart(p - k, I_q) is
-    independent of G_K and drawn by :func:`_wishart_identity`.  So the top
-    rows are G_K L^{-T} at a cost and memory that depend on k and q, not p.
-    Draws whose smallest squared pivot is at most _RANK_TOL times the largest
-    diagonal entry of G'G are redrawn.  By orthogonal invariance any k fixed
-    rows have this law, which is all a monomial moment needs (the rows it
-    touches) and all a Gram-state walk step needs (k = q: the block Q_S'U of
-    a fresh step U against the walk's frame Q_S).
+    and invariant under O(p) on the left, so it is uniform.  Its top k rows
+    G_K L^{-T} need only G'G = H'H for the stacked H = [G_K; F], where F'F ~
+    Wishart(p - k, I_q) comes from :func:`_wishart_factor`, so cost and memory
+    depend on k and q, not p.  Draws whose smallest squared pivot is at most
+    _RANK_TOL times the largest diagonal entry of H'H are redrawn.  By
+    orthogonal invariance any k fixed rows have this law: the rows a monomial
+    moment touches, or (k = q) the block Q_S'U of a fresh step U against the
+    walk's frame Q_S.
     """
     if p < q:
         raise BadArity(f"need p >= q, got p={p}, q={q}")
     if not 1 <= k <= p:
         raise BadArity(f"need 1 <= k <= p, got k={k}, p={p}")
-    g = rng.standard_normal((m, k, q))
-    gm = g.transpose(0, 2, 1) @ g + _wishart_identity(p - k, q, m, rng)
+
+    def stack(count):  # H = [G_K; F] for count draws
+        return np.concatenate((rng.standard_normal((count, k, q)), _wishart_factor(p - k, q, count, rng)), axis=1)
+
+    h = stack(m)
     for _ in range(_MAX_RESAMPLES):
+        gm = h.transpose(0, 2, 1) @ h
         low = chol_psd(gm)
         bad = (low.diagonal(0, 1, 2) ** 2).min(1) <= _RANK_TOL * gm.diagonal(0, 1, 2).max(1)
         if not bad.any():
             break
-        nbad = int(bad.sum())
-        g[bad] = gb = rng.standard_normal((nbad, k, q))
-        gm[bad] = gb.transpose(0, 2, 1) @ gb + _wishart_identity(p - k, q, nbad, rng)
+        h[bad] = stack(int(bad.sum()))
     else:
         raise RankDeficient(f"Gram matrix stayed singular after {_MAX_RESAMPLES} resamples (p={p}, q={q})")
-    return solve_lower_t(g, low)
+    return solve_lower_t(h[:, :k], low)
 
 
 def sample_radial_batch(p: int, nu: RadialLaw, count: int, rng: np.random.Generator) -> RadialSampleBatch:

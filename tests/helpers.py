@@ -2,6 +2,10 @@
 
 import numpy as np
 
+from radwalk.errors import BadArity
+from radwalk.matrix_core import symmetrize
+from radwalk.radial_measures import RadialLaw, _orbit_batch, r2
+
 
 def householder_orthogonal(dim, rng):
     """Random orthogonal matrix as a product of dim Householder reflections."""
@@ -53,3 +57,45 @@ def kron_loop(a, b):
                 for l in range(q):
                     out[i * p + k, j * q + l] = a[i, j] * b[k, l]
     return out
+
+
+def pair_blocks(word) -> tuple[tuple[int, int], ...]:
+    """Positions (0-based) of the two occurrences of each symbol of a pairing word.
+
+    The word must realize the multiplicity vector (2, ..., 2); block ``i``
+    of the result holds the two positions of symbol ``i+1``.  The blocks
+    partition {0..k-1}.
+    """
+    word = tuple(int(s) for s in word)
+    if not word:
+        raise BadArity("empty word has no blocks")
+    u = max(word)
+    positions: list[list[int]] = [[] for _ in range(u)]
+    for pos, sym in enumerate(word):
+        if sym < 1 or sym > u:
+            raise BadArity(f"symbol {sym} outside alphabet 1..{u}")
+        positions[sym - 1].append(pos)
+    if any(len(ps) != 2 for ps in positions):
+        raise BadArity("every symbol must occur exactly twice in a pairing word")
+    return tuple((ps[0], ps[1]) for ps in positions)
+
+
+def _walk_chunk(nu: RadialLaw, n: int, p: int, m: int, rng: np.random.Generator):
+    """m direct-path trials; returns (xi, a) as (m, q, q) arrays.
+
+    The full (m, p, q) walk is kept, so this costs O(n p q) per trial.  It is
+    the oracle the Gram-state kernel ``clt_experiments._gram_chunk`` is
+    checked against.
+    """
+    q = nu.q
+    r2m = r2(nu)
+    s = np.zeros((m, p, q))
+    a = np.zeros((m, q, q))
+    for _ in range(n):
+        radii = nu.draw_radii(m, rng)
+        x = _orbit_batch(p, radii, rng)
+        s += x
+        # x'x rather than r r: keeps the frames' orthonormality under test
+        a += x.transpose(0, 2, 1) @ x - r2m
+    xi = symmetrize(s.transpose(0, 2, 1) @ s - n * r2m)
+    return xi, symmetrize(a)

@@ -247,10 +247,11 @@ def _atom_law(q=1, weight=1.0, radius=(1.0,)):
     return {"q": q, "atoms": [{"weight": weight, "radius": list(radius)}]}
 
 
-# fast_path (a retired field) and reltol (a misspelt rel_tol) are unknown fields;
+# c and fast_path (retired fields) and reltol (a misspelt rel_tol) are unknown fields;
 # a law field is named by its path inside the law
 @pytest.mark.parametrize("field, value", [
     ("rel_tol", "abc"), ("rel_tol", 0), ("c", "x"), ("c", -0.5), ("fast_path", "false"), ("reltol", 0.1),
+    pytest.param("kind", ["clt"], id="kind-list"),
     pytest.param("rel_tol", 10**400, id="rel_tol-int-beyond-float"),
     pytest.param("law.q", _atom_law(q=1.5), id="law.q-1.5"),
     pytest.param("law.q", _atom_law(q=0, radius=()), id="law.q-0"),
@@ -263,6 +264,13 @@ def _atom_law(q=1, weight=1.0, radius=(1.0,)):
     pytest.param("law.params.b", {"family": "uniform_interval", "params": {"a": 0.0, "b": 1e200}},
                  id="law.params.b-1e200"),
     pytest.param("law.atoms[0].radius", _atom_law(radius=(1e200,)), id="law.atoms.radius-1e200"),
+    pytest.param("law.params.p_a", {"family": "two_point", "params": {"r_a": 1.0, "p_a": 1.5, "r_b": 2.0}},
+                 id="law.params.p_a-1.5"),
+    pytest.param("law.params.r_a", {"family": "two_point", "params": {"r_a": -1.0, "p_a": 0.5, "r_b": 2.0}},
+                 id="law.params.r_a-negative"),
+    pytest.param("law.atoms[0].radius: missing", {"q": 1, "atoms": [{"weight": 1.0}]},
+                 id="law.atoms.radius-missing"),
+    pytest.param("law.bogus: unknown field", {**TWO_POINT_LAW, "bogus": 1}, id="law.unknown-key"),
 ])
 def test_bad_clt_field_is_config_error(tmp_path, capsys, field, value):
     manifest = _write_manifest(tmp_path / "m.json", [_clt_entry("c0", **{field.split(".")[0]: value})])
@@ -337,21 +345,12 @@ def test_bad_moments_command_is_config_error(tmp_path, capsys, field, args, law)
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("name, value", [
-    (cli.ENV_WORKERS, "abc"), (cli.ENV_WORKERS, "0"), (cli.ENV_WORKERS, "-2"),
-    ("--workers", "0"), ("--workers", "-3"),
-], ids=["abc", "0", "-2", "flag-0", "flag--3"])
-def test_bad_workers_env_is_config_error(tmp_path, capsys, monkeypatch, name, value):
+@pytest.mark.parametrize("value", ["0", "-3"], ids=["flag-0", "flag--3"])
+def test_bad_workers_env_is_config_error(tmp_path, capsys, value):
     manifest = _write_manifest(tmp_path / "m.json", [_clt_entry("c0")])
-    args = ["clt", "--manifest", str(manifest), "--out", str(tmp_path / "out")]
-    if name == cli.ENV_WORKERS:
-        monkeypatch.setenv(cli.ENV_WORKERS, value)
-    else:
-        monkeypatch.delenv(cli.ENV_WORKERS, raising=False)
-        args += [name, value]
-    code = cli.main(args)
+    code = cli.main(["clt", "--manifest", str(manifest), "--out", str(tmp_path / "out"), "--workers", value])
     assert code == 2
-    assert name in capsys.readouterr().err
+    assert "config error: --workers" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

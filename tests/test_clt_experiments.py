@@ -14,7 +14,6 @@ from radwalk.clt_experiments import (
     _gram_chunk,
     _ks_projections,
     _ks_statistic,
-    _walk_chunk,
     estimate_covariance,
     moment_decay_experiment,
     predict_covariances,
@@ -22,6 +21,8 @@ from radwalk.clt_experiments import (
     verify_clt,
 )
 from radwalk.radial_measures import RadialLaw, r2, sigma_nu, t_nu, uniform_sphere_cosine
+
+from helpers import _walk_chunk
 
 TWO_POINT = RadialLaw.two_point(1.0, 0.5, np.sqrt(3.0))
 Q2_ATOMS = RadialLaw.from_atoms(
@@ -92,8 +93,9 @@ def test_fast_and_direct_paths_agree_in_distribution():
     assert res.pvalue > 0.001
 
 
-@pytest.mark.parametrize("nu, p", [(Q2_ATOMS, 2), (Q2_ATOMS, 3), (Q2_ATOMS, 1000), (Q2_RANK1, 3)],
-                         ids=["p=q", "q<p<2q", "p=1000", "rank1"])
+@pytest.mark.parametrize("nu, p", [(Q2_ATOMS, 2), (Q2_ATOMS, 3), (Q2_ATOMS, 1000), (Q2_RANK1, 3),
+                                   (TWO_POINT, 1), (TWO_POINT, 2)],
+                         ids=["p=q", "q<p<2q", "p=1000", "rank1", "q1-p=1", "q1-p=2"])
 def test_gram_kernel_matches_direct_path(nu, p):
     def draw(runner, tag, trials):
         return np.concatenate([runner(nu, n, p, CHUNK_TRIALS, trial_stream(1, tag, k))[0]
@@ -101,7 +103,7 @@ def test_gram_kernel_matches_direct_path(nu, p):
 
     n = 6
     gram, direct = draw(_gram_chunk, 1, 32768), draw(_walk_chunk, 2, 4096)
-    for i, j in ((0, 0), (0, 1), (1, 1)):
+    for i, j in ((i, j) for i in range(nu.q) for j in range(i, nu.q)):
         # the rank-1 law puts atoms on Xi; rounding off the last few bits keeps
         # the two paths' different rounding noise from splitting the ties
         res = stats.ks_2samp(np.round(gram[:, i, j], 9), np.round(direct[:, i, j], 9))
@@ -300,7 +302,7 @@ def test_verify_clt_report_is_self_contained():
     rep = verify_clt(cfg)
     echo = rep.config
     again = verify_clt(WalkConfig(nu=RadialLaw.from_config(echo["law"]), n=echo["n"], p=echo["p"],
-                                  trials=echo["trials"], regime=echo["regime"], c=echo["c"],
+                                  trials=echo["trials"], regime=echo["regime"],
                                   seed=echo["seed"], stream_tag=echo["stream_tag"]))
     assert rep.to_dict() == again.to_dict()
 

@@ -10,9 +10,10 @@ from radwalk.combinatorics import (
     kron_multinomial_expand,
     multiset_perms,
     ordered_tuples,
-    pair_blocks,
 )
 from radwalk.kron_algebra import kron_power, reorder_perm
+
+from helpers import pair_blocks
 
 
 def test_compositions_strict_example():

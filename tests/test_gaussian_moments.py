@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from radwalk import BadArity, SizeOverflow
-from radwalk.combinatorics import multiset_perms, pair_blocks
+from radwalk.combinatorics import multiset_perms
 from radwalk.gaussian_moments import (
     MatrixNormalSpec,
     _pairings,
@@ -14,6 +14,8 @@ from radwalk.gaussian_moments import (
     sum_moment,
     wick_moment,
 )
+
+from helpers import pair_blocks
 
 
 def _centered(q, cov):

@@ -92,7 +92,7 @@ def test_uniform_interval_moments_match_quadrature():
 
 
 def test_law_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(BadArity, match=r"^atoms: weights sum to 1.2, not 1"):
         RadialLaw.from_atoms(np.array([1.0, 2.0]), [0.6, 0.6])
     with pytest.raises(NotPSD):
         RadialLaw.from_atoms(np.array([[[0.0, 1.0], [-1.0, 0.0]]]), [1.0])

@@ -1,7 +1,8 @@
 """Batch front-end: parse experiment manifests, orchestrate seeded runs,
 and emit machine-readable reports.
 
-Manifests are JSON: a suite name, a master seed, and a list of entries.
+Manifests are JSON objects of a ``suite`` name, a master ``seed`` and a
+required list of ``entries``; any other top-level key is a config error.
 Each entry has a unique ``id``, which names its report file and so must be
 a plain file name, and a ``kind``:
 
@@ -128,9 +129,12 @@ def load_manifest(path):
     doc, raw = _read_json(path, "manifest")
     if not isinstance(doc, dict):
         raise ManifestError("manifest: top level must be an object")
+    for key in doc:
+        if key not in ("suite", "seed", "entries"):
+            raise ManifestError(f"{key}: unknown field")
     doc.setdefault("seed", 0)
     _as_int(doc["seed"], "seed", minimum=0)
-    entries = doc.get("entries", [])
+    entries = _require(doc, "entries", "")
     if not isinstance(entries, list):
         raise ManifestError("entries: expected a list")
     seen = set()
@@ -208,7 +212,7 @@ def cmd_clt(manifest_path, out_dir, seed_override=None, workers=None) -> int:
     """
     doc, config_hash = load_manifest(manifest_path)
     master_seed = doc["seed"] if seed_override is None else seed_override
-    entries = doc.get("entries", [])
+    entries = doc["entries"]
     parsed = [_parse_entry(entry, f"entries[{i}].", master_seed) for i, entry in enumerate(entries)]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

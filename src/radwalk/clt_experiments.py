@@ -68,8 +68,8 @@ __all__ = [
 # Fixed work-unit size: chunk k of an experiment always covers trials
 # [k*CHUNK_TRIALS, ...), whatever the worker count.
 CHUNK_TRIALS = 512
-# Steps whose radii and cosines the q = 1 kernel draws at once: large enough
-# to amortize the draw calls, small enough that the block stays in cache.
+# Steps whose radii and orientations the walk kernel draws at once: large
+# enough to amortize the draw calls, small enough that the block stays in cache.
 _STEP_BLOCK = 32
 # Family-wise significance level of the KS normality check.
 KS_ALPHA = 1e-3
@@ -144,56 +144,45 @@ def _gram_chunk(nu: RadialLaw, n: int, p: int, m: int, rng: np.random.Generator)
 
     Only G = S'S is tracked.  Any factor L with L L' = G writes the walk as
     S = Q_S L' with Q_S a p x q orthonormal frame; take a fresh step as
-    X = U r with U a uniform frame independent of S.  Then S'X = L (Q_S'U) r,
-    and by orthogonal invariance Q_S'U has the law of the top q rows of a
-    uniform frame, which :func:`_stiefel_rows` draws in O(q^3) work whatever
-    p is.  So with c = L W r the Gram matrix updates as
+    X = U r with U a uniform frame independent of S.  Then S'X = L W r with
+    W = Q_S'U, which by orthogonal invariance has the law of the top q rows
+    of a uniform frame, drawn by :func:`_stiefel_rows` in O(q^3) work
+    whatever p is.  So with c = L W r the Gram matrix updates as
 
         G <- G + c + c' + r r.
 
     L comes from :func:`chol_psd`, whose zero pivots give zero columns, so
     G = 0 at the first step and rank-deficient radii need no special case.
+    At q = 1, W is the cosine u between the walk and the step, drawn by
+    :func:`uniform_sphere_cosine`, and L = sqrt(g).
 
-    For q = 1 the same recursion runs on scalars, g <- g + 2 sqrt(g) r u + r^2,
-    where u is the cosine between the walk and the step, drawn by
-    :func:`uniform_sphere_cosine`.  Radii and then cosines are drawn for
-    ``_STEP_BLOCK`` steps at a time as (steps, m) blocks, so a step costs a
-    few (m,) ufuncs and no draw call; the block's sum of r^2 - r2 is added
-    to a at once.
+    W and r do not depend on the walk, so each block of ``_STEP_BLOCK``
+    steps draws its radii, then its W, forms W r and r r and adds its sum of
+    r r - r2 to a at once; a step runs only the update of G.
     """
     q = nu.q
     r2m = r2(nu)
-    if q == 1:
-        r2s = float(r2m[0, 0])
-        g = np.zeros(m)
-        a = np.zeros(m)
-        cross = np.empty(m)
-        for start in range(0, n, _STEP_BLOCK):
-            k = min(_STEP_BLOCK, n - start)
-            r = nu.draw_radii(k * m, rng).reshape(k, m)
-            ru2 = uniform_sphere_cosine(p, k * m, rng).reshape(k, m)
-            ru2 *= r
-            ru2 *= 2.0
-            rr = r * r
-            for j in range(k):
-                # at p = 1, u = -1 can cancel g to a rounding error below zero
-                np.maximum(g, 0.0, out=cross)
-                np.sqrt(cross, out=cross)
-                cross *= ru2[j]
-                g += cross
-                g += rr[j]
-            rr -= r2s
-            a += rr.sum(axis=0)
-        return (g - n * r2s).reshape(m, 1, 1), a.reshape(m, 1, 1)
+    # 1 x 1: the root is sqrt(g), clamped because at p = 1 u = -1 can cancel g
+    # to a rounding error below zero, and a multiply stands in for each product
+    root, mul = (lambda g: np.sqrt(np.maximum(g, 0.0)), np.multiply) if q == 1 else (chol_psd, np.matmul)
     g = np.zeros((m, q, q))
     a = np.zeros((m, q, q))
-    for _ in range(n):
-        radii = nu.draw_radii(m, rng)
-        c = chol_psd(g) @ _stiefel_rows(p, q, q, m, rng) @ radii
-        cross = c + c.transpose(0, 2, 1)
-        rr = radii @ radii  # X'X = r'U'U r, and radii are symmetric
-        g = g + cross + rr
-        a += rr - r2m
+    for start in range(0, n, _STEP_BLOCK):
+        k = min(_STEP_BLOCK, n - start)
+        radii = nu.draw_radii(k * m, rng)
+        # at 1 x 1, c + c' = 2c, so W = 2u gives the whole cross term
+        w = (2.0 * uniform_sphere_cosine(p, k * m, rng).reshape(-1, 1, 1) if q == 1
+             else _stiefel_rows(p, q, q, k * m, rng))
+        w = mul(w, radii).reshape(k, m, q, q)  # W r
+        rr = mul(radii, radii).reshape(k, m, q, q)  # X'X = r'U'U r, and radii are symmetric
+        for j in range(k):
+            c = mul(root(g), w[j])
+            if q > 1:
+                c += c.transpose(0, 2, 1)
+            g += c
+            g += rr[j]
+        rr -= r2m
+        a += rr.sum(axis=0)
     return symmetrize(g - n * r2m), symmetrize(a)
 
 

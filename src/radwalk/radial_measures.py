@@ -340,7 +340,9 @@ def _wishart_factor(dof: int, q: int, m: int, rng: np.random.Generator) -> np.nd
     """
     if dof < q:
         return rng.standard_normal((m, dof, q))
-    up = np.triu(rng.standard_normal((m, q, q)).transpose(0, 2, 1), 1)
+    up = np.zeros((m, q, q))
+    rows, cols = np.triu_indices(q, 1)
+    up[:, rows, cols] = rng.standard_normal((m, rows.size))
     up[:, np.arange(q), np.arange(q)] = np.sqrt(rng.chisquare(dof - np.arange(q), size=(m, q)))
     return up
 

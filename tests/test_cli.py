@@ -31,6 +31,21 @@ def test_empty_manifest_gives_header_only_csv(tmp_path):
     assert len(lines) == 2
 
 
+# a missing or misspelt entries key would otherwise run nothing and exit 0
+@pytest.mark.parametrize("doc, message", [
+    ({"suite": "t", "seed": 7}, "entries: missing"),
+    ({"suite": "t", "seed": 7, "entires": []}, "entires: unknown field"),
+    ({"suite": "t", "seeds": 3, "entries": []}, "seeds: unknown field"),
+], ids=["no-entries", "misspelt-entries", "unknown-top-level-key"])
+def test_bad_manifest_top_level_is_config_error(tmp_path, capsys, doc, message):
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps(doc))
+    code = cli.main(["clt", "--manifest", str(manifest), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_clt_entry_reports_limit_prediction_of_one(tmp_path):
     entries = [{"id": "c0", "kind": "clt", "regime": "CLT_II", "n": 20, "p": 400,
                 "trials": 256, "law": TWO_POINT_LAW}]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from radwalk import BadArity, TooFewSamples
+from radwalk import BadArity, TooFewSamples, clt_experiments
 from radwalk.clt_experiments import (
     CHUNK_TRIALS,
     _STEP_BLOCK,
@@ -31,6 +31,10 @@ Q2_ATOMS = RadialLaw.from_atoms(
 # both radii have rank 1, so the Gram matrix stays singular on some walks
 Q2_RANK1 = RadialLaw.from_atoms(
     np.array([[[1.0, 0.0], [0.0, 0.0]], [[1.0, 1.0], [1.0, 1.0]]]), [0.5, 0.5]
+)
+
+Q3_ATOMS = RadialLaw.from_atoms(
+    np.array([np.diag([1.5, 1.0, 0.5]), [[1.0, 0.3, 0.0], [0.3, 0.8, 0.2], [0.0, 0.2, 0.6]]]), [0.5, 0.5]
 )
 
 
@@ -93,15 +97,16 @@ def test_fast_and_direct_paths_agree_in_distribution():
     assert res.pvalue > 0.001
 
 
-@pytest.mark.parametrize("nu, p", [(Q2_ATOMS, 2), (Q2_ATOMS, 3), (Q2_ATOMS, 1000), (Q2_RANK1, 3),
-                                   (TWO_POINT, 1), (TWO_POINT, 2)],
-                         ids=["p=q", "q<p<2q", "p=1000", "rank1", "q1-p=1", "q1-p=2"])
-def test_gram_kernel_matches_direct_path(nu, p):
+# n = _STEP_BLOCK + 5 walks a full block of draws and a tail block
+@pytest.mark.parametrize("nu, p, n", [(Q2_ATOMS, 2, 6), (Q2_ATOMS, 3, 6), (Q2_ATOMS, 1000, 6), (Q2_RANK1, 3, 6),
+                                      (TWO_POINT, 1, 6), (TWO_POINT, 2, 6), (Q2_ATOMS, 3, _STEP_BLOCK + 5),
+                                      (Q3_ATOMS, 4, 6)],
+                         ids=["p=q", "q<p<2q", "p=1000", "rank1", "q1-p=1", "q1-p=2", "block-tail", "q3-q<p<2q"])
+def test_gram_kernel_matches_direct_path(nu, p, n):
     def draw(runner, tag, trials):
         return np.concatenate([runner(nu, n, p, CHUNK_TRIALS, trial_stream(1, tag, k))[0]
                                for k in range(trials // CHUNK_TRIALS)])
 
-    n = 6
     gram, direct = draw(_gram_chunk, 1, 32768), draw(_walk_chunk, 2, 4096)
     for i, j in ((i, j) for i in range(nu.q) for j in range(i, nu.q)):
         # the rank-1 law puts atoms on Xi; rounding off the last few bits keeps
@@ -112,6 +117,25 @@ def test_gram_kernel_matches_direct_path(nu, p):
     est = estimate_covariance(gram.reshape(gram.shape[0], -1))
     z = np.abs(est.cov - cov) / est.stderr
     assert np.all(z <= 4.5), z
+
+
+@pytest.mark.parametrize("nu", [TWO_POINT, Q2_ATOMS], ids=["q1", "q2"])
+def test_gram_chunk_draws_radii_and_orientations_once_per_block(monkeypatch, nu):
+    calls = {"draw_radii": 0, "uniform_sphere_cosine": 0, "_stiefel_rows": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(RadialLaw, "draw_radii", counted("draw_radii", RadialLaw.draw_radii))
+    for name in ("uniform_sphere_cosine", "_stiefel_rows"):
+        monkeypatch.setattr(clt_experiments, name, counted(name, getattr(clt_experiments, name)))
+    _gram_chunk(nu, 2 * _STEP_BLOCK + 3, 5, 16, np.random.default_rng(97))
+    orientation, unused = (("uniform_sphere_cosine", "_stiefel_rows") if nu.q == 1
+                           else ("_stiefel_rows", "uniform_sphere_cosine"))
+    assert calls == {"draw_radii": 3, orientation: 3, unused: 0}
 
 
 def test_gram_chunk_q1_reproduces_scalar_recursion():

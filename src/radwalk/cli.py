@@ -125,6 +125,17 @@ def _read_json(path, field):
     return _decode(raw, field), raw
 
 
+def _out_dir(path) -> Path:
+    """The output directory ``path``, created if missing; a path that cannot
+    be a directory (an existing file, say) is a config error."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ManifestError(f"--out: {exc}") from exc
+    return out
+
+
 def load_manifest(path):
     doc, raw = _read_json(path, "manifest")
     if not isinstance(doc, dict):
@@ -214,8 +225,7 @@ def cmd_clt(manifest_path, out_dir, seed_override=None, workers=None) -> int:
     master_seed = doc["seed"] if seed_override is None else seed_override
     entries = doc["entries"]
     parsed = [_parse_entry(entry, f"entries[{i}].", master_seed) for i, entry in enumerate(entries)]
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(out_dir)
     rows = []
     all_pass = True
     with ProcessPoolExecutor(max_workers=workers) if workers and workers > 1 else nullcontext() as pool:
@@ -354,6 +364,7 @@ def cmd_moments(law_path, kappa_text, p_grid_text, trials, out_dir, seed=0) -> i
              "kappa": _decode("[" + ",".join(f"[[{t}]" for t in terms) + "]", "kappa"),
              "p_grid": _decode(f"[{p_grid_text}]", "p_grid"), "trials": trials}
     sweep = _parse_entry(entry, "")
+    out = _out_dir(out_dir)
     # keyed on the canonical multi-index, so every spelling of the sweep
     # draws the same stream and multiplies its factors in the same order
     key = json.dumps([sweep.kappa, sweep.p_grid, sweep.trials], separators=(",", ":"))
@@ -362,8 +373,6 @@ def cmd_moments(law_path, kappa_text, p_grid_text, trials, out_dir, seed=0) -> i
     report = moment_decay_experiment(sweep, rng)
     verdict = _moments_verdict(report)
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     lines = [f"# tool=radwalk version={__version__} master_seed={seed} config_sha256={config_hash}\n",
              "p,estimate,stderr\n"]
     for p, est, se in zip(report.p_grid, report.estimates, report.stderrs):

@@ -284,25 +284,35 @@ def uniform_sphere_cosine(p: int, size: int, rng: np.random.Generator) -> np.nda
     Its law is (u + 1)/2 ~ Beta((p-1)/2, (p-1)/2), drawn by the polar
     construction (Ulrich, JRSS C 1984; Wood 1994): the first two
     coordinates have a uniform angle and a squared radius R^2 ~
-    Beta(1, (p-2)/2), so 1 - R^2 = U1^(2/(p-2)) and u = R cos(2 pi U2).
-    For p = 2, R = 1; for p = 1 the sphere is {-1, +1}.
+    Beta(1, (p-2)/2), so 1 - R^2 = U1^(2/(p-2)), and u is R times the sine
+    of a uniform angle.  That sine is sin 2 theta = 2t/(1 + t^2) with
+    theta = pi (U2 - 1/2)/2 uniform on [-pi/4, pi/4) and t = tan theta in
+    [-1, 1): the same arcsine law as cos(2 pi U2), and tan on that short
+    range costs a fraction of cos on [0, 2 pi).  So u = 2R t/(1 + t^2),
+    which rounds to no more than 1 in modulus.  For p = 2, R = 1 and only
+    U2 is drawn; for p = 1 the sphere is {-1, +1}.
     """
     if p < 1:
         raise BadArity(f"p must be >= 1, got {p}")
     if p == 1:
         return np.where(rng.random(size) < 0.5, -1.0, 1.0)
-    if p == 2:
-        return np.cos(2.0 * np.pi * rng.random(size))
-    u = 1.0 - rng.random(size)  # in (0, 1], so the log is finite
-    np.log(u, out=u)
-    u *= 2.0 / (p - 2)
-    np.expm1(u, out=u)  # -R^2
-    np.negative(u, out=u)
-    np.sqrt(u, out=u)
-    angle = rng.random(size)
-    angle *= 2.0 * np.pi
-    u *= np.cos(angle, out=angle)
-    return u
+    two_r = 2.0
+    if p > 2:
+        two_r = 1.0 - rng.random(size)  # in (0, 1], so the log is finite
+        np.log(two_r, out=two_r)
+        two_r *= 2.0 / (p - 2)
+        np.expm1(two_r, out=two_r)  # -R^2
+        two_r *= -4.0
+        np.sqrt(two_r, out=two_r)  # 2R
+    t = rng.random(size)
+    t -= 0.5
+    t *= 0.5 * np.pi
+    np.tan(t, out=t)
+    den = np.multiply(t, t)
+    den += 1.0
+    t *= two_r
+    t /= den
+    return t
 
 
 _RANK_TOL = 1e-12

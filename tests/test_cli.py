@@ -360,6 +360,29 @@ def test_bad_moments_command_is_config_error(tmp_path, capsys, field, args, law)
     assert not (tmp_path / "out").exists()
 
 
+# an unusable --out is refused before any walk or sweep runs
+@pytest.mark.parametrize("command", ["clt", "moments"])
+@pytest.mark.parametrize("where", ["file", "under-file"])
+def test_out_that_cannot_be_a_directory_is_config_error(tmp_path, capsys, monkeypatch, command, where):
+    def ran(*args, **kwargs):
+        raise AssertionError("ran before --out was made")
+
+    monkeypatch.setattr(cli, "verify_clt", ran)
+    monkeypatch.setattr(cli, "moment_decay_experiment", ran)
+    taken = tmp_path / "taken"
+    taken.write_text("kept")
+    out = str(taken if where == "file" else taken / "out")
+    law_path = tmp_path / "law.json"
+    law_path.write_text(json.dumps(POINT_MASS_LAW))
+    manifest = _write_manifest(tmp_path / "m.json", [_clt_entry("c0")])
+    args = {"clt": ["--manifest", str(manifest), "--workers", "1"],
+            "moments": ["--law", str(law_path), *GOOD_MOMENTS_ARGS]}[command]
+    code = cli.main([command, *args, "--out", out])
+    assert code == 2
+    assert "config error: --out: " in capsys.readouterr().err
+    assert taken.read_text() == "kept"
+
+
 @pytest.mark.parametrize("value", ["0", "-3"], ids=["flag-0", "flag--3"])
 def test_bad_workers_env_is_config_error(tmp_path, capsys, value):
     manifest = _write_manifest(tmp_path / "m.json", [_clt_entry("c0")])

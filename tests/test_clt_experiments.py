@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -372,3 +376,30 @@ def test_trial_stream_reproducible_and_split():
     c = trial_stream(5, 1, 1).standard_normal(4)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+    # the stream's first doubles, pinned: a change of bit generator or of
+    # seeding fails here instead of silently moving every report
+    assert trial_stream(5, 1, 0).random(4).tolist() == [
+        0.7742041803738812, 0.47072268318809307, 0.6958803443421149, 0.8165376458429717]
+
+
+_COVARIANCE_DIGEST = """
+import hashlib
+import numpy as np
+from radwalk.clt_experiments import estimate_covariance
+est = estimate_covariance(np.random.Generator(np.random.PCG64(11)).standard_normal((20000, 1)))
+print(hashlib.sha256(b"".join(x.tobytes() for x in (est.mean, est.cov, est.stderr))).hexdigest())
+"""
+
+
+def test_estimate_covariance_bytes_do_not_depend_on_blas_threads():
+    # OpenBLAS splits a long sum by thread count, so a BLAS product would
+    # give the same seed different trailing digits on different hosts
+    src = str(Path(clt_experiments.__file__).resolve().parents[1])
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", _COVARIANCE_DIGEST], capture_output=True, text=True,
+                             env=env, timeout=120, check=True)
+        digests.add(run.stdout.strip())
+    assert len(digests) == 1, digests

@@ -244,14 +244,30 @@ def test_uniform_sphere_cosine_second_moment(p):
 
 
 class _FixedUniforms:
-    """Stands in for a generator whose next uniforms are known."""
+    """Stands in for a generator whose next uniforms are known: one array per
+    call, in order, the last one repeated."""
 
-    def __init__(self, u):
-        self.u = u
+    def __init__(self, *draws):
+        self.draws = list(draws)
 
     def random(self, size):
-        assert size == self.u.size
-        return self.u.copy()
+        u = self.draws.pop(0) if len(self.draws) > 1 else self.draws[0]
+        assert size == u.size
+        return u.copy()
+
+
+@pytest.mark.parametrize("p", [2, 3, 40, 100_000])
+def test_uniform_sphere_cosine_edges_of_the_uniforms(p):
+    edges = np.array([0.0, 0.25, 0.5, 0.75, np.nextafter(1.0, 0.0)])
+    if p == 2:  # one uniform per draw, the angle's; the ends and the middle map to -1, 0 and 1
+        u = uniform_sphere_cosine(p, edges.size, _FixedUniforms(edges))
+        assert u[[0, 2, 4]].tolist() == [-1.0, 0.0, 1.0]
+    else:  # every pair (U1 for the radius, U2 for the angle)
+        u1, u2 = (x.ravel() for x in np.meshgrid(edges, edges, indexing="ij"))
+        u = uniform_sphere_cosine(p, u1.size, _FixedUniforms(u1, u2))
+        assert np.all(u[u1 == 0.0] == 0.0)
+    assert np.all(np.isfinite(u))
+    assert np.all(np.abs(u) <= 1.0)
 
 
 @pytest.mark.parametrize("atoms", [2, 5, 50])

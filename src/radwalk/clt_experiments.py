@@ -478,9 +478,10 @@ def verify_clt(cfg: WalkConfig, pool=None) -> ExperimentReport:
 @dataclass(frozen=True)
 class MomentSweep:
     """Parameters of one monomial-moment sweep, checked on construction: the
-    rules of :func:`radial_moment_mc` at the smallest grid point, and 3 grid
-    points for a slope.  ``kappa`` is stored as sorted ((row, col), exponent)
-    pairs; a bad field raises BadArity whose message starts with its name."""
+    rules of :func:`radial_moment_mc` at the smallest grid point, no column
+    of kappa that every radius leaves 0, and 3 grid points for a slope.
+    ``kappa`` is stored as sorted ((row, col), exponent) pairs; a bad field
+    raises BadArity whose message starts with its name."""
 
     nu: RadialLaw
     kappa: tuple
@@ -494,6 +495,12 @@ class MomentSweep:
             raise BadArity(f"p_grid: expected a nonempty list, got {self.p_grid!r}")
         grid = tuple(_integer(p, f"p_grid[{k}]", self.nu.q) for k, p in enumerate(self.p_grid))
         kappa = _monomial_rules(self.kappa, min(grid), self.nu.q, self.trials)
+        # X = U r, so column j of X is 0 when column j of every radius is,
+        # and the moment is then 0 at every p: no slope, no z-score
+        norms = r2(self.nu).diagonal()
+        for _, j in kappa:
+            if norms[j] == 0:
+                raise BadArity(f"kappa: column {j} of every radius is 0, so the moment is 0 at every p")
         if kappa_all_rows_even(kappa) and len(grid) < 3:
             raise BadArity(f"p_grid: decay slope needs at least 3 points, got {len(grid)}")
         object.__setattr__(self, "kappa", tuple(kappa.items()))

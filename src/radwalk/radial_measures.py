@@ -7,15 +7,13 @@ exact second and fourth moments by construction, so every covariance
 prediction downstream is exact rather than estimated.
 
 Sampling the lift draws a radius r from the law and then a uniform point
-on the orbit {x : sqrt(x'x) = r} via the Gaussian polar construction
-Y = G (G'G)^{-1/2}, X = Y r, which inherits orthogonal invariance from G
-and needs only q x q eigenwork per draw.
-
-Monomial moments and the Gram walk's step need only a few rows of a uniform
-frame, so they draw those alone: the top k rows are G_K L^{-T}, L L' = H'H,
-for the stacked factor H = [G_K; F] with F'F ~ Wishart(p - k, I_q) drawn by
-Bartlett's decomposition.  Time and memory are bounded by (chunk, k + q, q)
-arrays whatever p is; the full (count, p, q) sampler stays as the reference.
+X = U r on its orbit {x : sqrt(x'x) = r}, with U a uniform p x q Stiefel
+frame.  Every frame comes from one construction: the top k rows of U are
+G_K L^{-T}, L L' = H'H, for the stacked factor H = [G_K; F] with F'F ~
+Wishart(p - k, I_q) drawn by Bartlett's decomposition.  A lifted batch
+takes all p rows (F is then empty); monomial moments and the Gram walk's
+step take only the few rows they touch, so their time and memory are
+bounded by (chunk, k + q, q) arrays whatever p is.
 """
 
 from __future__ import annotations
@@ -322,24 +320,6 @@ _MAX_RESAMPLES = 5
 _MOMENT_CHUNK = 32768
 
 
-def _orbit_batch(p: int, radii: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """(m, p, q) uniform draws on the orbits of the given radii; the tests' full-frame oracle."""
-    m, q, _ = radii.shape
-    if p < q:
-        raise BadArity(f"need p >= q, got p={p}, q={q}")
-    g = rng.standard_normal((m, p, q))
-    for _ in range(_MAX_RESAMPLES):
-        w, v = np.linalg.eigh(g.transpose(0, 2, 1) @ g)
-        bad = w[:, 0] <= _RANK_TOL * w[:, -1]
-        if not bad.any():
-            break
-        g[bad] = rng.standard_normal((int(bad.sum()), p, q))
-    else:
-        raise RankDeficient(f"Gram matrix stayed singular after {_MAX_RESAMPLES} resamples (p={p}, q={q})")
-    inv_sqrt = (v / np.sqrt(w)[:, None, :]) @ v.transpose(0, 2, 1)
-    return g @ (inv_sqrt @ radii)
-
-
 def _wishart_factor(dof: int, q: int, m: int, rng: np.random.Generator) -> np.ndarray:
     """(m, f, q) factors F with F'F ~ Wishart(dof, I_q), in O(q^2) work per draw whatever dof is.
 
@@ -367,8 +347,8 @@ def _stiefel_rows(p: int, k: int, q: int, m: int, rng: np.random.Generator) -> n
     depend on k and q, not p.  Draws whose smallest squared pivot is at most
     _RANK_TOL times the largest diagonal entry of H'H are redrawn.  By
     orthogonal invariance any k fixed rows have this law: the rows a monomial
-    moment touches, or (k = q) the block Q_S'U of a fresh step U against the
-    walk's frame Q_S.
+    moment touches, (k = q) the block Q_S'U of a fresh step U against the
+    walk's frame Q_S, or (k = p, F empty) the whole frame of a lifted draw.
     """
     if p < q:
         raise BadArity(f"need p >= q, got p={p}, q={q}")
@@ -392,9 +372,10 @@ def _stiefel_rows(p: int, k: int, q: int, m: int, rng: np.random.Generator) -> n
 
 
 def sample_radial_batch(p: int, nu: RadialLaw, count: int, rng: np.random.Generator) -> RadialSampleBatch:
-    """Batch of lifted draws, keeping the radii for exact per-sample checks."""
+    """Batch of lifted draws X = U r, U the whole frame from :func:`_stiefel_rows`,
+    keeping the radii for exact per-sample checks."""
     radii = nu.draw_radii(count, rng)
-    samples = _orbit_batch(p, radii, rng)
+    samples = _stiefel_rows(p, p, nu.q, count, rng) @ radii
     return RadialSampleBatch(samples=samples, radii=radii)
 
 

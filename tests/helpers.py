@@ -2,9 +2,9 @@
 
 import numpy as np
 
-from radwalk.errors import BadArity
+from radwalk.errors import BadArity, RankDeficient
 from radwalk.matrix_core import symmetrize
-from radwalk.radial_measures import RadialLaw, _orbit_batch, r2
+from radwalk.radial_measures import _MAX_RESAMPLES, _RANK_TOL, RadialLaw, r2
 
 
 def householder_orthogonal(dim, rng):
@@ -78,6 +78,24 @@ def pair_blocks(word) -> tuple[tuple[int, int], ...]:
     if any(len(ps) != 2 for ps in positions):
         raise BadArity("every symbol must occur exactly twice in a pairing word")
     return tuple((ps[0], ps[1]) for ps in positions)
+
+
+def _orbit_batch(p: int, radii: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """(m, p, q) uniform draws on the orbits of the given radii; the tests' full-frame oracle."""
+    m, q, _ = radii.shape
+    if p < q:
+        raise BadArity(f"need p >= q, got p={p}, q={q}")
+    g = rng.standard_normal((m, p, q))
+    for _ in range(_MAX_RESAMPLES):
+        w, v = np.linalg.eigh(g.transpose(0, 2, 1) @ g)
+        bad = w[:, 0] <= _RANK_TOL * w[:, -1]
+        if not bad.any():
+            break
+        g[bad] = rng.standard_normal((int(bad.sum()), p, q))
+    else:
+        raise RankDeficient(f"Gram matrix stayed singular after {_MAX_RESAMPLES} resamples (p={p}, q={q})")
+    inv_sqrt = (v / np.sqrt(w)[:, None, :]) @ v.transpose(0, 2, 1)
+    return g @ (inv_sqrt @ radii)
 
 
 def _walk_chunk(nu: RadialLaw, n: int, p: int, m: int, rng: np.random.Generator):

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from radwalk import cli
@@ -113,6 +114,18 @@ def test_selftest_passes_and_seed_override_keeps_verdicts(capsys):
     assert cli.main(["selftest", "--seed", "4242"]) == 0
     second = capsys.readouterr().out
     assert second.count("PASS") == 5
+
+
+def test_selftest_draws_from_named_streams(tmp_path, monkeypatch, capsys):
+    # the suites' cases come from trial_stream, never numpy's default bit generator
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.random.default_rng called")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    assert cli.main(["selftest"]) == 0
+    assert capsys.readouterr().out.count("PASS") == 5
+    manifest = _write_manifest(tmp_path / "m.json", [{"id": "algebra", "kind": "selftest", "cases": 10}])
+    assert cli.cmd_clt(manifest, tmp_path / "out", workers=1) == 0
 
 
 def test_selftest_canary_detects_skewed_kron(monkeypatch, capsys):
@@ -335,6 +348,7 @@ def test_bad_moments_entry_rejected_before_any_entry_runs(tmp_path, capsys, fiel
 
 
 POINT_MASS_LAW = {"family": "point_mass", "params": {"radius": 1.0}}
+ZERO_LAW = {"family": "point_mass", "params": {"radius": 0.0}}
 GOOD_MOMENTS_ARGS = ["--kappa", "0,0:2", "--p-grid", "2,4,8", "--trials", "2000"]
 
 
@@ -349,8 +363,13 @@ GOOD_MOMENTS_ARGS = ["--kappa", "0,0:2", "--p-grid", "2,4,8", "--trials", "2000"
     ("law.q", GOOD_MOMENTS_ARGS, _atom_law(q=1.5)),
     ("law.params.radius", GOOD_MOMENTS_ARGS, {"family": "point_mass", "params": {"radius": float("nan")}}),
     ("law.atoms[0].weight", GOOD_MOMENTS_ARGS, _atom_law(weight="a")),
+    # the moment is 0 at every p: the decay and the parity branch at q = 1, and a zero column at q = 2
+    ("kappa", ["--kappa", "0,0:2", "--p-grid", "4,8,16", "--trials", "1000"], ZERO_LAW),
+    ("kappa", ["--kappa", "0,0:1;1,0:2", "--p-grid", "4,8,16", "--trials", "1000"], ZERO_LAW),
+    ("kappa", ["--kappa", "1,0:2", "--p-grid", "4,8,16", "--trials", "1000"], _atom_law(2, radius=(0, 0, 0, 1))),
 ], ids=["few-trials", "zero-p", "float-p", "row-outside-p", "non-psd-law", "unknown-param-law", "list-law",
-        "float-q-law", "nan-param-law", "string-weight-law"])
+        "float-q-law", "nan-param-law", "string-weight-law", "zero-law-decay", "zero-law-parity",
+        "zero-column-q2"])
 def test_bad_moments_command_is_config_error(tmp_path, capsys, field, args, law):
     law_path = tmp_path / "law.json"
     law_path.write_text(json.dumps(law))

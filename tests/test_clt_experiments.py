@@ -364,6 +364,13 @@ def test_moment_decay_parity_branch():
     assert rep.max_abs_z < 4.0
 
 
+def test_moment_sweep_refuses_only_a_column_every_radius_leaves_zero():
+    nu = RadialLaw.from_atoms(np.array([[[0.0, 0.0], [0.0, 1.0]]]), [1.0])
+    assert MomentSweep(nu, {(0, 1): 2}, [4, 8, 16], 1000).kappa == (((0, 1), 2),)
+    with pytest.raises(BadArity, match=r"^kappa: column 0 of every radius is 0"):
+        MomentSweep(nu, {(0, 1): 1, (1, 0): 1}, [4, 8, 16], 1000)
+
+
 def test_moment_decay_needs_three_points_for_slope():
     rng = np.random.default_rng(103)
     with pytest.raises(BadArity):

@@ -8,7 +8,6 @@ from radwalk import BadArity, NotPSD, RankDeficient
 from radwalk.matrix_core import frobenius_norm, gram
 from radwalk.radial_measures import (
     RadialLaw,
-    _orbit_batch,
     _stiefel_rows,
     kappa_all_rows_even,
     normalize_kappa,
@@ -21,7 +20,7 @@ from radwalk.radial_measures import (
     uniform_sphere_cosine,
 )
 
-from helpers import householder_orthogonal
+from helpers import _orbit_batch, householder_orthogonal
 
 
 TWO_POINT = RadialLaw.two_point(1.0, 0.5, np.sqrt(3.0))
@@ -125,7 +124,7 @@ def test_slightly_asymmetric_radius_is_refused_naming_the_field():
 def test_unit_sphere_draw_has_unit_norm():
     rng = np.random.default_rng(72)
     for _ in range(20):
-        x = _orbit_batch(7, np.array([[1.0]])[None], rng)[0]
+        x = sample_radial_batch(7, RadialLaw.point_mass(1.0), 1, rng).samples[0]
         assert abs(np.linalg.norm(x) - 1.0) < 1e-10
 
 
@@ -150,7 +149,7 @@ def test_point_mass_samples_sit_on_the_orbit():
     rng = np.random.default_rng(75)
     nu = RadialLaw.point_mass(2.0)
     for _ in range(10):
-        x = _orbit_batch(6, nu.draw_radii(1, rng), rng)[0]
+        x = sample_radial_batch(6, nu, 1, rng).samples[0]
         assert phi(x)[0, 0] == pytest.approx(2.0, abs=1e-10)
 
 
@@ -305,9 +304,7 @@ def test_orbit_rank_deficient_after_retries():
         def chisquare(self, df, size):
             return np.zeros(size)
 
-    with pytest.raises(RankDeficient):
-        _orbit_batch(4, np.eye(2)[None], ZeroRng())
-    for p, k in ((4, 1), (2, 2), (3, 2)):  # Bartlett, empty and direct Wishart parts
+    for p, k in ((4, 1), (2, 2), (3, 2), (4, 4)):  # Bartlett, empty and direct Wishart parts; a whole frame
         with pytest.raises(RankDeficient):
             _stiefel_rows(p, k, 2, 3, ZeroRng())
 
@@ -374,7 +371,7 @@ def test_stiefel_rows_redraw_nearly_singular_samples():
 
 def test_p_smaller_than_q_rejected():
     with pytest.raises(BadArity):
-        _orbit_batch(1, np.eye(2)[None], np.random.default_rng(0))
+        sample_radial_batch(1, Q2_ATOMS, 10, np.random.default_rng(0))
     with pytest.raises(BadArity):
         _stiefel_rows(1, 1, 2, 10, np.random.default_rng(0))
     with pytest.raises(BadArity):
@@ -388,9 +385,10 @@ def _orbit_rows_oracle(p, k, q, m, rng, chunk=25_000):
     return np.concatenate(parts)
 
 
-@pytest.mark.parametrize("p,k,q", [(1, 1, 1), (2, 2, 2), (3, 1, 2), (5, 3, 2), (40, 2, 3)])
+@pytest.mark.parametrize("p,k,q", [(1, 1, 1), (2, 2, 2), (3, 1, 2), (5, 3, 2), (40, 2, 3), (6, 6, 2)])
 def test_stiefel_rows_match_full_frame(p, k, q):
-    # the edge shapes: p = 1, p - k = 0, 0 < p - k < q (singular Wishart), Bartlett
+    # the edge shapes: p = 1, p - k = 0, 0 < p - k < q (singular Wishart), Bartlett,
+    # and k = p > q, the whole frame of a lifted batch
     m = 200_000
     rng = np.random.default_rng(1000 + 100 * p + 10 * k + q)
     fast = _stiefel_rows(p, k, q, m, rng)

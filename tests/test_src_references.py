@@ -1,5 +1,5 @@
-"""Every private module-level function or class in ``src/radwalk`` is used
-by the package itself; test-only oracles live in ``tests/helpers.py``."""
+"""Every private module-level function, class or constant in ``src/radwalk``
+is used by the package itself; test-only oracles live in ``tests/helpers.py``."""
 
 import ast
 from pathlib import Path
@@ -12,18 +12,42 @@ SRC = Path(radwalk.__file__).resolve().parent
 def _names(node) -> set[str]:
     """The names that code under ``node`` reads, as variables or attributes."""
     return {n.id if isinstance(n, ast.Name) else n.attr
-            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)}
+
+
+def _private_names(stmt) -> list[str]:
+    """The private names a module-level statement defines: a function or
+    class, or the targets of an assignment.  Dunders such as ``__all__`` are
+    not private."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        names = [stmt.name]
+    elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    else:
+        names = []
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def _unused(sources: dict[str, str]) -> list[str]:
+    """``module:name`` for each private module-level name no other statement reads."""
+    defs, uses = [], []
+    for module, text in sources.items():
+        for stmt in ast.parse(text).body:
+            defs += [(module, name, stmt) for name in _private_names(stmt)]
+            uses.append((stmt, _names(stmt)))
+    # a reference inside the definition itself (recursion) does not count
+    return [f"{module}:{name}" for module, name, stmt in defs
+            if not any(name in names for other, names in uses if other is not stmt)]
 
 
 def test_every_private_definition_is_referenced_in_src():
-    defs, uses = [], []
-    for path in sorted(SRC.glob("*.py")):
-        for stmt in ast.parse(path.read_text()).body:
-            is_def = isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-            if is_def and stmt.name.startswith("_"):
-                defs.append((path.name, stmt))
-            uses.append((stmt, _names(stmt)))
-    # a reference inside the definition itself (recursion) does not count
-    unused = [f"{module}:{stmt.name}" for module, stmt in defs
-              if not any(stmt.name in names for other, names in uses if other is not stmt)]
+    unused = _unused({path.name: path.read_text() for path in sorted(SRC.glob("*.py"))})
     assert not unused, f"private definitions no code in src uses: {unused}"
+
+
+def test_a_dead_private_constant_or_function_is_caught():
+    source = ("_USED = 1\n_DEAD = 2\n_A, _B = 3, 4\n__all__ = []\n"
+              "def _dead():\n    return _USED + _A\n"
+              "def run():\n    _DEAD = 5\n    return _B\n")
+    assert _unused({"m.py": source}) == ["m.py:_DEAD", "m.py:_dead"]

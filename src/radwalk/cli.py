@@ -17,6 +17,10 @@ a plain file name, and a ``kind``:
   ``moment_decay_experiment(sweep, rng)``.
 * ``selftest`` -- the exact-identity suites, optional ``cases``.
 
+Each kind's result states its verdict (``ExperimentReport.overall``,
+``MomentDecayReport.verdict``, or every suite passing), and one loop body
+runs, judges and writes every entry's report.
+
 Laws are ``{"q": q, "atoms": [{"weight": w, "radius": [row-major]}]}`` or
 ``{"family": name, "params": {...}}`` with families ``point_mass``,
 ``two_point``, ``uniform_interval``, parsed by ``RadialLaw.from_config``.
@@ -204,13 +208,6 @@ def _parse_entry(entry, prefix, master_seed=0):
         raise ManifestError(f"{prefix}{exc}") from exc
 
 
-def _moments_verdict(report) -> str:
-    if report.branch == "parity":
-        return "PASS" if report.max_abs_z < 4.0 else "FAIL"
-    target = -report.weight / 2.0
-    return "PASS" if abs(report.slope - target) <= 0.5 else "FAIL"
-
-
 def cmd_clt(manifest_path, out_dir, seed_override=None, workers=None) -> int:
     """Run every manifest entry, write one JSON report per entry plus the
     suite CSV, and return 0 only if all verdicts PASS.
@@ -224,16 +221,16 @@ def cmd_clt(manifest_path, out_dir, seed_override=None, workers=None) -> int:
     entries = doc["entries"]
     parsed = [_parse_entry(entry, f"entries[{i}].", master_seed) for i, entry in enumerate(entries)]
     out = _out_dir(out_dir)
+    meta = _meta(master_seed, config_hash)
     rows = []
     all_pass = True
     with ProcessPoolExecutor(max_workers=workers) if workers and workers > 1 else nullcontext() as pool:
         for entry, cfg in zip(entries, parsed):
             eid = entry["id"]
-            kind = entry["kind"]
-            if kind == "clt":
+            rng = trial_stream(master_seed, _entry_tag(eid), 0)  # a walk keys one stream per chunk itself
+            if entry["kind"] == "clt":
                 report = verify_clt(cfg, pool=pool)
-                _write_json(out / f"{eid}.json", {"meta": _meta(master_seed, config_hash),
-                                                  "entry_id": eid, "report": report.to_dict()})
+                verdict, body = report.overall, {"report": report.to_dict()}
                 q = cfg.nu.q
                 rows.append((
                     eid, cfg.regime, str(cfg.n), str(cfg.p), str(q),
@@ -242,25 +239,19 @@ def cmd_clt(manifest_path, out_dir, seed_override=None, workers=None) -> int:
                     _fmt(_summary_scalar(report.stderr, q)),
                     _fmt(report.rel_frob_err_limit),
                     _fmt(report.ks_stat) if report.ks_stat is not None else "",
-                    report.overall,
+                    verdict,
                 ))
-                all_pass &= report.overall == "PASS"
-            elif kind == "moments":
-                report = moment_decay_experiment(cfg, trial_stream(master_seed, _entry_tag(eid), 0))
-                verdict = _moments_verdict(report)
-                _write_json(out / f"{eid}.json", {"meta": _meta(master_seed, config_hash),
-                                                  "entry_id": eid, "verdict": verdict,
-                                                  "report": report.to_dict()})
-                all_pass &= verdict == "PASS"
+            elif entry["kind"] == "moments":
+                report = moment_decay_experiment(cfg, rng)
+                verdict = report.verdict
+                body = {"verdict": verdict, "report": report.to_dict()}
             else:  # selftest
-                results = run_selftest_suites(trial_stream(master_seed, _entry_tag(eid), 0), cases=cfg)
-                ok = all(passed for _, passed, _ in results)
-                _write_json(out / f"{eid}.json", {"meta": _meta(master_seed, config_hash),
-                                                  "entry_id": eid,
-                                                  "verdict": "PASS" if ok else "FAIL",
-                                                  "suites": [{"suite": s, "passed": p, "detail": d}
-                                                             for s, p, d in results]})
-                all_pass &= ok
+                results = run_selftest_suites(rng, cases=cfg)
+                verdict = _selftest_verdict(results)
+                body = {"verdict": verdict,
+                        "suites": [{"suite": s, "passed": p, "detail": d} for s, p, d in results]}
+            _write_json(out / f"{eid}.json", {"meta": meta, "entry_id": eid, **body})
+            all_pass &= verdict == "PASS"
     header = f"# tool=radwalk version={__version__} master_seed={master_seed} config_sha256={config_hash}\n"
     lines = [header, ",".join(CSV_COLUMNS) + "\n"]
     lines += [",".join(row) + "\n" for row in rows]
@@ -345,11 +336,15 @@ def run_selftest_suites(rng: np.random.Generator, cases: int = 200):
     return results
 
 
+def _selftest_verdict(results) -> str:
+    return "PASS" if all(passed for _, passed, _ in results) else "FAIL"
+
+
 def cmd_selftest(seed: int) -> int:
     results = run_selftest_suites(trial_stream(seed, 0, 0))
     for name, passed, detail in results:
         print(f"{name}: {'PASS' if passed else 'FAIL'} ({detail})")
-    return 0 if all(passed for _, passed, _ in results) else 1
+    return 0 if _selftest_verdict(results) == "PASS" else 1
 
 
 def cmd_moments(law_path, kappa_text, p_grid_text, trials, out_dir, seed=0) -> int:
@@ -369,7 +364,6 @@ def cmd_moments(law_path, kappa_text, p_grid_text, trials, out_dir, seed=0) -> i
     config_hash = hashlib.sha256(raw + f"|{key}".encode()).hexdigest()
     rng = trial_stream(seed, _entry_tag(f"moments:{key}"), 0)
     report = moment_decay_experiment(sweep, rng)
-    verdict = _moments_verdict(report)
 
     lines = [f"# tool=radwalk version={__version__} master_seed={seed} config_sha256={config_hash}\n",
              "p,estimate,stderr\n"]
@@ -380,10 +374,10 @@ def cmd_moments(law_path, kappa_text, p_grid_text, trials, out_dir, seed=0) -> i
     (out / "moments.csv").write_text("".join(lines))
 
     if report.branch == "parity":
-        print(f"parity: {verdict} (max |z| = {report.max_abs_z:.3f})")
+        print(f"parity: {report.verdict} (max |z| = {report.max_abs_z:.3f})")
     else:
-        print(f"decay: {verdict} (slope {report.slope:.3f} vs {-report.weight / 2.0:.1f})")
-    return 0 if verdict == "PASS" else 1
+        print(f"decay: {report.verdict} (slope {report.slope:.3f} vs {-report.weight / 2.0:.1f})")
+    return 0 if report.verdict == "PASS" else 1
 
 
 def main(argv=None) -> int:

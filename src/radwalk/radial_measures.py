@@ -39,6 +39,7 @@ __all__ = [
     "normalize_kappa",
     "kappa_all_rows_even",
     "radial_moment_mc",
+    "SAMPLE_BYTES_CAP",
 ]
 
 _WEIGHT_TOL = 1e-12
@@ -61,6 +62,21 @@ def _integer(value, field: str, minimum: int) -> int:
     if isinstance(value, bool) or not isinstance(value, Integral) or value < minimum:
         raise BadArity(f"{field}: expected an integer >= {minimum}, got {value!r}")
     return int(value)
+
+
+# The one work rule on an entry's size: the samples it keeps (trials times
+# q*q doubles for a walk, trials doubles for a moment estimate) fit in this.
+SAMPLE_BYTES_CAP = 1 << 28
+
+
+def _trials(value, minimum: int, sample_bytes: int) -> int:
+    """A config ``trials`` >= ``minimum`` whose samples of ``sample_bytes``
+    each fit in SAMPLE_BYTES_CAP; errors name the field."""
+    trials = _integer(value, "trials", minimum)
+    if trials * sample_bytes > SAMPLE_BYTES_CAP:
+        raise BadArity(f"trials: {trials} samples of {sample_bytes} bytes exceed the "
+                       f"{SAMPLE_BYTES_CAP}-byte cap on an entry's samples")
+    return trials
 
 
 def _config_keys(obj, name: str, keys) -> None:
@@ -399,7 +415,7 @@ def normalize_kappa(kappa) -> dict[tuple[int, int], int]:
 def _monomial_rules(kappa, p: int, q: int, trials: int) -> dict[tuple[int, int], int]:
     """The canonical kappa of a monomial-moment estimate on p x q matrices,
     after checking its rules: total exponent 1 to 8, every index inside
-    p x q, and trials >= 1000."""
+    p x q, and trials >= 1000 within the sample cap."""
     kap = normalize_kappa(kappa)
     weight = sum(kap.values())
     if not 1 <= weight <= 8:
@@ -407,7 +423,7 @@ def _monomial_rules(kappa, p: int, q: int, trials: int) -> dict[tuple[int, int],
     for i, j in kap:
         if i >= p or j >= q:
             raise BadArity(f"kappa: index ({i},{j}) lies outside {p}x{q}")
-    _integer(trials, "trials", 1000)
+    _trials(trials, 1000, 8)
     return kap
 
 

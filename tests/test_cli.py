@@ -79,6 +79,51 @@ def test_clt_run_with_ks_check_loads_no_scipy(tmp_path):
     assert run.stdout.splitlines()[-1] == "[]"
 
 
+def _numbers(node):
+    """Every number in a decoded JSON document, in a fixed order."""
+    if isinstance(node, dict):
+        for key in sorted(node):
+            yield from _numbers(node[key])
+    elif isinstance(node, list):
+        for item in node:
+            yield from _numbers(item)
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield node
+
+
+def test_q1_report_agrees_across_cpu_dispatch(tmp_path):
+    # numpy's AVX-512 loops for log, expm1 and tan can round differently from
+    # the AVX2 ones, and the q = 1 cosine draw uses all three: the bytes may
+    # differ, but the verdicts may not and every number stays within 1e-10
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    # numpy ignores, with a warning, a target it does not dispatch
+    targets = [t for t in ("X86_V4", "AVX512_ICL", "AVX512_SPR") if t in __cpu_dispatch__ and __cpu_features__.get(t)]
+    if not targets:
+        pytest.skip("numpy dispatches no AVX-512 target on this host")
+    entries = [{"id": "q1", "kind": "clt", "regime": "CLT_I", "n": 200, "p": 45, "trials": 1024,
+                "law": TWO_POINT_LAW}]
+    manifest = _write_manifest(tmp_path / "m.json", entries)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    reports = []
+    for name, disabled in (("default", None), ("no-avx512", " ".join(targets))):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env.pop("NPY_DISABLE_CPU_FEATURES", None)
+        if disabled:
+            env["NPY_DISABLE_CPU_FEATURES"] = disabled
+        run = subprocess.run([sys.executable, "-m", "radwalk.cli", "clt", "--manifest", str(manifest),
+                              "--out", str(tmp_path / name), "--workers", "1"],
+                             capture_output=True, text=True, env=env, timeout=120)
+        assert run.returncode in (0, 1), run.stderr
+        reports.append(json.loads((tmp_path / name / "q1.json").read_text())["report"])
+    default, other = reports
+    assert (default["verdicts"], default["overall"]) == (other["verdicts"], other["overall"])
+    pairs = list(zip(_numbers(default), _numbers(other), strict=True))
+    assert all(x == pytest.approx(y, rel=1e-10, abs=0) for x, y in pairs)
+
+
 def test_nonsymmetric_radius_names_atom_index(tmp_path, capsys):
     entries = [{"id": "bad", "kind": "clt", "regime": "CLT_II", "n": 5, "p": 10,
                 "trials": 200,
@@ -299,6 +344,8 @@ def _atom_law(q=1, weight=1.0, radius=(1.0,)):
     pytest.param("law.atoms[0].radius: missing", {"q": 1, "atoms": [{"weight": 1.0}]},
                  id="law.atoms.radius-missing"),
     pytest.param("law.bogus: unknown field", {**TWO_POINT_LAW, "bogus": 1}, id="law.unknown-key"),
+    # refused by the sample cap before any chunk task or sample array is made
+    pytest.param("trials", 10**12, id="trials-beyond-sample-cap"),
 ])
 def test_bad_clt_field_is_config_error(tmp_path, capsys, field, value):
     manifest = _write_manifest(tmp_path / "m.json", [_clt_entry("c0", **{field.split(".")[0]: value})])
@@ -335,8 +382,9 @@ def _moments_entry(eid, **extra):
     ("p_grid[2]", [2, 4, "8"]),
     ("p_grid[0]", [0, 4, 8]),
     ("rel_tol", 0.05),  # a clt field, unknown to moments
+    ("trials", 10**12),
 ], ids=["row-outside-p", "col-outside-q", "negative-index", "weight-9", "float-kappa", "string-bool-kappa",
-        "float-p", "string-p", "zero-p", "unknown-field"])
+        "float-p", "string-p", "zero-p", "unknown-field", "trials-beyond-sample-cap"])
 def test_bad_moments_entry_rejected_before_any_entry_runs(tmp_path, capsys, field, value):
     key = field.split("[")[0]
     entries = [_clt_entry("first"), _moments_entry("m", **{key: value})]
@@ -354,6 +402,7 @@ GOOD_MOMENTS_ARGS = ["--kappa", "0,0:2", "--p-grid", "2,4,8", "--trials", "2000"
 
 @pytest.mark.parametrize("field, args, law", [
     ("trials", ["--kappa", "0,0:2", "--p-grid", "8,16,32", "--trials", "10"], POINT_MASS_LAW),
+    ("trials", ["--kappa", "0,0:2", "--p-grid", "8,16,32", "--trials", str(10**12)], POINT_MASS_LAW),
     ("p_grid[0]", ["--kappa", "0,0:2", "--p-grid", "0,4,8", "--trials", "2000"], POINT_MASS_LAW),
     ("p_grid[1]", ["--kappa", "0,0:2", "--p-grid", "2,4.5,8", "--trials", "2000"], POINT_MASS_LAW),
     ("kappa", ["--kappa", "5,0:2", "--p-grid", "2,4,8", "--trials", "2000"], POINT_MASS_LAW),
@@ -367,7 +416,7 @@ GOOD_MOMENTS_ARGS = ["--kappa", "0,0:2", "--p-grid", "2,4,8", "--trials", "2000"
     ("kappa", ["--kappa", "0,0:2", "--p-grid", "4,8,16", "--trials", "1000"], ZERO_LAW),
     ("kappa", ["--kappa", "0,0:1;1,0:2", "--p-grid", "4,8,16", "--trials", "1000"], ZERO_LAW),
     ("kappa", ["--kappa", "1,0:2", "--p-grid", "4,8,16", "--trials", "1000"], _atom_law(2, radius=(0, 0, 0, 1))),
-], ids=["few-trials", "zero-p", "float-p", "row-outside-p", "non-psd-law", "unknown-param-law", "list-law",
+], ids=["few-trials", "trials-beyond-sample-cap", "zero-p", "float-p", "row-outside-p", "non-psd-law", "unknown-param-law", "list-law",
         "float-q-law", "nan-param-law", "string-weight-law", "zero-law-decay", "zero-law-parity",
         "zero-column-q2"])
 def test_bad_moments_command_is_config_error(tmp_path, capsys, field, args, law):

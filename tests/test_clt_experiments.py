@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -10,8 +11,10 @@ from scipy import stats
 
 from radwalk import BadArity, TooFewSamples, clt_experiments
 from radwalk.clt_experiments import (
+    CHECKS,
     CHUNK_TRIALS,
     _STEP_BLOCK,
+    MomentDecayReport,
     MomentSweep,
     WalkConfig,
     _compare_covariance,
@@ -24,7 +27,7 @@ from radwalk.clt_experiments import (
     trial_stream,
     verify_clt,
 )
-from radwalk.radial_measures import RadialLaw, r2, sigma_nu, t_nu, uniform_sphere_cosine
+from radwalk.radial_measures import SAMPLE_BYTES_CAP, RadialLaw, r2, sigma_nu, t_nu, uniform_sphere_cosine
 
 from helpers import _walk_chunk
 
@@ -68,6 +71,20 @@ def test_configs_refuse_a_bad_field_naming_it(make, field):
     # construction draws nothing, so a bad field is refused before any trial runs
     with pytest.raises(BadArity, match=rf"^{field}: "):
         make()
+
+
+@pytest.mark.parametrize("make, sample_bytes", [
+    (lambda trials: _cfg(trials=trials), 8),
+    (lambda trials: WalkConfig(nu=Q2_ATOMS, n=5, p=10, trials=trials, regime="CLT_II"), 32),
+    (lambda trials: WalkConfig(nu=Q3_ATOMS, n=5, p=10, trials=trials, regime="CLT_II"), 72),
+    (lambda trials: MomentSweep(Q2_ATOMS, {(0, 0): 2}, [10, 20, 40], trials), 8),
+], ids=["walk-q1", "walk-q2", "walk-q3", "sweep"])
+def test_trials_cap_counts_the_bytes_of_an_entrys_samples(make, sample_bytes):
+    # construction only: the largest admitted entry is never run
+    most = SAMPLE_BYTES_CAP // sample_bytes
+    assert make(most).trials == most
+    with pytest.raises(BadArity, match=rf"^trials: {most + 1} samples of {sample_bytes} bytes exceed"):
+        make(most + 1)
 
 
 def test_single_step_trial_has_no_cross_terms():
@@ -335,6 +352,13 @@ def test_verify_clt_report_is_self_contained():
     assert rep.to_dict() == again.to_dict()
 
 
+def test_report_config_echoes_every_walk_config_field():
+    echo = verify_clt(_cfg(n=2, trials=100)).config
+    names = {f.name for f in dataclasses.fields(WalkConfig)} - {"nu"}
+    assert set(echo) == names | {"law", "q", "c", "ks_alpha"}
+    assert echo["checks"] == list(CHECKS) and echo["law"] == TWO_POINT.to_config()
+
+
 def test_clt1_normalization_and_a_part_shrinks():
     # along a CLT I schedule the per-step part contributes p Sigma / n -> 0
     variances = []
@@ -362,6 +386,26 @@ def test_moment_decay_parity_branch():
     rep = moment_decay_experiment(MomentSweep(TWO_POINT, {(0, 0): 1, (1, 0): 2}, [10, 50], 5000), rng)
     assert rep.branch == "parity"
     assert rep.max_abs_z < 4.0
+
+
+def _decay(slope, weight=2):
+    return MomentDecayReport("decay", [8, 16, 32], [0.1] * 3, [0.01] * 3, weight, slope=slope)
+
+
+@pytest.mark.parametrize("report, verdict", [
+    (MomentDecayReport("parity", [10, 50], [0.0] * 2, [1.0] * 2, 3, max_abs_z=np.nextafter(4.0, 0.0)), "PASS"),
+    (MomentDecayReport("parity", [10, 50], [0.0] * 2, [1.0] * 2, 3, max_abs_z=4.0), "FAIL"),
+    (_decay(-1.5), "PASS"),
+    (_decay(-0.5), "PASS"),
+    (_decay(-1.5 - 1e-12), "FAIL"),
+    (_decay(-0.5 + 1e-12), "FAIL"),
+    (_decay(-2.5, weight=4), "PASS"),
+    (_decay(-1.5 + 1e-12, weight=4), "FAIL"),
+], ids=["z-under-4", "z-at-4", "slope-target-less-half", "slope-target-plus-half", "slope-beyond-minus",
+        "slope-beyond-plus", "weight-4-at-edge", "weight-4-beyond"])
+def test_moment_report_verdict_at_its_boundaries(report, verdict):
+    # parity passes for max |z| < 4, decay for |slope + weight/2| <= 0.5
+    assert report.verdict == verdict
 
 
 def test_moment_sweep_refuses_only_a_column_every_radius_leaves_zero():

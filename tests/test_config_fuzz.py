@@ -1,0 +1,82 @@
+"""Property test of the config boundary.
+
+Mutants of a shrunk demo manifest (values swapped for other types, NaN,
+infinities, 1e308 and huge integers; keys renamed or deleted) go through
+``load_manifest`` and ``_parse_entry`` only, so no walk runs.  Each must give
+a config per entry or a ``ManifestError`` whose message starts with a field
+path present in the mutated document (the last step of the path may be
+absent when the message says it is missing); any other exception fails.
+"""
+
+import copy
+import json
+import math
+import re
+from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from radwalk import cli
+
+DEMO = json.loads((Path(__file__).resolve().parents[1] / "manifests" / "demo.json").read_text())
+# one entry of each shape: a q = 1 family walk, a q = 2 atom walk, a parity
+# and a decay sweep, and a selftest
+SHRUNK = {**DEMO, "entries": DEMO["entries"][2:]}
+
+VALUES = st.sampled_from([None, True, "x", "", [], {}, [1], math.nan, math.inf, -math.inf,
+                          1e308, -1e308, 10**30, -(10**30), 10**400, 0, -1, 1.5])
+NEW_KEYS = st.text(alphabet="abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=8)
+
+
+def _paths(node, path=()):
+    """Every path below ``node``, as tuples of keys and list indices."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+def _mutate(doc, data):
+    path = data.draw(st.sampled_from(list(_paths(doc))))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    action = data.draw(st.sampled_from(["swap", "delete", "rename"] if isinstance(parent, dict) else ["swap", "delete"]))
+    if action == "swap":
+        parent[key] = data.draw(VALUES)
+    elif action == "delete":
+        del parent[key]
+    else:
+        parent[data.draw(NEW_KEYS)] = parent.pop(key)
+
+
+def _names_a_path(doc, message):
+    head, _, rest = message.partition(": ")
+    steps = re.findall(r"\[(\d+)\]|([^.\[\]]+)", head)
+    node = doc
+    for k, (index, key) in enumerate(steps):
+        step = int(index) if index else key
+        present = isinstance(node, list) and step < len(node) if index else isinstance(node, dict) and step in node
+        if not present:
+            return k == len(steps) - 1 and rest == "missing"
+        node = node[step]
+    return bool(steps)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_manifest_mutants_give_configs_or_errors_naming_a_field(tmp_path_factory, data):
+    doc = copy.deepcopy(SHRUNK)
+    for _ in range(data.draw(st.integers(1, 2))):
+        _mutate(doc, data)
+    path = tmp_path_factory.getbasetemp() / "fuzz_manifest.json"
+    path.write_text(json.dumps(doc))
+    try:
+        loaded, _ = cli.load_manifest(path)
+        for i, entry in enumerate(loaded["entries"]):
+            cli._parse_entry(entry, f"entries[{i}].", loaded["seed"])
+    except cli.ManifestError as exc:
+        assert _names_a_path(doc, str(exc)), (str(exc), doc)

@@ -32,7 +32,7 @@ to the errors.  Every entry is validated before the first one runs, so a
 bad manifest exits with code 2 and a message naming the field, with
 nothing written.  ``radwalk moments`` turns its flags into a moments entry
 and applies the same rules.  ``--seed`` must be an integer >= 0, and
-``--workers`` an integer >= 1.
+``--workers`` an integer from 1 to ``WORKERS_CAP``.
 
 One process pool of that many workers serves every walk entry of a run.
 Every output file embeds the tool version, the master seed, and a SHA-256
@@ -59,6 +59,7 @@ import numpy as np
 
 from . import __version__
 from .clt_experiments import (
+    SELFTEST_CASES_CAP,
     MomentSweep,
     WalkConfig,
     moment_decay_experiment,
@@ -81,6 +82,9 @@ _FIELDS = {
 }
 # an entry id names its report file, so it must stay a plain file name
 _ID_PATTERN = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]*")
+# A process pool forks all its workers at its first task, so --workers is
+# capped: at 64, or at the host's CPU count where that is larger.
+WORKERS_CAP = max(64, os.cpu_count() or 1)
 
 
 class ManifestError(Exception):
@@ -189,7 +193,10 @@ def _parse_entry(entry, prefix, master_seed=0):
     the entry path plus a dot in a manifest, empty on the command line."""
     kind = entry["kind"]
     if kind == "selftest":
-        return _as_int(entry.get("cases", 50), f"{prefix}cases", minimum=1)
+        cases = _as_int(entry.get("cases", 50), f"{prefix}cases", minimum=1)
+        if cases > SELFTEST_CASES_CAP:
+            raise ManifestError(f"{prefix}cases: {cases} cases exceed the cap of {SELFTEST_CASES_CAP}")
+        return cases
     required = ("regime", "n", "p") if kind == "clt" else ("kappa", "p_grid")
     for key in ("law", *required, "trials"):
         _require(entry, key, prefix)
@@ -410,8 +417,8 @@ def main(argv=None) -> int:
             return cmd_selftest(seed=args.seed)
         if args.command == "moments":
             return cmd_moments(args.law, args.kappa, args.p_grid, args.trials, args.out, seed=args.seed)
-        if args.workers is not None:
-            _as_int(args.workers, "--workers", minimum=1)
+        if args.workers is not None and _as_int(args.workers, "--workers", minimum=1) > WORKERS_CAP:
+            raise ManifestError(f"--workers: expected at most {WORKERS_CAP}, got {args.workers}")
         return cmd_clt(args.manifest, args.out, seed_override=args.seed,
                        workers=args.workers or os.cpu_count() or 1)
     except ManifestError as exc:

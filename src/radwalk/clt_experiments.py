@@ -52,6 +52,9 @@ from .radial_measures import (
 __all__ = [
     "CHUNK_TRIALS",
     "KS_ALPHA",
+    "TRIAL_STEPS_CAP",
+    "SELFTEST_CASES_CAP",
+    "P_CAP",
     "REGIMES",
     "CHECKS",
     "WalkConfig",
@@ -74,6 +77,14 @@ CHUNK_TRIALS = 512
 _STEP_BLOCK = 32
 # Family-wise significance level of the KS normality check.
 KS_ALPHA = 1e-3
+# The one time rule on an entry: a walk runs at most TRIAL_STEPS_CAP
+# trial-steps (n times trials) and a sweep at most as many draws (grid points
+# times trials), 250 times the demo's largest walk; a selftest runs at most
+# SELFTEST_CASES_CAP cases, 500 times the largest in use.
+TRIAL_STEPS_CAP = 10**10
+SELFTEST_CASES_CAP = 10**5
+# The largest lift dimension: every integer up to 2^53 is exact as a float.
+P_CAP = 1 << 53
 
 REGIMES = ("CLT_I", "CLT_II", "MIXED")
 # Each check a walk experiment can request, and the verdict it reads.
@@ -104,9 +115,11 @@ class WalkConfig:
             raise BadArity(f"nu: expected a RadialLaw, got {self.nu!r}")
         if self.regime not in REGIMES:
             raise BadArity(f"regime: must be one of {REGIMES}, got {self.regime!r}")
-        for name, minimum in (("n", 1), ("p", self.nu.q), ("seed", 0), ("stream_tag", 0)):
+        for name, minimum in (("n", 1), ("seed", 0), ("stream_tag", 0)):
             object.__setattr__(self, name, _integer(getattr(self, name), name, minimum))
+        object.__setattr__(self, "p", _dimension(self.p, "p", self.nu.q))
         object.__setattr__(self, "trials", _trials(self.trials, 100, 8 * self.nu.q ** 2))
+        _time_rule(self.n * self.trials, "n", f"{self.n} steps of {self.trials} trials")
         checks = self.checks
         if not isinstance(checks, (list, tuple)) or not all(isinstance(k, str) and k in CHECKS for k in checks):
             raise BadArity(f"checks: expected a list of checks from {list(CHECKS)}, got {checks!r}")
@@ -126,6 +139,19 @@ class WalkConfig:
     def limit_c(self) -> float:
         """Ratio entering the CLT II limit covariance Sigma + c T."""
         return 0.0 if self.regime == "CLT_II" else self.n / self.p
+
+
+def _dimension(value, field: str, q: int) -> int:
+    """A lift dimension from q to P_CAP; errors name the field."""
+    p = _integer(value, field, q)
+    if p > P_CAP:
+        raise BadArity(f"{field}: expected an integer <= 2^53, got {p}")
+    return p
+
+
+def _time_rule(work: int, field: str, what: str) -> None:
+    if work > TRIAL_STEPS_CAP:
+        raise BadArity(f"{field}: {what} exceed the cap of {TRIAL_STEPS_CAP} trial-steps on an entry")
 
 
 @dataclass
@@ -471,7 +497,8 @@ def verify_clt(cfg: WalkConfig, pool=None) -> ExperimentReport:
 class MomentSweep:
     """Parameters of one monomial-moment sweep, checked on construction: the
     rules of :func:`radial_moment_mc` at the smallest grid point, no column
-    of kappa that every radius leaves 0, and 3 grid points for a slope.
+    of kappa that every radius leaves 0, distinct grid points, 3 of them for
+    a slope, and the time rule.
     ``kappa`` is stored as sorted ((row, col), exponent) pairs; a bad field
     raises BadArity whose message starts with its name."""
 
@@ -485,8 +512,13 @@ class MomentSweep:
             raise BadArity(f"nu: expected a RadialLaw, got {self.nu!r}")
         if not isinstance(self.p_grid, (list, tuple)) or not self.p_grid:
             raise BadArity(f"p_grid: expected a nonempty list, got {self.p_grid!r}")
-        grid = tuple(_integer(p, f"p_grid[{k}]", self.nu.q) for k, p in enumerate(self.p_grid))
+        grid = tuple(_dimension(p, f"p_grid[{k}]", self.nu.q) for k, p in enumerate(self.p_grid))
+        first = {}
+        for k, p in enumerate(grid):
+            if first.setdefault(p, k) != k:
+                raise BadArity(f"p_grid[{k}]: repeats p_grid[{first[p]}] = {p}; grid points must be distinct")
         kappa = _monomial_rules(self.kappa, min(grid), self.nu.q, self.trials)
+        _time_rule(len(grid) * self.trials, "p_grid", f"{len(grid)} grid points of {self.trials} trials")
         # X = U r, so column j of X is 0 when column j of every radius is,
         # and the moment is then 0 at every p: no slope, no z-score
         norms = r2(self.nu).diagonal()

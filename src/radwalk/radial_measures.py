@@ -336,30 +336,16 @@ _MAX_RESAMPLES = 5
 _MOMENT_CHUNK = 32768
 
 
-def _wishart_factor(dof: int, q: int, m: int, rng: np.random.Generator) -> np.ndarray:
-    """(m, f, q) factors F with F'F ~ Wishart(dof, I_q), in O(q^2) work per draw whatever dof is.
-
-    For dof >= q, F is the transposed Bartlett factor (Odell & Feiveson, JASA
-    1966): upper triangular, F_ii = sqrt(chi2(dof - i)), N(0, 1) entries
-    above the diagonal.  For dof < q the law is singular and F is a (dof, q)
-    Gaussian drawn directly.
-    """
-    if dof < q:
-        return rng.standard_normal((m, dof, q))
-    up = np.zeros((m, q, q))
-    rows, cols = np.triu_indices(q, 1)
-    up[:, rows, cols] = rng.standard_normal((m, rows.size))
-    up[:, np.arange(q), np.arange(q)] = np.sqrt(rng.chisquare(dof - np.arange(q), size=(m, q)))
-    return up
-
-
 def _stiefel_rows(p: int, k: int, q: int, m: int, rng: np.random.Generator) -> np.ndarray:
     """(m, k, q) draws of the top k rows of a uniform p x q Stiefel frame.
 
     For a p x q Gaussian G and L L' = G'G, the frame G L^{-T} is orthonormal
     and invariant under O(p) on the left, so it is uniform.  Its top k rows
-    G_K L^{-T} need only G'G = H'H for the stacked H = [G_K; F], where F'F ~
-    Wishart(p - k, I_q) comes from :func:`_wishart_factor`, so cost and memory
+    G_K L^{-T} need only G'G = H'H for the stacked H = [G_K; F], where F is
+    the R of a QR of the other p - k rows of G, the Bartlett factor (Odell &
+    Feiveson, JASA 1966): an f x q upper trapezoid, f = min(p - k, q), with
+    F_ii = sqrt(chi2(p - k - i)) and N(0, 1) entries right of the diagonal,
+    so F'F ~ Wishart(p - k, I_q) for every p - k, and cost and memory
     depend on k and q, not p.  Draws whose smallest squared pivot is at most
     _RANK_TOL times the largest diagonal entry of H'H are redrawn.  By
     orthogonal invariance any k fixed rows have this law: the rows a monomial
@@ -371,8 +357,16 @@ def _stiefel_rows(p: int, k: int, q: int, m: int, rng: np.random.Generator) -> n
     if not 1 <= k <= p:
         raise BadArity(f"need 1 <= k <= p, got k={k}, p={p}")
 
-    def stack(count):  # H = [G_K; F] for count draws
-        return np.concatenate((rng.standard_normal((count, k, q)), _wishart_factor(p - k, q, count, rng)), axis=1)
+    f = min(p - k, q)
+    up_rows, up_cols = np.triu_indices(f, 1, q)
+    diag = np.arange(f)
+
+    def stack(count):  # H = [G_K; F] for count draws, in one array
+        h = np.zeros((count, k + f, q))
+        h[:, :k] = rng.standard_normal((count, k, q))
+        h[:, k + up_rows, up_cols] = rng.standard_normal((count, up_rows.size))
+        h[:, k + diag, diag] = np.sqrt(rng.chisquare(p - k - diag, size=(count, f)))
+        return h
 
     h = stack(m)
     for _ in range(_MAX_RESAMPLES):

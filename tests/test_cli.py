@@ -9,6 +9,7 @@ import pytest
 
 from radwalk import cli
 from radwalk.clt_experiments import MomentSweep, WalkConfig
+from radwalk.radial_measures import SAMPLE_BYTES_CAP
 
 
 TWO_POINT_LAW = {"family": "two_point",
@@ -346,6 +347,7 @@ def _atom_law(q=1, weight=1.0, radius=(1.0,)):
     pytest.param("law.bogus: unknown field", {**TWO_POINT_LAW, "bogus": 1}, id="law.unknown-key"),
     # refused by the sample cap before any chunk task or sample array is made
     pytest.param("trials", 10**12, id="trials-beyond-sample-cap"),
+    pytest.param("p", 10**400, id="p-beyond-2^53"),  # would overflow a float in the cosine draw
 ])
 def test_bad_clt_field_is_config_error(tmp_path, capsys, field, value):
     manifest = _write_manifest(tmp_path / "m.json", [_clt_entry("c0", **{field.split(".")[0]: value})])
@@ -383,8 +385,10 @@ def _moments_entry(eid, **extra):
     ("p_grid[0]", [0, 4, 8]),
     ("rel_tol", 0.05),  # a clt field, unknown to moments
     ("trials", 10**12),
+    ("p_grid[1]", [8, 8, 8]),  # one distinct point: the decay fit is singular
+    ("p_grid[1]", [2, 10**400, 8]),
 ], ids=["row-outside-p", "col-outside-q", "negative-index", "weight-9", "float-kappa", "string-bool-kappa",
-        "float-p", "string-p", "zero-p", "unknown-field", "trials-beyond-sample-cap"])
+        "float-p", "string-p", "zero-p", "unknown-field", "trials-beyond-sample-cap", "repeated-p", "p-beyond-2^53"])
 def test_bad_moments_entry_rejected_before_any_entry_runs(tmp_path, capsys, field, value):
     key = field.split("[")[0]
     entries = [_clt_entry("first"), _moments_entry("m", **{key: value})]
@@ -405,6 +409,7 @@ GOOD_MOMENTS_ARGS = ["--kappa", "0,0:2", "--p-grid", "2,4,8", "--trials", "2000"
     ("trials", ["--kappa", "0,0:2", "--p-grid", "8,16,32", "--trials", str(10**12)], POINT_MASS_LAW),
     ("p_grid[0]", ["--kappa", "0,0:2", "--p-grid", "0,4,8", "--trials", "2000"], POINT_MASS_LAW),
     ("p_grid[1]", ["--kappa", "0,0:2", "--p-grid", "2,4.5,8", "--trials", "2000"], POINT_MASS_LAW),
+    ("p_grid[1]", ["--kappa", "0,0:2", "--p-grid", "8,8,8", "--trials", "2000"], POINT_MASS_LAW),
     ("kappa", ["--kappa", "5,0:2", "--p-grid", "2,4,8", "--trials", "2000"], POINT_MASS_LAW),
     ("law", GOOD_MOMENTS_ARGS, {"q": 2, "atoms": [{"weight": 1.0, "radius": [1.0, 2.0, 2.0, 1.0]}]}),
     ("law", GOOD_MOMENTS_ARGS, {"family": "point_mass", "params": {"radius": 1.0, "bogus": 2}}),
@@ -416,7 +421,7 @@ GOOD_MOMENTS_ARGS = ["--kappa", "0,0:2", "--p-grid", "2,4,8", "--trials", "2000"
     ("kappa", ["--kappa", "0,0:2", "--p-grid", "4,8,16", "--trials", "1000"], ZERO_LAW),
     ("kappa", ["--kappa", "0,0:1;1,0:2", "--p-grid", "4,8,16", "--trials", "1000"], ZERO_LAW),
     ("kappa", ["--kappa", "1,0:2", "--p-grid", "4,8,16", "--trials", "1000"], _atom_law(2, radius=(0, 0, 0, 1))),
-], ids=["few-trials", "trials-beyond-sample-cap", "zero-p", "float-p", "row-outside-p", "non-psd-law", "unknown-param-law", "list-law",
+], ids=["few-trials", "trials-beyond-sample-cap", "zero-p", "float-p", "repeated-p", "row-outside-p", "non-psd-law", "unknown-param-law", "list-law",
         "float-q-law", "nan-param-law", "string-weight-law", "zero-law-decay", "zero-law-parity",
         "zero-column-q2"])
 def test_bad_moments_command_is_config_error(tmp_path, capsys, field, args, law):
@@ -451,8 +456,12 @@ def test_out_that_cannot_be_a_directory_is_config_error(tmp_path, capsys, monkey
     assert taken.read_text() == "kept"
 
 
-@pytest.mark.parametrize("value", ["0", "-3"], ids=["flag-0", "flag--3"])
-def test_bad_workers_env_is_config_error(tmp_path, capsys, value):
+@pytest.mark.parametrize("value", ["0", "-3", "100000"], ids=["flag-0", "flag--3", "flag-over-cap"])
+def test_bad_workers_env_is_config_error(tmp_path, capsys, monkeypatch, value):
+    def no_pool(*args, **kwargs):  # a pool of 100 000 workers would fork them all at once
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
     manifest = _write_manifest(tmp_path / "m.json", [_clt_entry("c0")])
     code = cli.main(["clt", "--manifest", str(manifest), "--out", str(tmp_path / "out"), "--workers", value])
     assert code == 2
@@ -471,4 +480,23 @@ def test_negative_seed_is_config_error(tmp_path, capsys, command):
     code = cli.main([command, *args, "--seed", "-1"])
     assert code == 2
     assert "config error: --seed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("field, entry", [
+    ("n", _clt_entry("c0", n=10**30)),  # 10^32 trial-steps
+    ("p_grid", _moments_entry("m", p_grid=list(range(2, 400)), trials=SAMPLE_BYTES_CAP // 8)),
+    ("cases", {"id": "s", "kind": "selftest", "cases": 10**30}),
+], ids=["walk", "sweep", "selftest"])
+def test_entry_beyond_the_time_cap_is_config_error(tmp_path, capsys, monkeypatch, field, entry):
+    # the runners are stubbed, so an entry that passed validation fails at once instead of running for years
+    def ran(*args, **kwargs):
+        raise AssertionError("an entry ran")
+
+    for runner in ("verify_clt", "moment_decay_experiment", "run_selftest_suites"):
+        monkeypatch.setattr(cli, runner, ran)
+    manifest = _write_manifest(tmp_path / "m.json", [entry])
+    code = cli.main(["clt", "--manifest", str(manifest), "--out", str(tmp_path / "out"), "--workers", "1"])
+    assert code == 2
+    assert f"config error: entries[0].{field}: " in capsys.readouterr().err
     assert not (tmp_path / "out").exists()

@@ -13,6 +13,8 @@ from radwalk import BadArity, TooFewSamples, clt_experiments
 from radwalk.clt_experiments import (
     CHECKS,
     CHUNK_TRIALS,
+    P_CAP,
+    TRIAL_STEPS_CAP,
     _STEP_BLOCK,
     MomentDecayReport,
     MomentSweep,
@@ -60,13 +62,20 @@ def test_config_validation():
         WalkConfig(nu=Q2_ATOMS, n=5, p=1, trials=200, regime="CLT_II")
     assert _cfg().scale == pytest.approx(1.0 / np.sqrt(20))
     assert _cfg(regime="CLT_I").scale == pytest.approx(np.sqrt(100) / 20)
+    assert _cfg(p=P_CAP).p == P_CAP
 
 
 @pytest.mark.parametrize("make, field", [
     (lambda: _cfg(n=2.5), "n"),
     (lambda: _cfg(checks=("exct",)), "checks"),
     (lambda: MomentSweep(RadialLaw.point_mass(1.0), {(0.5, 0): 2.7}, [10, 20, 40], 2000), "kappa"),
-], ids=["float-n", "misspelt-check", "float-kappa"])
+    (lambda: _cfg(p=P_CAP + 1), "p"),
+    (lambda: MomentSweep(TWO_POINT, {(0, 0): 2}, [10, P_CAP + 1, 40], 2000), r"p_grid\[1\]"),
+    # one rule for both branches: a repeated point is refused by parity and decay sweeps alike
+    (lambda: MomentSweep(TWO_POINT, {(0, 0): 2}, [10, 20, 40, 20], 2000), r"p_grid\[3\]"),
+    (lambda: MomentSweep(TWO_POINT, {(0, 0): 1, (1, 0): 2}, [10, 10], 2000), r"p_grid\[1\]"),
+], ids=["float-n", "misspelt-check", "float-kappa", "p-beyond-2^53", "grid-p-beyond-2^53", "repeated-p-decay",
+        "repeated-p-parity"])
 def test_configs_refuse_a_bad_field_naming_it(make, field):
     # construction draws nothing, so a bad field is refused before any trial runs
     with pytest.raises(BadArity, match=rf"^{field}: "):
@@ -85,6 +94,17 @@ def test_trials_cap_counts_the_bytes_of_an_entrys_samples(make, sample_bytes):
     assert make(most).trials == most
     with pytest.raises(BadArity, match=rf"^trials: {most + 1} samples of {sample_bytes} bytes exceed"):
         make(most + 1)
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda work: _cfg(n=work // 2000), "n"),  # steps of 2000 trials
+    (lambda work: MomentSweep(TWO_POINT, {(0, 0): 2}, list(range(2, 2 + work // 10**6)), 10**6), "p_grid"),
+], ids=["walk", "sweep"])
+def test_time_rule_counts_trial_steps(make, field):
+    # construction only: the largest admitted entry is never run
+    make(TRIAL_STEPS_CAP)
+    with pytest.raises(BadArity, match=rf"^{field}: .* exceed the cap of {TRIAL_STEPS_CAP} trial-steps"):
+        make(TRIAL_STEPS_CAP + 10**6)
 
 
 def test_single_step_trial_has_no_cross_terms():

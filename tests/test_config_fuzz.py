@@ -1,11 +1,17 @@
-"""Property test of the config boundary.
+"""Property tests of the config boundary.
 
 Mutants of a shrunk demo manifest (values swapped for other types, NaN,
-infinities, 1e308 and huge integers; keys renamed or deleted) go through
-``load_manifest`` and ``_parse_entry`` only, so no walk runs.  Each must give
-a config per entry or a ``ManifestError`` whose message starts with a field
-path present in the mutated document (the last step of the path may be
-absent when the message says it is missing); any other exception fails.
+infinities, 1e308 and huge integers; keys renamed or deleted; list items
+repeated) go through ``load_manifest`` and ``_parse_entry`` only, so no walk
+runs.  Each must give a config per entry or a ``ManifestError`` whose message
+starts with a field path present in the mutated document (the last step of
+the path may be absent when the message says it is missing); any other
+exception fails.
+
+Mutants of a tiny manifest of the same five shapes also run end to end
+through ``radwalk clt``, unless their work exceeds a small budget: the exit
+code must be 0, 1 or 2, with no exception, and exit 2 must leave ``--out``
+uncreated.
 """
 
 import copy
@@ -14,10 +20,11 @@ import math
 import re
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from radwalk import cli
+from radwalk.clt_experiments import MomentSweep, WalkConfig
 
 DEMO = json.loads((Path(__file__).resolve().parents[1] / "manifests" / "demo.json").read_text())
 # one entry of each shape: a q = 1 family walk, a q = 2 atom walk, a parity
@@ -43,11 +50,14 @@ def _mutate(doc, data):
     for key in path[:-1]:
         parent = parent[key]
     key = path[-1]
-    action = data.draw(st.sampled_from(["swap", "delete", "rename"] if isinstance(parent, dict) else ["swap", "delete"]))
+    action = data.draw(st.sampled_from(["swap", "delete", "rename"] if isinstance(parent, dict)
+                                       else ["swap", "delete", "repeat"]))
     if action == "swap":
         parent[key] = data.draw(VALUES)
     elif action == "delete":
         del parent[key]
+    elif action == "repeat":
+        parent.insert(key, copy.deepcopy(parent[key]))
     else:
         parent[data.draw(NEW_KEYS)] = parent.pop(key)
 
@@ -80,3 +90,41 @@ def test_manifest_mutants_give_configs_or_errors_naming_a_field(tmp_path_factory
             cli._parse_entry(entry, f"entries[{i}].", loaded["seed"])
     except cli.ManifestError as exc:
         assert _names_a_path(doc, str(exc)), (str(exc), doc)
+
+
+# the same five shapes, at sizes that run in milliseconds; the q = 2 walk has q < p < 2q
+TINY = copy.deepcopy(SHRUNK)
+for _entry, _small in zip(TINY["entries"], ({"n": 3, "p": 5, "trials": 100}, {"n": 3, "p": 3, "trials": 100},
+                                            {"trials": 1000}, {"p_grid": [4, 8, 16], "trials": 1000}, {"cases": 2})):
+    _entry.update(_small)
+# trial-steps, draws and (weighted) selftest cases: the tiny manifest does 9 600
+WORK_BUDGET = 20_000
+
+
+def _work(cfg):
+    if isinstance(cfg, WalkConfig):
+        return cfg.n * cfg.trials
+    if isinstance(cfg, MomentSweep):
+        return len(cfg.p_grid) * cfg.trials
+    return 1000 * cfg
+
+
+@settings(derandomize=True, database=None, max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(data=st.data())
+def test_manifest_mutants_run_end_to_end_to_an_exit_code(tmp_path_factory, data):
+    doc = copy.deepcopy(TINY)
+    for _ in range(data.draw(st.integers(1, 2))):
+        _mutate(doc, data)
+    path = tmp_path_factory.getbasetemp() / "fuzz_run_manifest.json"
+    path.write_text(json.dumps(doc))
+    try:
+        loaded, _ = cli.load_manifest(path)
+        work = sum(_work(cli._parse_entry(entry, "", loaded["seed"])) for entry in loaded["entries"])
+    except cli.ManifestError:
+        work = 0
+    assume(work <= WORK_BUDGET)
+    out = tmp_path_factory.mktemp("fuzz_run") / "out"
+    code = cli.main(["clt", "--manifest", str(path), "--out", str(out), "--workers", "1"])
+    assert code in (0, 1, 2)
+    assert code != 2 or not out.exists()

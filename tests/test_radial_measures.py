@@ -304,51 +304,74 @@ def test_orbit_rank_deficient_after_retries():
         def chisquare(self, df, size):
             return np.zeros(size)
 
-    for p, k in ((4, 1), (2, 2), (3, 2), (4, 4)):  # Bartlett, empty and direct Wishart parts; a whole frame
+    # Bartlett, empty and trapezoidal (rank-1) Wishart parts; a whole frame
+    for p, k in ((4, 1), (2, 2), (3, 2), (4, 4)):
         with pytest.raises(RankDeficient):
             _stiefel_rows(p, k, 2, 3, ZeroRng())
 
 
 class _FixedFirstSamples:
-    """Normal draws, except that the first Gaussian block is ``value`` on the samples in ``bad``."""
+    """Normal and chi-square draws, recorded in order, except that the first
+    normal block (G_K) is ``value`` on the samples in ``bad``."""
 
     def __init__(self, seed, bad, value=0.0):
         self.rng = np.random.default_rng(seed)
         self.bad = bad
         self.value = value
-        self.blocks = []
+        self.normals = []
+        self.chisquares = []
 
     def standard_normal(self, shape):
         z = self.rng.standard_normal(shape)
-        if not self.blocks:
+        if not self.normals:
             z[self.bad] = self.value
-        self.blocks.append(z.copy())
+        self.normals.append(z.copy())
         return z
 
     def chisquare(self, df, size):
-        return self.rng.chisquare(df, size)
+        c = self.rng.chisquare(df, size)
+        self.chisquares.append(c.copy())
+        return c
 
 
-def _redrawn_rows_oracle(rng, bad):
-    # g and its Wishart block, then one redraw of both for the bad samples only
-    g0, h0, g1, h1 = rng.blocks
-    g, h = g0.copy(), h0.copy()
-    g[bad], h[bad] = g1, h1
-    low = np.linalg.cholesky(g.transpose(0, 2, 1) @ g + h.transpose(0, 2, 1) @ h)
+def _recorded_stacks(rng, q):
+    # each draw of H = [G_K; F]: G_K's normals, then F's normals row by row
+    # right of its diagonal, then the chi-squares whose roots are that diagonal
+    stacks = []
+    for g, up, chi in zip(rng.normals[0::2], rng.normals[1::2], rng.chisquares):
+        f = chi.shape[1]
+        fac = np.zeros((g.shape[0], f, q))
+        right = iter(up.T)
+        for i in range(f):
+            fac[:, i, i] = np.sqrt(chi[:, i])
+            for j in range(i + 1, q):
+                fac[:, i, j] = next(right)
+        assert next(right, None) is None
+        stacks.append((g, fac))
+    return stacks
+
+
+def _redrawn_rows_oracle(rng, bad, q):
+    # G_K and F, then one redraw of both for the bad samples only
+    (g0, f0), (g1, f1) = _recorded_stacks(rng, q)
+    g, fac = g0.copy(), f0.copy()
+    g[bad], fac[bad] = g1, f1
+    low = np.linalg.cholesky(g.transpose(0, 2, 1) @ g + fac.transpose(0, 2, 1) @ fac)
     return np.linalg.solve(low, g.transpose(0, 2, 1)).transpose(0, 2, 1)
 
 
-@pytest.mark.parametrize("p", [2, 3])  # empty and direct (rank-1) Wishart parts: G_K = 0 is singular
+@pytest.mark.parametrize("p", [2, 3])  # empty and trapezoidal (rank-1) Wishart parts: G_K = 0 is singular
 def test_stiefel_rows_redraw_only_singular_samples(p):
     k, q, m = 2, 2, 10
     bad = np.zeros(m, dtype=bool)
     bad[[1, 4, 5]] = True
     rng = _FixedFirstSamples(90 + p, bad)
     rows = _stiefel_rows(p, k, q, m, rng)
-    g1, h1 = rng.blocks[2:]
-    assert g1.shape == (3, k, q) and h1.shape == (3, p - k, q)
+    assert len(rng.normals) == 4 and len(rng.chisquares) == 2
+    (g1, f1), = _recorded_stacks(rng, q)[1:]
+    assert g1.shape == (3, k, q) and f1.shape == (3, p - k, q)
     assert np.all(np.isfinite(rows))
-    assert np.allclose(rows, _redrawn_rows_oracle(rng, bad), rtol=0.0, atol=1e-12)
+    assert np.allclose(rows, _redrawn_rows_oracle(rng, bad, q), rtol=0.0, atol=1e-12)
 
 
 def test_stiefel_rows_redraw_nearly_singular_samples():
@@ -365,8 +388,8 @@ def test_stiefel_rows_redraw_nearly_singular_samples():
     bad[[0, 7]] = True
     rng = _FixedFirstSamples(95, bad, near)
     rows = _stiefel_rows(p, k, q, m, rng)
-    assert len(rng.blocks) == 4 and rng.blocks[2].shape == (2, k, q)
-    assert np.allclose(rows, _redrawn_rows_oracle(rng, bad), rtol=0.0, atol=1e-12)
+    assert len(rng.normals) == 4 and rng.normals[2].shape == (2, k, q)
+    assert np.allclose(rows, _redrawn_rows_oracle(rng, bad, q), rtol=0.0, atol=1e-12)
 
 
 def test_p_smaller_than_q_rejected():
@@ -385,10 +408,12 @@ def _orbit_rows_oracle(p, k, q, m, rng, chunk=25_000):
     return np.concatenate(parts)
 
 
-@pytest.mark.parametrize("p,k,q", [(1, 1, 1), (2, 2, 2), (3, 1, 2), (5, 3, 2), (40, 2, 3), (6, 6, 2)])
+@pytest.mark.parametrize("p,k,q", [(1, 1, 1), (2, 2, 2), (3, 1, 2), (5, 3, 2), (40, 2, 3), (6, 6, 2),
+                                   (3, 2, 2), (4, 2, 3)])
 def test_stiefel_rows_match_full_frame(p, k, q):
-    # the edge shapes: p = 1, p - k = 0, 0 < p - k < q (singular Wishart), Bartlett,
-    # and k = p > q, the whole frame of a lifted batch
+    # the edge shapes: p = 1, p - k = 0, p - k = q and p - k > q (square Bartlett
+    # factor), k = p > q (the whole frame of a lifted batch), and 0 < p - k < q
+    # (singular Wishart, a trapezoidal factor)
     m = 200_000
     rng = np.random.default_rng(1000 + 100 * p + 10 * k + q)
     fast = _stiefel_rows(p, k, q, m, rng)

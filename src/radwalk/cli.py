@@ -73,7 +73,7 @@ from .kron_algebra import PermMat, hadamard, kron, reorder_perm
 from .radial_measures import RadialLaw, _integer
 
 CSV_COLUMNS = ("id", "regime", "n", "p", "q", "predicted_var", "empirical_var",
-               "stderr", "rel_frob_err", "ks_stat", "verdict")
+               "stderr", "rel_frob_err", "ks_stat", "max_abs_z_mean", "verdict")
 # the fields each entry kind takes; any other key is a config error
 _FIELDS = {
     "clt": {"id", "kind", "regime", "n", "p", "trials", "law", "checks", "rel_tol"},
@@ -246,6 +246,7 @@ def cmd_clt(manifest_path, out_dir, seed_override=None, workers=None) -> int:
                     _fmt(_summary_scalar(report.stderr, q)),
                     _fmt(report.rel_frob_err_limit),
                     _fmt(report.ks_stat) if report.ks_stat is not None else "",
+                    _fmt(report.max_abs_z_mean),
                     verdict,
                 ))
             elif entry["kind"] == "moments":

@@ -181,43 +181,60 @@ def _gram_chunk(nu: RadialLaw, n: int, p: int, m: int, rng: np.random.Generator)
     X = U r with U a uniform frame independent of S.  Then S'X = L W r with
     W = Q_S'U, which by orthogonal invariance has the law of the top q rows
     of a uniform frame, drawn by :func:`_stiefel_rows` in O(q^3) work
-    whatever p is.  So with c = L W r the Gram matrix updates as
-
-        G <- G + c + c' + r r.
-
+    whatever p is (at q = 1, the cosine u of :func:`uniform_sphere_cosine`).
+    So with c = L W r the Gram matrix updates as G <- G + c + c' + r r.
     L comes from :func:`chol_psd`, whose zero pivots give zero columns, so
     G = 0 at the first step and rank-deficient radii need no special case.
-    At q = 1, W is the cosine u between the walk and the step, drawn by
-    :func:`uniform_sphere_cosine`, and L = sqrt(g).
 
-    W and r do not depend on the walk, so each block of ``_STEP_BLOCK``
-    steps draws its radii, then its W, forms W r and r r and adds its sum of
-    r r - r2 to a at once; a step runs only the update of G.
+    Each q x q quantity is held trials-last, (q, q, m), so each entry is one
+    vector op over the trials, for every q; at q = 1 a step is five ufunc
+    calls.  W r and r r do not depend on the walk, so each block of
+    ``_STEP_BLOCK`` steps draws its radii, then its W, forms them and adds
+    its sum of r r - r2 to a at once; a step updates G's lower triangle in
+    buffers whose entry views are built once.  W carries a factor 2, so c's
+    diagonal is that of c + c', and its off-diagonal sums are halved (exact).
     """
     q = nu.q
     r2m = r2(nu)
-    # 1 x 1: the root is sqrt(g), clamped because at p = 1 u = -1 can cancel g
-    # to a rounding error below zero, and a multiply stands in for each product
-    root, mul = (lambda g: np.sqrt(np.maximum(g, 0.0)), np.multiply) if q == 1 else (chol_psd, np.matmul)
-    g = np.zeros((m, q, q))
-    a = np.zeros((m, q, q))
+    steps = min(n, _STEP_BLOCK)
+    g, low, c, a = (np.zeros((q, q, m)) for _ in range(4))
+    t, wr, rr = np.empty(m), np.empty((q, q, steps, m)), np.empty((q, q, steps, m))
+    gv, lv, cv = ([list(x) for x in buf] for buf in (g, low, c))
+    pairs = [(i, j) for i in range(q) for j in range(q)]
+    lower = [(i, j) for i, j in pairs if i >= j]
+
+    def step_ops(s):  # step s after its Cholesky, as (ufunc, x, y, out) on entry views
+        ops = []
+        for i, j in pairs:  # c_ij = sum_{l <= i} L_il (2 W r)_lj, each term after the first through t
+            ops.append((np.multiply, lv[i][0], wr[0, j, s], cv[i][j]))
+            for l in range(1, i + 1):
+                ops += [(np.multiply, lv[i][l], wr[l, j, s], t), (np.add, cv[i][j], t, cv[i][j])]
+        for i, j in lower:  # G_ij takes c_ii, or the halved c_ij + c_ji, and (r r)_ij
+            if i > j:
+                ops += [(np.add, cv[i][j], cv[j][i], t), (np.multiply, t, 0.5, t)]
+            ops += [(np.add, gv[i][j], t if i > j else cv[i][i], gv[i][j]), (np.add, gv[i][j], rr[i, j, s], gv[i][j])]
+        return ops
+
+    plan = [step_ops(s) for s in range(steps)]
     for start in range(0, n, _STEP_BLOCK):
         k = min(_STEP_BLOCK, n - start)
-        radii = nu.draw_radii(k * m, rng)
-        # at 1 x 1, c + c' = 2c, so W = 2u gives the whole cross term
-        w = (2.0 * uniform_sphere_cosine(p, k * m, rng).reshape(-1, 1, 1) if q == 1
-             else _stiefel_rows(p, q, q, k * m, rng))
-        w = mul(w, radii).reshape(k, m, q, q)  # W r
-        rr = mul(radii, radii).reshape(k, m, q, q)  # X'X = r'U'U r, and radii are symmetric
-        for j in range(k):
-            c = mul(root(g), w[j])
-            if q > 1:
-                c += c.transpose(0, 2, 1)
-            g += c
-            g += rr[j]
-        rr -= r2m
-        a += rr.sum(axis=0)
-    return symmetrize(g - n * r2m), symmetrize(a)
+        radii = np.ascontiguousarray(nu.draw_radii(k * m, rng).transpose(1, 2, 0)).reshape(q, q, k, m)
+        w = uniform_sphere_cosine(p, k * m, rng) if q == 1 else _stiefel_rows(p, q, q, k * m, rng)
+        w = 2.0 * w.reshape(q, q, k, m)
+        for i, j in pairs:  # 2 W r, and X'X = r'U'U r = r r since radii are symmetric
+            for out, x in ((wr, w), (rr, radii)):
+                np.multiply(x[i, 0], radii[0, j], out=out[i, j, :k])
+                for l in range(1, q):
+                    out[i, j, :k] += x[i, l] * radii[l, j]
+        for ops in plan[:k]:
+            chol_psd(gv, lv)
+            for f, x, y, out in ops:
+                f(x, y, out)
+        rr[:, :, :k] -= r2m[..., None, None]
+        a += rr[:, :, :k].sum(axis=2)
+    for i, j in lower:
+        g[j, i] = g[i, j]
+    return symmetrize(g.transpose(2, 0, 1) - n * r2m), symmetrize(a.transpose(2, 0, 1))
 
 
 def predict_covariances(nu: RadialLaw, n: int, p: int):
@@ -282,6 +299,7 @@ class ExperimentReport:
     rel_frob_err_exact: float
     rel_frob_err_limit: float
     z_scores_exact: np.ndarray
+    max_abs_z_mean: float
     ks_stat: float | None
     ks_critical: float | None
     ks_per_projection: list | None
@@ -457,9 +475,13 @@ def verify_clt(cfg: WalkConfig, pool=None) -> ExperimentReport:
         ks_stat, ks_crit, ks_all = _ks_projections(samples, q, KS_ALPHA)
         verdict_ks = "SKIPPED" if ks_stat is None else ("PASS" if ks_stat < ks_crit else "FAIL")
 
+    upper = [i * q + j for i in range(q) for j in range(i, q)]
     with np.errstate(divide="ignore", invalid="ignore"):
         z = (est.cov - predicted_exact) / est.stderr
+        # E[Xi_n] = 0 exactly: the mean's z per upper-triangle coordinate, reported only
+        z_mean = est.mean[upper] / np.sqrt(est.cov.diagonal()[upper] / cfg.trials)
     z[np.isnan(z)] = 0.0
+    z_mean[np.isnan(z_mean)] = 0.0
 
     verdicts = {"exact_covariance": verdict_exact, "limit_covariance": verdict_limit, "ks_normality": verdict_ks}
     requested = [verdicts[CHECKS[c]] for c in cfg.checks]
@@ -485,6 +507,7 @@ def verify_clt(cfg: WalkConfig, pool=None) -> ExperimentReport:
         rel_frob_err_exact=rel_exact,
         rel_frob_err_limit=rel_limit,
         z_scores_exact=z,
+        max_abs_z_mean=float(np.abs(z_mean).max()),
         ks_stat=ks_stat,
         ks_critical=ks_crit,
         ks_per_projection=ks_all,

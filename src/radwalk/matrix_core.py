@@ -99,24 +99,29 @@ def psd_sqrt(s) -> np.ndarray:
     return symmetrize((v * np.sqrt(w)) @ v.T)
 
 
-def chol_psd(g) -> np.ndarray:
-    """Lower L with L L' = g for an (m, q, q) PSD stack, one column at a time
-    over the whole stack.  Pivots are clamped at 0 and a zero pivot gives a
-    zero column, so g = 0 and rank-deficient g need no special case."""
-    low = np.zeros_like(g)
-    for j in range(g.shape[-1]):
-        row = low[:, j, :j]
-        low[:, j, j] = piv = np.sqrt(np.maximum(g[:, j, j] - np.einsum("mk,mk->m", row, row), 0.0))
-        col = g[:, j + 1 :, j] - np.einsum("mik,mk->mi", low[:, j + 1 :, :j], row)
-        np.divide(col, piv[:, None], out=low[:, j + 1 :, j], where=piv[:, None] > 0.0)
+def chol_psd(g, low):
+    """Lower L with L L' = g written into ``low``, for a trials-last PSD stack:
+    g[i][j] and low[i][j] hold entry (i, j) over m trials, as a (q, q, m) array
+    or nested lists of its entry views, and each entry is one vector op.  Only
+    lower triangles are read and written.  Pivots are clamped at 0 and a zero
+    pivot gives a zero column, so g = 0 and rank-deficient g need no special case."""
+    q = len(low)
+    for j in range(q):
+        row, piv = low[j][:j], low[j][j]
+        np.sqrt(np.maximum(g[j][j] - sum(x * x for x in row) if j else g[j][j], 0.0, out=piv), out=piv)
+        den = np.where(piv > 0.0, piv, np.inf) if j + 1 < q else None  # e / inf = 0 under a zero pivot
+        for i in range(j + 1, q):
+            np.divide(g[i][j] - sum(x * y for x, y in zip(low[i][:j], row)) if j else g[i][j], den, out=low[i][j])
     return low
 
 
 def solve_lower_t(b, low) -> np.ndarray:
-    """b L^{-T} for (m, k, q) rows b and an (m, q, q) lower L with nonzero pivots,
-    by forward substitution: column j is (b_j - sum_{i<j} x_i L_ji) / L_jj."""
+    """b L^{-T} for trials-last (k, q, m) rows b and a (q, q, m) lower L with
+    nonzero pivots, by forward substitution: column j is
+    (b_j - sum_{i<j} x_i L_ji) / L_jj, one (k, m) op per term."""
     x = np.array(b, dtype=np.float64)
-    for j in range(low.shape[-1]):
-        x[..., j] -= np.einsum("mki,mi->mk", x[..., :j], low[:, j, :j])
-        x[..., j] /= low[:, j, j, None]
+    for j in range(len(low)):
+        for i in range(j):
+            x[:, j] -= x[:, i] * low[j][i]
+        x[:, j] /= low[j][j]
     return x

@@ -13,7 +13,7 @@ G_K L^{-T}, L L' = H'H, for the stacked factor H = [G_K; F] with F'F ~
 Wishart(p - k, I_q) drawn by Bartlett's decomposition.  A lifted batch
 takes all p rows (F is then empty); monomial moments and the Gram walk's
 step take only the few rows they touch, so their time and memory are
-bounded by (chunk, k + q, q) arrays whatever p is.
+bounded by trials-last (k + q, q, chunk) arrays whatever p is.
 """
 
 from __future__ import annotations
@@ -331,13 +331,13 @@ def uniform_sphere_cosine(p: int, size: int, rng: np.random.Generator) -> np.nda
 
 _RANK_TOL = 1e-12
 _MAX_RESAMPLES = 5
-# Samples per radial_moment_mc chunk: its largest arrays are (chunk, k, q)
-# and (chunk, q, q) floats, 0.25 MB per unit of k*q or q*q.
+# Samples per radial_moment_mc chunk: its largest arrays are (k + q, q, chunk)
+# and (chunk, q, q) floats, 0.25 MB per unit of (k + q)*q or q*q.
 _MOMENT_CHUNK = 32768
 
 
 def _stiefel_rows(p: int, k: int, q: int, m: int, rng: np.random.Generator) -> np.ndarray:
-    """(m, k, q) draws of the top k rows of a uniform p x q Stiefel frame.
+    """Trials-last (k, q, m) draws of the top k rows of a uniform p x q Stiefel frame.
 
     For a p x q Gaussian G and L L' = G'G, the frame G L^{-T} is orthonormal
     and invariant under O(p) on the left, so it is uniform.  Its top k rows
@@ -346,11 +346,13 @@ def _stiefel_rows(p: int, k: int, q: int, m: int, rng: np.random.Generator) -> n
     Feiveson, JASA 1966): an f x q upper trapezoid, f = min(p - k, q), with
     F_ii = sqrt(chi2(p - k - i)) and N(0, 1) entries right of the diagonal,
     so F'F ~ Wishart(p - k, I_q) for every p - k, and cost and memory
-    depend on k and q, not p.  Draws whose smallest squared pivot is at most
-    _RANK_TOL times the largest diagonal entry of H'H are redrawn.  By
-    orthogonal invariance any k fixed rows have this law: the rows a monomial
-    moment touches, (k = q) the block Q_S'U of a fresh step U against the
-    walk's frame Q_S, or (k = p, F empty) the whole frame of a lifted draw.
+    depend on k and q, not p.  H is trials-last, (k + f, q, m), so each entry
+    of H'H, of its factor and of the solve is one vector op over the draws.
+    Draws whose smallest squared pivot is at most _RANK_TOL times the largest
+    diagonal entry of H'H are redrawn.  By orthogonal invariance any k fixed
+    rows have this law: the rows a monomial moment touches, (k = q) the block
+    Q_S'U of a fresh step U against the walk's frame Q_S, or (k = p, F
+    empty) the whole frame of a lifted draw.
     """
     if p < q:
         raise BadArity(f"need p >= q, got p={p}, q={q}")
@@ -361,31 +363,33 @@ def _stiefel_rows(p: int, k: int, q: int, m: int, rng: np.random.Generator) -> n
     up_rows, up_cols = np.triu_indices(f, 1, q)
     diag = np.arange(f)
 
-    def stack(count):  # H = [G_K; F] for count draws, in one array
-        h = np.zeros((count, k + f, q))
-        h[:, :k] = rng.standard_normal((count, k, q))
-        h[:, k + up_rows, up_cols] = rng.standard_normal((count, up_rows.size))
-        h[:, k + diag, diag] = np.sqrt(rng.chisquare(p - k - diag, size=(count, f)))
+    def stack(count):  # H = [G_K; F] for count draws, trials-last
+        h = np.zeros((k + f, q, count))
+        h[:k] = rng.standard_normal((count, k, q)).transpose(1, 2, 0)
+        h[k + up_rows, up_cols] = rng.standard_normal((count, up_rows.size)).T
+        h[k + diag, diag] = np.sqrt(rng.chisquare(p - k - diag, size=(count, f))).T
         return h
 
     h = stack(m)
+    gm, low = np.empty((q, q, m)), np.empty((q, q, m))
     for _ in range(_MAX_RESAMPLES):
-        gm = h.transpose(0, 2, 1) @ h
-        low = chol_psd(gm)
-        bad = (low.diagonal(0, 1, 2) ** 2).min(1) <= _RANK_TOL * gm.diagonal(0, 1, 2).max(1)
+        for i, j in zip(*np.tril_indices(q)):  # H'H, lower triangle
+            np.einsum("rm,rm->m", h[:, i], h[:, j], out=gm[i, j])
+        chol_psd(gm, low)
+        bad = (low.diagonal() ** 2).min(1) <= _RANK_TOL * gm.diagonal().max(1)
         if not bad.any():
             break
-        h[bad] = stack(int(bad.sum()))
+        h[..., bad] = stack(int(bad.sum()))
     else:
         raise RankDeficient(f"Gram matrix stayed singular after {_MAX_RESAMPLES} resamples (p={p}, q={q})")
-    return solve_lower_t(h[:, :k], low)
+    return solve_lower_t(h[:k], low)
 
 
 def sample_radial_batch(p: int, nu: RadialLaw, count: int, rng: np.random.Generator) -> RadialSampleBatch:
     """Batch of lifted draws X = U r, U the whole frame from :func:`_stiefel_rows`,
     keeping the radii for exact per-sample checks."""
     radii = nu.draw_radii(count, rng)
-    samples = _stiefel_rows(p, p, nu.q, count, rng) @ radii
+    samples = _stiefel_rows(p, p, nu.q, count, rng).transpose(2, 0, 1) @ radii
     return RadialSampleBatch(samples=samples, radii=radii)
 
 
@@ -445,10 +449,10 @@ def radial_moment_mc(p: int, nu: RadialLaw, kappa, trials: int,
     while done < trials:
         m = min(_MOMENT_CHUNK, trials - done)
         radii = nu.draw_radii(m, rng)
-        x = _stiefel_rows(p, len(rows), nu.q, m, rng) @ radii
+        w = _stiefel_rows(p, len(rows), nu.q, m, rng)
         mono = np.ones(m)
         for (i, j), e in local.items():
-            mono *= x[:, i, j] ** e
+            mono *= sum(w[i, l] * radii[:, l, j] for l in range(nu.q)) ** e  # x_ij = (W r)_ij
         vals[done : done + m] = mono
         done += m
     est = float(vals.mean())

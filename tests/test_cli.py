@@ -60,6 +60,8 @@ def test_clt_entry_reports_limit_prediction_of_one(tmp_path):
     report = json.loads((tmp_path / "out" / "c0.json").read_text())
     assert report["meta"]["master_seed"] == 7
     assert report["report"]["config"]["law"] == TWO_POINT_LAW
+    assert float(fields[cli.CSV_COLUMNS.index("max_abs_z_mean")]) == report["report"]["max_abs_z_mean"]
+    assert fields[-1] == report["report"]["overall"]  # the verdict stays the last column
 
 
 def test_clt_run_with_ks_check_loads_no_scipy(tmp_path):

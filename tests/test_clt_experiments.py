@@ -29,7 +29,8 @@ from radwalk.clt_experiments import (
     trial_stream,
     verify_clt,
 )
-from radwalk.radial_measures import SAMPLE_BYTES_CAP, RadialLaw, r2, sigma_nu, t_nu, uniform_sphere_cosine
+from radwalk.radial_measures import (SAMPLE_BYTES_CAP, RadialLaw, _stiefel_rows, r2, sigma_nu, t_nu,
+                                     uniform_sphere_cosine)
 
 from helpers import _walk_chunk
 
@@ -203,6 +204,44 @@ def test_gram_chunk_q1_reproduces_scalar_recursion():
         assert xi.shape == a.shape == (m, 1, 1)
         assert np.array_equal(xi.reshape(-1), s2 - n * r2s), p
         assert np.array_equal(a.reshape(-1), a_want), p
+
+
+@pytest.mark.parametrize("nu, p", [(Q2_ATOMS, 3), (Q2_ATOMS, 1000), (Q3_ATOMS, 4)], ids=["q2-p3", "q2-p1000", "q3-p4"])
+def test_gram_chunk_reproduces_matrix_recursion(nu, p):
+    # the twin of the q = 1 test: a literal per-trial loop of c = L W r and
+    # G <- G + c + c' + r r, with L = cholesky(G) and c = 0 while G = 0, over
+    # the kernel's block-ordered draws: each block draws its radii, then its
+    # rows.  n covers a full block and a tail block
+    n, m, q = _STEP_BLOCK + 5, 16, nu.q
+    r2m = r2(nu)
+    xi, a = _gram_chunk(nu, n, p, m, trial_stream(2024, 7, p))
+    rng = trial_stream(2024, 7, p)
+    steps = []
+    for start in range(0, n, _STEP_BLOCK):
+        k = min(_STEP_BLOCK, n - start)
+        r = nu.draw_radii(k * m, rng).reshape(k, m, q, q)
+        w = _stiefel_rows(p, q, q, k * m, rng).transpose(2, 0, 1).reshape(k, m, q, q)
+        steps += zip(r, w)
+    assert xi.shape == a.shape == (m, q, q)
+    for t in range(m):
+        g, a_want = np.zeros((q, q)), np.zeros((q, q))
+        for r, w in steps:
+            c = np.linalg.cholesky(g) @ w[t] @ r[t] if g.any() else np.zeros((q, q))
+            g = g + c + c.T + r[t] @ r[t]
+            a_want += r[t] @ r[t] - r2m
+        for got, want in ((xi[t], g - n * r2m), (a[t], a_want)):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), t
+
+
+@pytest.mark.parametrize("nu", [TWO_POINT, Q2_ATOMS], ids=["q1", "q2"])
+def test_mean_z_sees_radii_scaled_by_one_percent(monkeypatch, nu):
+    # E[Xi_n] = 0 exactly; radii x 1.01 shift it by n (1.01^2 - 1) r2, about
+    # 12 standard errors of the mean at this shape (z grows as sqrt(trials))
+    cfg = WalkConfig(nu=nu, n=50, p=10_000, trials=2000, regime="CLT_II", seed=11)
+    assert verify_clt(cfg).max_abs_z_mean < 4.0
+    draw = RadialLaw.draw_radii
+    monkeypatch.setattr(RadialLaw, "draw_radii", lambda self, size, rng: 1.01 * draw(self, size, rng))
+    assert verify_clt(cfg).max_abs_z_mean > 6.0
 
 
 def test_predict_covariances_two_point_values():

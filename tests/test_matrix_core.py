@@ -128,25 +128,38 @@ def _psd_stacks():
     return stacks
 
 
+def _entry_views(a):
+    """The q x q nested lists of entry views of a trials-last (q, q, m) array."""
+    return [list(row) for row in a]
+
+
 @pytest.mark.parametrize("name", sorted(_psd_stacks()))
 def test_chol_psd_reproduces_stack(name):
     g = _psd_stacks()[name]
-    low = chol_psd(g)
-    assert low.shape == g.shape
-    assert not np.triu(low, 1).any()
-    assert np.all(low.diagonal(axis1=1, axis2=2) >= 0.0)
-    err = np.abs(low @ low.transpose(0, 2, 1) - g).max(axis=(1, 2))
-    assert np.all(err <= 1e-12 * np.abs(g).max(axis=(1, 2)))
+    m, q, _ = g.shape
+    g_last = g.transpose(1, 2, 0).copy()  # trials-last (q, q, m)
+    g_last[np.triu_indices(q, 1)] = np.nan  # only the lower triangle is read
+    for views in (False, True):
+        low = np.full((q, q, m), np.nan)
+        chol_psd(_entry_views(g_last) if views else g_last, _entry_views(low) if views else low)
+        assert np.isnan(low[np.triu_indices(q, 1)]).all()  # and only the lower one written
+        low = np.tril(low.transpose(2, 0, 1))
+        assert np.all(low.diagonal(axis1=1, axis2=2) >= 0.0)
+        err = np.abs(low @ low.transpose(0, 2, 1) - g).max(axis=(1, 2))
+        assert np.all(err <= 1e-12 * np.abs(g).max(axis=(1, 2))), views
 
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_solve_lower_t_matches_solve(q):
     rng = np.random.default_rng(22 + q)
-    low = chol_psd(_psd_stacks()[f"pd-{q}"])
+    g = _psd_stacks()[f"pd-{q}"]
+    m = g.shape[0]
+    low = chol_psd(g.transpose(1, 2, 0), np.zeros((q, q, m)))
     for k in (1, q, 8):
-        b = rng.standard_normal((low.shape[0], k, q))
+        b = rng.standard_normal((k, q, m))  # trials-last rows
         b0 = b.copy()
         x = solve_lower_t(b, low)
-        want = np.linalg.solve(low, b.transpose(0, 2, 1)).transpose(0, 2, 1)
+        # per trial x' = L^{-1} b', with the trials moved to the front and back
+        want = np.linalg.solve(low.transpose(2, 0, 1), b.transpose(2, 1, 0)).transpose(2, 1, 0)
         assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max(), k
         assert np.array_equal(b, b0)  # b is left as it was

@@ -366,7 +366,7 @@ def test_stiefel_rows_redraw_only_singular_samples(p):
     bad = np.zeros(m, dtype=bool)
     bad[[1, 4, 5]] = True
     rng = _FixedFirstSamples(90 + p, bad)
-    rows = _stiefel_rows(p, k, q, m, rng)
+    rows = _stiefel_rows(p, k, q, m, rng).transpose(2, 0, 1)  # trials-last to (m, k, q)
     assert len(rng.normals) == 4 and len(rng.chisquares) == 2
     (g1, f1), = _recorded_stacks(rng, q)[1:]
     assert g1.shape == (3, k, q) and f1.shape == (3, p - k, q)
@@ -387,7 +387,7 @@ def test_stiefel_rows_redraw_nearly_singular_samples():
     bad = np.zeros(m, dtype=bool)
     bad[[0, 7]] = True
     rng = _FixedFirstSamples(95, bad, near)
-    rows = _stiefel_rows(p, k, q, m, rng)
+    rows = _stiefel_rows(p, k, q, m, rng).transpose(2, 0, 1)  # trials-last to (m, k, q)
     assert len(rng.normals) == 4 and rng.normals[2].shape == (2, k, q)
     assert np.allclose(rows, _redrawn_rows_oracle(rng, bad, q), rtol=0.0, atol=1e-12)
 
@@ -416,7 +416,7 @@ def test_stiefel_rows_match_full_frame(p, k, q):
     # (singular Wishart, a trapezoidal factor)
     m = 200_000
     rng = np.random.default_rng(1000 + 100 * p + 10 * k + q)
-    fast = _stiefel_rows(p, k, q, m, rng)
+    fast = _stiefel_rows(p, k, q, m, rng).transpose(2, 0, 1)  # trials-last to (m, k, q)
     full = _orbit_rows_oracle(p, k, q, m, rng)
     assert fast.shape == full.shape == (m, k, q)
     a, b = fast.reshape(m, -1), full.reshape(m, -1)

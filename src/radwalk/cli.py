@@ -9,8 +9,8 @@ a plain file name, and a ``kind``:
 * ``clt`` -- a walk experiment: ``regime``, ``n``, ``p``, ``trials``,
   ``law``, optional ``checks`` and ``rel_tol``, the fields of a
   :class:`~radwalk.clt_experiments.WalkConfig`, run by
-  ``verify_clt(cfg, pool=None)``.  The walk tracks only its q x q Gram
-  matrix, so its cost does not depend on p.
+  ``verify_clt(cfg, pool=None, workers=None)``.  The walk tracks only its
+  q x q Gram matrix, so its cost does not depend on p.
 * ``moments`` -- a monomial-moment sweep: ``law``, ``kappa`` (list of
   ``[[row, col], exponent]``), ``p_grid`` and ``trials``, the fields of a
   :class:`~radwalk.clt_experiments.MomentSweep`, run by
@@ -34,7 +34,8 @@ nothing written.  ``radwalk moments`` turns its flags into a moments entry
 and applies the same rules.  ``--seed`` must be an integer >= 0, and
 ``--workers`` an integer from 1 to ``WORKERS_CAP``.
 
-One process pool of that many workers serves every walk entry of a run.
+One process pool of that many workers, or of as many as the largest walk
+entry has chunks where that is fewer, serves every walk entry of a run.
 Every output file embeds the tool version, the master seed, and a SHA-256
 hash of the manifest.  Outputs are byte-identical for a fixed (manifest,
 seed, version) whatever the worker count: random streams attach to fixed
@@ -59,6 +60,7 @@ import numpy as np
 
 from . import __version__
 from .clt_experiments import (
+    CHUNK_TRIALS,
     SELFTEST_CASES_CAP,
     MomentSweep,
     WalkConfig,
@@ -220,8 +222,10 @@ def cmd_clt(manifest_path, out_dir, seed_override=None, workers=None) -> int:
     suite CSV, and return 0 only if all verdicts PASS.
 
     Every entry is validated before the first one runs, so a bad entry
-    raises :class:`ManifestError` with nothing computed or written.  With
-    ``workers`` > 1 one process pool serves every walk entry of the run.
+    raises :class:`ManifestError` with nothing computed or written.  One
+    process pool serves every walk entry of the run.  It has ``workers``
+    processes, or fewer when no walk entry has that many chunks to spread
+    over them, and none at all when that leaves one.
     """
     doc, config_hash = load_manifest(manifest_path)
     master_seed = doc["seed"] if seed_override is None else seed_override
@@ -231,12 +235,15 @@ def cmd_clt(manifest_path, out_dir, seed_override=None, workers=None) -> int:
     meta = _meta(master_seed, config_hash)
     rows = []
     all_pass = True
-    with ProcessPoolExecutor(max_workers=workers) if workers and workers > 1 else nullcontext() as pool:
+    # a fork pool starts every worker at its first task, so start no more than the work can use
+    chunks = [-(-cfg.trials // CHUNK_TRIALS) for cfg in parsed if isinstance(cfg, WalkConfig)]
+    workers = min(workers or 1, max(chunks, default=1))
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         for entry, cfg in zip(entries, parsed):
             eid = entry["id"]
             rng = trial_stream(master_seed, _entry_tag(eid), 0)  # a walk keys one stream per chunk itself
             if entry["kind"] == "clt":
-                report = verify_clt(cfg, pool=pool)
+                report = verify_clt(cfg, pool=pool, workers=workers)
                 verdict, body = report.overall, {"report": report.to_dict()}
                 q = cfg.nu.q
                 rows.append((

@@ -19,10 +19,13 @@ Xi_n depends on the walk only through its q x q Gram matrix S_k'S_k, which
 by orthogonal invariance is a Markov chain of its own.  Every experiment
 runs that chain (:func:`_gram_chunk`), at a cost per step independent of p.
 
-Trials are split into fixed-size chunks; each chunk owns its own PCG64
-random stream, seeded by a SeedSequence keyed by (seed, stream tag, chunk
-index), so results are bit-identical for a fixed seed regardless of how
-chunks are scheduled across the workers of a process pool.
+Trials are split into chunks of CHUNK_TRIALS = 512, the unit of the random
+streams: each chunk owns a PCG64 stream, seeded by a SeedSequence keyed by
+(seed, stream tag, chunk index), and draws into its own slice of trials.  A
+task steps a contiguous group of up to ``_GROUP_CHUNKS`` chunks side by side
+as one state, so a step's ufunc calls are paid once per group.  The result
+bytes depend neither on the grouping nor on the worker count of a process
+pool: every draw and every per-trial operation is the same either way.
 """
 
 from __future__ import annotations
@@ -72,6 +75,11 @@ __all__ = [
 # Fixed work-unit size: chunk k of an experiment always covers trials
 # [k*CHUNK_TRIALS, ...), whatever the worker count.
 CHUNK_TRIALS = 512
+# Chunks a task steps side by side, as one kernel call: wide enough that a
+# step's ufunc calls cost little per trial (at q = 1, one call of 4 096
+# trials took 15 % less time than eight of 512), narrow enough to bound a
+# task's memory.
+_GROUP_CHUNKS = 8
 # Steps whose radii and orientations the walk kernel draws at once: large
 # enough to amortize the draw calls, small enough that the block stays in cache.
 _STEP_BLOCK = 32
@@ -172,9 +180,11 @@ def trial_stream(seed: int, tag: int, chunk: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((int(seed), int(tag), int(chunk)))))
 
 
-def _gram_chunk(nu: RadialLaw, n: int, p: int, m: int, rng: np.random.Generator):
+def _gram_chunk(nu: RadialLaw, n: int, p: int, m: int, *rngs: np.random.Generator):
     """m Gram-state trials; returns (xi, a) as (m, q, q) arrays, the kernel
-    every experiment runs.  The cross part is b = xi - a.
+    every experiment runs.  The cross part is b = xi - a.  Stream i of
+    ``rngs`` draws trials [i CHUNK_TRIALS, (i + 1) CHUNK_TRIALS), the last
+    stream the rest, so one stream draws all m.
 
     Only G = S'S is tracked.  Any factor L with L L' = G writes the walk as
     S = Q_S L' with Q_S a p x q orthonormal frame; take a fresh step as
@@ -189,7 +199,8 @@ def _gram_chunk(nu: RadialLaw, n: int, p: int, m: int, rng: np.random.Generator)
     Each q x q quantity is held trials-last, (q, q, m), so each entry is one
     vector op over the trials, for every q; at q = 1 a step is five ufunc
     calls.  W r and r r do not depend on the walk, so each block of
-    ``_STEP_BLOCK`` steps draws its radii, then its W, forms them and adds
+    ``_STEP_BLOCK`` steps draws, stream by stream into the stream's slice,
+    its radii, then its W, then forms 2 W r and r r for all m and adds
     its sum of r r - r2 to a at once; a step updates G's lower triangle in
     buffers whose entry views are built once.  W carries a factor 2, so c's
     diagonal is that of c + c', and its off-diagonal sums are halved (exact).
@@ -197,8 +208,10 @@ def _gram_chunk(nu: RadialLaw, n: int, p: int, m: int, rng: np.random.Generator)
     q = nu.q
     r2m = r2(nu)
     steps = min(n, _STEP_BLOCK)
+    bounds = [i * CHUNK_TRIALS for i in range(len(rngs))] + [m]
     g, low, c, a = (np.zeros((q, q, m)) for _ in range(4))
-    t, wr, rr = np.empty(m), np.empty((q, q, steps, m)), np.empty((q, q, steps, m))
+    t = np.empty(m)
+    radii_buf, w_buf, wr, rr = (np.empty((q, q, steps, m)) for _ in range(4))
     gv, lv, cv = ([list(x) for x in buf] for buf in (g, low, c))
     pairs = [(i, j) for i in range(q) for j in range(q)]
     lower = [(i, j) for i, j in pairs if i >= j]
@@ -218,9 +231,12 @@ def _gram_chunk(nu: RadialLaw, n: int, p: int, m: int, rng: np.random.Generator)
     plan = [step_ops(s) for s in range(steps)]
     for start in range(0, n, _STEP_BLOCK):
         k = min(_STEP_BLOCK, n - start)
-        radii = np.ascontiguousarray(nu.draw_radii(k * m, rng).transpose(1, 2, 0)).reshape(q, q, k, m)
-        w = uniform_sphere_cosine(p, k * m, rng) if q == 1 else _stiefel_rows(p, q, q, k * m, rng)
-        w = 2.0 * w.reshape(q, q, k, m)
+        radii, w = radii_buf[:, :, :k], w_buf[:, :, :k]
+        for rng, lo, hi in zip(rngs, bounds, bounds[1:]):
+            size = k * (hi - lo)
+            radii[..., lo:hi] = nu.draw_radii(size, rng).transpose(1, 2, 0).reshape(q, q, k, hi - lo)
+            rows = uniform_sphere_cosine(p, size, rng) if q == 1 else _stiefel_rows(p, q, q, size, rng)
+            np.multiply(rows.reshape(q, q, k, hi - lo), 2.0, out=w[..., lo:hi])
         for i, j in pairs:  # 2 W r, and X'X = r'U'U r = r r since radii are symmetric
             for out, x in ((wr, w), (rr, radii)):
                 np.multiply(x[i, 0], radii[0, j], out=out[i, j, :k])
@@ -311,17 +327,26 @@ class ExperimentReport:
 
 
 def _chunk_task(args):
-    """Top-level chunk runner (picklable for process pools)."""
-    cfg, chunk_idx, size = args
-    xi, _ = _gram_chunk(cfg.nu, cfg.n, cfg.p, size, trial_stream(cfg.seed, cfg.stream_tag, chunk_idx))
-    return xi.reshape(size, -1)
+    """Top-level runner of chunks [first, last) (picklable for process pools):
+    one kernel call over their trials, each chunk drawing from its own stream."""
+    cfg, first, last = args
+    m = min(last * CHUNK_TRIALS, cfg.trials) - first * CHUNK_TRIALS
+    streams = (trial_stream(cfg.seed, cfg.stream_tag, idx) for idx in range(first, last))
+    xi, _ = _gram_chunk(cfg.nu, cfg.n, cfg.p, m, *streams)
+    return xi.reshape(m, -1)
 
 
-def _run_all_chunks(cfg: WalkConfig, pool):
-    """Run every chunk, on ``pool`` when given and there are several; both
-    maps return results in chunk order."""
-    tasks = [(cfg, idx, min(CHUNK_TRIALS, cfg.trials - start))
-             for idx, start in enumerate(range(0, cfg.trials, CHUNK_TRIALS))]
+def _run_all_chunks(cfg: WalkConfig, pool, workers=None):
+    """Run the chunks in contiguous groups of at most ``_GROUP_CHUNKS``, on
+    ``pool`` when given and there are several groups; both maps return
+    results in chunk order.  The groups are near-equal and their number is a
+    multiple of min(workers, chunks), so each of the pool's ``workers``
+    (default: one per chunk) gets work."""
+    chunks = -(-cfg.trials // CHUNK_TRIALS)
+    w = 1 if pool is None else min(workers or chunks, chunks)
+    groups = w * -(-chunks // (w * _GROUP_CHUNKS))
+    bounds = [chunks * g // groups for g in range(groups + 1)]
+    tasks = [(cfg, first, last) for first, last in zip(bounds, bounds[1:])]
     run = pool.map if pool is not None and len(tasks) > 1 else map
     return np.concatenate(list(run(_chunk_task, tasks)), axis=0)
 
@@ -440,19 +465,19 @@ def _ks_projections(samples: np.ndarray, q: int, alpha: float):
     return max(per_projection), critical, per_projection
 
 
-def verify_clt(cfg: WalkConfig, pool=None) -> ExperimentReport:
+def verify_clt(cfg: WalkConfig, pool=None, workers=None) -> ExperimentReport:
     """Run the configured experiment and compare the empirical covariance of
     the normalized statistic against the exact finite-n prediction and the
     asymptotic limit, with a KS normality check on scalar projections at
     level ``KS_ALPHA``.
 
-    ``pool`` is an executor (such as a ``ProcessPoolExecutor``) that runs the
-    trial chunks; without one they run in this process.  Only the comparisons
-    in ``cfg.checks`` feed the overall verdict; every comparison is still
-    computed and reported.
+    ``pool`` is an executor (such as a ``ProcessPoolExecutor``) of
+    ``workers`` processes that runs the trial chunks; without one they run in
+    this process.  Only the comparisons in ``cfg.checks`` feed the overall
+    verdict; every comparison is still computed and reported.
     """
     q = cfg.nu.q
-    xi_vecs = _run_all_chunks(cfg, pool)
+    xi_vecs = _run_all_chunks(cfg, pool, workers)
     scale = cfg.scale
     samples = scale * xi_vecs
     est = estimate_covariance(samples)

@@ -201,7 +201,7 @@ def _two_point_variance_run(n, p, trials, regime, seed, rel_tol, checks):
     cfg = WalkConfig(nu=TWO_POINT, n=n, p=p, trials=trials, regime=regime, seed=seed, checks=checks,
                      rel_tol=rel_tol, stream_tag=cli._entry_tag(f"acceptance-{n}-{p}"))
     with _pool() as pool:
-        return verify_clt(cfg, pool=pool)
+        return verify_clt(cfg, pool=pool, workers=WORKERS)
 
 
 def test_criterion_04_finite_n_variance_identity():
@@ -300,7 +300,7 @@ def test_criterion_08_matrix_case_q2():
     cfg = WalkConfig(nu=Q2_ATOMS, n=n, p=p, trials=10_000, regime="CLT_II", seed=20240808,
                      checks=("exact",), rel_tol=0.10, stream_tag=cli._entry_tag("acceptance-q2"))
     with _pool() as pool:
-        rep = verify_clt(cfg, pool=pool)
+        rep = verify_clt(cfg, pool=pool, workers=WORKERS)
     assert np.allclose(rep.predicted_exact, target, atol=1e-12)
     rel = frobenius_norm(rep.empirical_cov - target) / frobenius_norm(target)
     elapsed = time.perf_counter() - t0

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from radwalk import cli
-from radwalk.clt_experiments import MomentSweep, WalkConfig
+from radwalk.clt_experiments import CHUNK_TRIALS, MomentSweep, WalkConfig
 from radwalk.radial_measures import SAMPLE_BYTES_CAP
 
 
@@ -469,6 +469,33 @@ def test_bad_workers_env_is_config_error(tmp_path, capsys, monkeypatch, value):
     assert code == 2
     assert "config error: --workers" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_pool_is_sized_by_the_work(tmp_path, monkeypatch):
+    # a fork pool starts all its workers at its first task, so the pool gets
+    # no more workers than the largest walk entry has chunks, and none for one
+    sizes = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorder)
+    walk = _write_manifest(tmp_path / "walk.json", [_clt_entry("c0", trials=2 * CHUNK_TRIALS)])
+    assert cli.main(["clt", "--manifest", str(walk), "--out", str(tmp_path / "walk"), "--workers", "8"]) in (0, 1)
+    assert sizes == [2]
+    rest = _write_manifest(tmp_path / "rest.json", [_moments_entry("m"), {"id": "s", "kind": "selftest", "cases": 5}])
+    assert cli.main(["clt", "--manifest", str(rest), "--out", str(tmp_path / "rest"), "--workers", "8"]) in (0, 1)
+    assert sizes == [2]
 
 
 @pytest.mark.parametrize("command", ["clt", "moments", "selftest"])

@@ -2,8 +2,10 @@ import dataclasses
 import os
 import subprocess
 import sys
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from radwalk.clt_experiments import (
     CHUNK_TRIALS,
     P_CAP,
     TRIAL_STEPS_CAP,
+    _GROUP_CHUNKS,
     _STEP_BLOCK,
     MomentDecayReport,
     MomentSweep,
@@ -178,6 +181,10 @@ def test_gram_chunk_draws_radii_and_orientations_once_per_block(monkeypatch, nu)
     orientation, unused = (("uniform_sphere_cosine", "_stiefel_rows") if nu.q == 1
                            else ("_stiefel_rows", "uniform_sphere_cosine"))
     assert calls == {"draw_radii": 3, orientation: 3, unused: 0}
+    # a group of three chunks draws each block once per chunk, from the chunk's own stream
+    calls.update(dict.fromkeys(calls, 0))
+    _gram_chunk(nu, 2 * _STEP_BLOCK + 3, 5, 2 * CHUNK_TRIALS + 16, *(np.random.default_rng(97 + k) for k in range(3)))
+    assert calls == {"draw_radii": 9, orientation: 9, unused: 0}
 
 
 def test_gram_chunk_q1_reproduces_scalar_recursion():
@@ -231,6 +238,25 @@ def test_gram_chunk_reproduces_matrix_recursion(nu, p):
             a_want += r[t] @ r[t] - r2m
         for got, want in ((xi[t], g - n * r2m), (a[t], a_want)):
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), t
+
+
+@pytest.mark.parametrize("nu, p", [(TWO_POINT, 1), (TWO_POINT, 2), (TWO_POINT, 1000), (Q2_ATOMS, 2), (Q2_ATOMS, 3),
+                                   (Q2_ATOMS, 1000), (Q3_ATOMS, 3), (Q3_ATOMS, 4), (Q3_ATOMS, 1000)],
+                         ids=["q1-p=1", "q1-p=2", "q1-p=1000", "q2-p=q", "q2-q<p<2q", "q2-p=1000",
+                              "q3-p=q", "q3-q<p<2q", "q3-p=1000"])
+def test_grouped_chunks_give_the_bytes_of_one_call_per_chunk(nu, p):
+    # 1 300 trials are two full chunks and a partial one, stepped side by side
+    # by one call; n covers a full block and a tail block
+    n, trials = _STEP_BLOCK + 5, 1300
+    bounds = [*range(0, trials, CHUNK_TRIALS), trials]
+
+    def streams():
+        return [trial_stream(2024, 8, k) for k in range(len(bounds) - 1)]
+
+    grouped = _gram_chunk(nu, n, p, trials, *streams())
+    alone = [_gram_chunk(nu, n, p, hi - lo, rng) for rng, lo, hi in zip(streams(), bounds, bounds[1:])]
+    for got, parts in zip(grouped, zip(*alone)):
+        assert np.array_equal(got, np.concatenate(parts))
 
 
 @pytest.mark.parametrize("nu", [TWO_POINT, Q2_ATOMS], ids=["q1", "q2"])
@@ -399,6 +425,49 @@ def test_verify_clt_deterministic_and_worker_independent():
     with ProcessPoolExecutor(2) as pool:
         rep2 = verify_clt(cfg, pool=pool)
     assert rep1.to_dict() == rep2.to_dict()
+
+
+@pytest.mark.parametrize("chunks", [1, 2, 7, 40])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_chunk_groups_spread_over_the_workers_in_chunk_order(monkeypatch, workers, chunks):
+    # each task records its chunks and returns the indices of the trials it
+    # covers, so the merged result shows the order and the coverage
+    trials, tasks = chunks * CHUNK_TRIALS - 100, []
+
+    def task(args):
+        _, first, last = args
+        tasks.append(last - first)
+        return np.arange(first * CHUNK_TRIALS, min(last * CHUNK_TRIALS, trials))[:, None]
+
+    monkeypatch.setattr(clt_experiments, "_chunk_task", task)
+    merged = clt_experiments._run_all_chunks(_cfg(trials=trials), SimpleNamespace(map=map), workers)
+    assert np.array_equal(merged[:, 0], np.arange(trials))
+    assert len(tasks) % min(workers, chunks) == 0  # so every worker gets a task when chunks >= workers
+    assert max(tasks) <= _GROUP_CHUNKS and max(tasks) - min(tasks) <= 1
+
+
+def test_a_task_holds_at_most_a_group_of_chunks_in_memory(monkeypatch):
+    # the peak of each task, over what was allocated when it began, is that
+    # of a group of chunks however many trials the entry has
+    peaks = []
+    task = clt_experiments._chunk_task
+
+    def traced(args):
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        out = task(args)
+        peaks[-1] = max(peaks[-1], tracemalloc.get_traced_memory()[1] - start)
+        return out
+
+    monkeypatch.setattr(clt_experiments, "_chunk_task", traced)
+    tracemalloc.start()
+    try:
+        for trials in (_GROUP_CHUNKS * CHUNK_TRIALS, 16 * _GROUP_CHUNKS * CHUNK_TRIALS):
+            peaks.append(0)
+            clt_experiments._run_all_chunks(WalkConfig(nu=Q3_ATOMS, n=4, p=5, trials=trials, regime="CLT_II"), None)
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] <= 1.05 * peaks[0], peaks
 
 
 def test_verify_clt_report_is_self_contained():

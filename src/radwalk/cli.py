@@ -9,8 +9,8 @@ a plain file name, and a ``kind``:
 * ``clt`` -- a walk experiment: ``regime``, ``n``, ``p``, ``trials``,
   ``law``, optional ``checks`` and ``rel_tol``, the fields of a
   :class:`~radwalk.clt_experiments.WalkConfig`, run by
-  ``verify_clt(cfg, pool=None, workers=None)``.  The walk tracks only its
-  q x q Gram matrix, so its cost does not depend on p.
+  ``verify_clt(cfg, workers)``.  The walk tracks only its q x q Gram
+  matrix, so its cost does not depend on p.
 * ``moments`` -- a monomial-moment sweep: ``law``, ``kappa`` (list of
   ``[[row, col], exponent]``), ``p_grid`` and ``trials``, the fields of a
   :class:`~radwalk.clt_experiments.MomentSweep`, run by
@@ -34,12 +34,13 @@ nothing written.  ``radwalk moments`` turns its flags into a moments entry
 and applies the same rules.  ``--seed`` must be an integer >= 0, and
 ``--workers`` an integer from 1 to ``WORKERS_CAP``.
 
-One process pool of that many workers, or of as many as the largest walk
-entry has chunks where that is fewer, serves every walk entry of a run.
-Every output file embeds the tool version, the master seed, and a SHA-256
-hash of the manifest.  Outputs are byte-identical for a fixed (manifest,
-seed, version) whatever the worker count: random streams attach to fixed
-work units, results merge in trial order, and no wall time is recorded.
+Each walk entry runs on a process pool of its own, of that many workers or
+of as many as the entry has chunks where that is fewer, and on none where
+that is one.  Every output file embeds the tool version, the master seed,
+and a SHA-256 hash of the manifest.  Outputs are byte-identical for a fixed
+(manifest, seed, version) whatever the worker count: random streams attach
+to fixed work units, results merge in trial order, and no wall time is
+recorded.
 """
 
 from __future__ import annotations
@@ -50,8 +51,6 @@ import json
 import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from functools import reduce
 from math import factorial
 from pathlib import Path
@@ -60,8 +59,6 @@ import numpy as np
 
 from . import __version__
 from .clt_experiments import (
-    CHUNK_TRIALS,
-    SELFTEST_CASES_CAP,
     MomentSweep,
     WalkConfig,
     moment_decay_experiment,
@@ -87,6 +84,8 @@ _ID_PATTERN = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]*")
 # A process pool forks all its workers at its first task, so --workers is
 # capped: at 64, or at the host's CPU count where that is larger.
 WORKERS_CAP = max(64, os.cpu_count() or 1)
+# The time rule on a selftest entry: at most this many cases, 500 times the largest in use.
+SELFTEST_CASES_CAP = 10**5
 
 
 class ManifestError(Exception):
@@ -217,15 +216,13 @@ def _parse_entry(entry, prefix, master_seed=0):
         raise ManifestError(f"{prefix}{exc}") from exc
 
 
-def cmd_clt(manifest_path, out_dir, seed_override=None, workers=None) -> int:
+def cmd_clt(manifest_path, out_dir, seed_override=None, workers=1) -> int:
     """Run every manifest entry, write one JSON report per entry plus the
     suite CSV, and return 0 only if all verdicts PASS.
 
     Every entry is validated before the first one runs, so a bad entry
-    raises :class:`ManifestError` with nothing computed or written.  One
-    process pool serves every walk entry of the run.  It has ``workers``
-    processes, or fewer when no walk entry has that many chunks to spread
-    over them, and none at all when that leaves one.
+    raises :class:`ManifestError` with nothing computed or written.  Each
+    walk entry runs on up to ``workers`` processes.
     """
     doc, config_hash = load_manifest(manifest_path)
     master_seed = doc["seed"] if seed_override is None else seed_override
@@ -235,38 +232,34 @@ def cmd_clt(manifest_path, out_dir, seed_override=None, workers=None) -> int:
     meta = _meta(master_seed, config_hash)
     rows = []
     all_pass = True
-    # a fork pool starts every worker at its first task, so start no more than the work can use
-    chunks = [-(-cfg.trials // CHUNK_TRIALS) for cfg in parsed if isinstance(cfg, WalkConfig)]
-    workers = min(workers or 1, max(chunks, default=1))
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        for entry, cfg in zip(entries, parsed):
-            eid = entry["id"]
-            rng = trial_stream(master_seed, _entry_tag(eid), 0)  # a walk keys one stream per chunk itself
-            if entry["kind"] == "clt":
-                report = verify_clt(cfg, pool=pool, workers=workers)
-                verdict, body = report.overall, {"report": report.to_dict()}
-                q = cfg.nu.q
-                rows.append((
-                    eid, cfg.regime, str(cfg.n), str(cfg.p), str(q),
-                    _fmt(_summary_scalar(report.predicted_limit, q)),
-                    _fmt(_summary_scalar(report.empirical_cov, q)),
-                    _fmt(_summary_scalar(report.stderr, q)),
-                    _fmt(report.rel_frob_err_limit),
-                    _fmt(report.ks_stat) if report.ks_stat is not None else "",
-                    _fmt(report.max_abs_z_mean),
-                    verdict,
-                ))
-            elif entry["kind"] == "moments":
-                report = moment_decay_experiment(cfg, rng)
-                verdict = report.verdict
-                body = {"verdict": verdict, "report": report.to_dict()}
-            else:  # selftest
-                results = run_selftest_suites(rng, cases=cfg)
-                verdict = _selftest_verdict(results)
-                body = {"verdict": verdict,
-                        "suites": [{"suite": s, "passed": p, "detail": d} for s, p, d in results]}
-            _write_json(out / f"{eid}.json", {"meta": meta, "entry_id": eid, **body})
-            all_pass &= verdict == "PASS"
+    for entry, cfg in zip(entries, parsed):
+        eid = entry["id"]
+        rng = trial_stream(master_seed, _entry_tag(eid), 0)  # a walk keys one stream per chunk itself
+        if entry["kind"] == "clt":
+            report = verify_clt(cfg, workers)
+            verdict, body = report.overall, {"report": report.to_dict()}
+            q = cfg.nu.q
+            rows.append((
+                eid, cfg.regime, str(cfg.n), str(cfg.p), str(q),
+                _fmt(_summary_scalar(report.predicted_limit, q)),
+                _fmt(_summary_scalar(report.empirical_cov, q)),
+                _fmt(_summary_scalar(report.stderr, q)),
+                _fmt(report.rel_frob_err_limit),
+                _fmt(report.ks_stat) if report.ks_stat is not None else "",
+                _fmt(report.max_abs_z_mean),
+                verdict,
+            ))
+        elif entry["kind"] == "moments":
+            report = moment_decay_experiment(cfg, rng)
+            verdict = report.verdict
+            body = {"verdict": verdict, "report": report.to_dict()}
+        else:  # selftest
+            results = run_selftest_suites(rng, cases=cfg)
+            verdict = _selftest_verdict(results)
+            body = {"verdict": verdict,
+                    "suites": [{"suite": s, "passed": p, "detail": d} for s, p, d in results]}
+        _write_json(out / f"{eid}.json", {"meta": meta, "entry_id": eid, **body})
+        all_pass &= verdict == "PASS"
     header = f"# tool=radwalk version={__version__} master_seed={master_seed} config_sha256={config_hash}\n"
     lines = [header, ",".join(CSV_COLUMNS) + "\n"]
     lines += [",".join(row) + "\n" for row in rows]

@@ -24,12 +24,13 @@ streams: each chunk owns a PCG64 stream, seeded by a SeedSequence keyed by
 (seed, stream tag, chunk index), and draws into its own slice of trials.  A
 task steps a contiguous group of up to ``_GROUP_CHUNKS`` chunks side by side
 as one state, so a step's ufunc calls are paid once per group.  The result
-bytes depend neither on the grouping nor on the worker count of a process
-pool: every draw and every per-trial operation is the same either way.
+bytes depend neither on the grouping nor on the worker count of the entry's
+process pool: every draw and every per-trial operation is the same either way.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from math import erfc, log, sqrt
 
@@ -56,7 +57,6 @@ __all__ = [
     "CHUNK_TRIALS",
     "KS_ALPHA",
     "TRIAL_STEPS_CAP",
-    "SELFTEST_CASES_CAP",
     "P_CAP",
     "REGIMES",
     "CHECKS",
@@ -85,12 +85,10 @@ _GROUP_CHUNKS = 8
 _STEP_BLOCK = 32
 # Family-wise significance level of the KS normality check.
 KS_ALPHA = 1e-3
-# The one time rule on an entry: a walk runs at most TRIAL_STEPS_CAP
+# The time rule on a walk or sweep entry: a walk runs at most TRIAL_STEPS_CAP
 # trial-steps (n times trials) and a sweep at most as many draws (grid points
-# times trials), 250 times the demo's largest walk; a selftest runs at most
-# SELFTEST_CASES_CAP cases, 500 times the largest in use.
+# times trials), 250 times the demo's largest walk.
 TRIAL_STEPS_CAP = 10**10
-SELFTEST_CASES_CAP = 10**5
 # The largest lift dimension: every integer up to 2^53 is exact as a float.
 P_CAP = 1 << 53
 
@@ -129,8 +127,9 @@ class WalkConfig:
         object.__setattr__(self, "trials", _trials(self.trials, 100, 8 * self.nu.q ** 2))
         _time_rule(self.n * self.trials, "n", f"{self.n} steps of {self.trials} trials")
         checks = self.checks
-        if not isinstance(checks, (list, tuple)) or not all(isinstance(k, str) and k in CHECKS for k in checks):
-            raise BadArity(f"checks: expected a list of checks from {list(CHECKS)}, got {checks!r}")
+        if not (isinstance(checks, (list, tuple)) and checks
+                and all(isinstance(k, str) and k in CHECKS for k in checks)):
+            raise BadArity(f"checks: expected a nonempty list of checks from {list(CHECKS)}, got {checks!r}")
         object.__setattr__(self, "checks", tuple(checks))
         object.__setattr__(self, "rel_tol", _real(self.rel_tol, "rel_tol"))
         if self.rel_tol <= 0:
@@ -204,6 +203,7 @@ def _gram_chunk(nu: RadialLaw, n: int, p: int, m: int, *rngs: np.random.Generato
     its sum of r r - r2 to a at once; a step updates G's lower triangle in
     buffers whose entry views are built once.  W carries a factor 2, so c's
     diagonal is that of c + c', and its off-diagonal sums are halved (exact).
+    Mirroring G's lower triangle makes xi exactly symmetric; r r, so a, is too.
     """
     q = nu.q
     r2m = r2(nu)
@@ -250,7 +250,7 @@ def _gram_chunk(nu: RadialLaw, n: int, p: int, m: int, *rngs: np.random.Generato
         a += rr[:, :, :k].sum(axis=2)
     for i, j in lower:
         g[j, i] = g[i, j]
-    return symmetrize(g.transpose(2, 0, 1) - n * r2m), symmetrize(a.transpose(2, 0, 1))
+    return g.transpose(2, 0, 1) - n * r2m, a.transpose(2, 0, 1)
 
 
 def predict_covariances(nu: RadialLaw, n: int, p: int):
@@ -336,19 +336,21 @@ def _chunk_task(args):
     return xi.reshape(m, -1)
 
 
-def _run_all_chunks(cfg: WalkConfig, pool, workers=None):
-    """Run the chunks in contiguous groups of at most ``_GROUP_CHUNKS``, on
-    ``pool`` when given and there are several groups; both maps return
-    results in chunk order.  The groups are near-equal and their number is a
-    multiple of min(workers, chunks), so each of the pool's ``workers``
-    (default: one per chunk) gets work."""
+def _run_all_chunks(cfg: WalkConfig, workers: int = 1):
+    """Run the chunks in contiguous, near-equal groups of at most
+    ``_GROUP_CHUNKS``, whose number is a multiple of w = min(workers, chunks),
+    and merge them in chunk order: in this process at w = 1, else on a pool
+    of w processes opened here and closed when its tasks are done.  A fork
+    pool starts all its workers at its first task, hence no more than chunks."""
     chunks = -(-cfg.trials // CHUNK_TRIALS)
-    w = 1 if pool is None else min(workers or chunks, chunks)
+    w = min(workers, chunks)
     groups = w * -(-chunks // (w * _GROUP_CHUNKS))
     bounds = [chunks * g // groups for g in range(groups + 1)]
     tasks = [(cfg, first, last) for first, last in zip(bounds, bounds[1:])]
-    run = pool.map if pool is not None and len(tasks) > 1 else map
-    return np.concatenate(list(run(_chunk_task, tasks)), axis=0)
+    if w == 1:
+        return np.concatenate(list(map(_chunk_task, tasks)), axis=0)
+    with ProcessPoolExecutor(w) as pool:
+        return np.concatenate(list(pool.map(_chunk_task, tasks)), axis=0)
 
 
 def _compare_covariance(emp: np.ndarray, se: np.ndarray, pred: np.ndarray, rel_tol: float):
@@ -465,19 +467,19 @@ def _ks_projections(samples: np.ndarray, q: int, alpha: float):
     return max(per_projection), critical, per_projection
 
 
-def verify_clt(cfg: WalkConfig, pool=None, workers=None) -> ExperimentReport:
+def verify_clt(cfg: WalkConfig, workers: int = 1) -> ExperimentReport:
     """Run the configured experiment and compare the empirical covariance of
     the normalized statistic against the exact finite-n prediction and the
     asymptotic limit, with a KS normality check on scalar projections at
     level ``KS_ALPHA``.
 
-    ``pool`` is an executor (such as a ``ProcessPoolExecutor``) of
-    ``workers`` processes that runs the trial chunks; without one they run in
-    this process.  Only the comparisons in ``cfg.checks`` feed the overall
-    verdict; every comparison is still computed and reported.
+    The chunks run on up to ``workers`` processes, with the same report at
+    every count.  Every comparison is reported; those in ``cfg.checks`` give
+    the overall verdict: FAIL if one fails, else INCONCLUSIVE if one is
+    INCONCLUSIVE or SKIPPED or there are under 1 000 trials, else PASS.
     """
     q = cfg.nu.q
-    xi_vecs = _run_all_chunks(cfg, pool, workers)
+    xi_vecs = _run_all_chunks(cfg, workers)
     scale = cfg.scale
     samples = scale * xi_vecs
     est = estimate_covariance(samples)
@@ -512,8 +514,8 @@ def verify_clt(cfg: WalkConfig, pool=None, workers=None) -> ExperimentReport:
     requested = [verdicts[CHECKS[c]] for c in cfg.checks]
     if any(v == "FAIL" for v in requested):
         overall = "FAIL"
-    elif any(v == "INCONCLUSIVE" for v in requested) or cfg.trials < 1000:
-        # below 10^3 trials the bands are noise-dominated, so no PASS verdict
+    elif any(v in ("INCONCLUSIVE", "SKIPPED") for v in requested) or cfg.trials < 1000:
+        # a requested check that did not run, or noise-dominated bands below 10^3 trials, give no PASS
         overall = "INCONCLUSIVE"
     else:
         overall = "PASS"

@@ -10,8 +10,6 @@ Var(vec Xi_n) = n Sigma + (n(n-1)/p) T.
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from itertools import product
 from math import factorial
 
@@ -50,11 +48,6 @@ Q2_ATOMS = RadialLaw.from_atoms(
     np.array([[[1.5, 0.5], [0.5, 0.5]], [[1.0, 0.0], [0.0, 1.0]]]), [0.5, 0.5]
 )
 WORKERS = min(4, os.cpu_count() or 1)
-
-
-def _pool():
-    """A pool of WORKERS processes, or none on a single core."""
-    return ProcessPoolExecutor(WORKERS) if WORKERS > 1 else nullcontext()
 
 
 def _verdict(number, name, ok, detail):
@@ -200,8 +193,7 @@ def test_criterion_03_radial_sampler_suite():
 def _two_point_variance_run(n, p, trials, regime, seed, rel_tol, checks):
     cfg = WalkConfig(nu=TWO_POINT, n=n, p=p, trials=trials, regime=regime, seed=seed, checks=checks,
                      rel_tol=rel_tol, stream_tag=cli._entry_tag(f"acceptance-{n}-{p}"))
-    with _pool() as pool:
-        return verify_clt(cfg, pool=pool, workers=WORKERS)
+    return verify_clt(cfg, WORKERS)
 
 
 def test_criterion_04_finite_n_variance_identity():
@@ -299,8 +291,7 @@ def test_criterion_08_matrix_case_q2():
     target = sig + (n - 1) / p * t
     cfg = WalkConfig(nu=Q2_ATOMS, n=n, p=p, trials=10_000, regime="CLT_II", seed=20240808,
                      checks=("exact",), rel_tol=0.10, stream_tag=cli._entry_tag("acceptance-q2"))
-    with _pool() as pool:
-        rep = verify_clt(cfg, pool=pool, workers=WORKERS)
+    rep = verify_clt(cfg, WORKERS)
     assert np.allclose(rep.predicted_exact, target, atol=1e-12)
     rel = frobenius_norm(rep.empirical_cov - target) / frobenius_norm(target)
     elapsed = time.perf_counter() - t0

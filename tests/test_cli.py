@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from radwalk import cli
-from radwalk.clt_experiments import CHUNK_TRIALS, MomentSweep, WalkConfig
+from radwalk import cli, clt_experiments
+from radwalk.clt_experiments import MomentSweep, WalkConfig
 from radwalk.radial_measures import SAMPLE_BYTES_CAP
 
 
@@ -350,6 +350,7 @@ def _atom_law(q=1, weight=1.0, radius=(1.0,)):
     # refused by the sample cap before any chunk task or sample array is made
     pytest.param("trials", 10**12, id="trials-beyond-sample-cap"),
     pytest.param("p", 10**400, id="p-beyond-2^53"),  # would overflow a float in the cosine draw
+    pytest.param("checks", [], id="checks-empty"),  # with no check requested, any walk would read PASS
 ])
 def test_bad_clt_field_is_config_error(tmp_path, capsys, field, value):
     manifest = _write_manifest(tmp_path / "m.json", [_clt_entry("c0", **{field.split(".")[0]: value})])
@@ -459,43 +460,16 @@ def test_out_that_cannot_be_a_directory_is_config_error(tmp_path, capsys, monkey
 
 
 @pytest.mark.parametrize("value", ["0", "-3", "100000"], ids=["flag-0", "flag--3", "flag-over-cap"])
-def test_bad_workers_env_is_config_error(tmp_path, capsys, monkeypatch, value):
+def test_bad_workers_flag_is_config_error(tmp_path, capsys, monkeypatch, value):
     def no_pool(*args, **kwargs):  # a pool of 100 000 workers would fork them all at once
         raise AssertionError("a process pool was started")
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(clt_experiments, "ProcessPoolExecutor", no_pool)
     manifest = _write_manifest(tmp_path / "m.json", [_clt_entry("c0")])
     code = cli.main(["clt", "--manifest", str(manifest), "--out", str(tmp_path / "out"), "--workers", value])
     assert code == 2
     assert "config error: --workers" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
-
-
-def test_pool_is_sized_by_the_work(tmp_path, monkeypatch):
-    # a fork pool starts all its workers at its first task, so the pool gets
-    # no more workers than the largest walk entry has chunks, and none for one
-    sizes = []
-
-    class Recorder:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorder)
-    walk = _write_manifest(tmp_path / "walk.json", [_clt_entry("c0", trials=2 * CHUNK_TRIALS)])
-    assert cli.main(["clt", "--manifest", str(walk), "--out", str(tmp_path / "walk"), "--workers", "8"]) in (0, 1)
-    assert sizes == [2]
-    rest = _write_manifest(tmp_path / "rest.json", [_moments_entry("m"), {"id": "s", "kind": "selftest", "cases": 5}])
-    assert cli.main(["clt", "--manifest", str(rest), "--out", str(tmp_path / "rest"), "--workers", "8"]) in (0, 1)
-    assert sizes == [2]
 
 
 @pytest.mark.parametrize("command", ["clt", "moments", "selftest"])

@@ -1,17 +1,16 @@
 import dataclasses
+import json
 import os
 import subprocess
 import sys
 import tracemalloc
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from radwalk import BadArity, TooFewSamples, clt_experiments
+from radwalk import BadArity, TooFewSamples, cli, clt_experiments
 from radwalk.clt_experiments import (
     CHECKS,
     CHUNK_TRIALS,
@@ -72,14 +71,15 @@ def test_config_validation():
 @pytest.mark.parametrize("make, field", [
     (lambda: _cfg(n=2.5), "n"),
     (lambda: _cfg(checks=("exct",)), "checks"),
+    (lambda: _cfg(checks=[]), "checks"),  # with no check requested, any walk would read PASS
     (lambda: MomentSweep(RadialLaw.point_mass(1.0), {(0.5, 0): 2.7}, [10, 20, 40], 2000), "kappa"),
     (lambda: _cfg(p=P_CAP + 1), "p"),
     (lambda: MomentSweep(TWO_POINT, {(0, 0): 2}, [10, P_CAP + 1, 40], 2000), r"p_grid\[1\]"),
     # one rule for both branches: a repeated point is refused by parity and decay sweeps alike
     (lambda: MomentSweep(TWO_POINT, {(0, 0): 2}, [10, 20, 40, 20], 2000), r"p_grid\[3\]"),
     (lambda: MomentSweep(TWO_POINT, {(0, 0): 1, (1, 0): 2}, [10, 10], 2000), r"p_grid\[1\]"),
-], ids=["float-n", "misspelt-check", "float-kappa", "p-beyond-2^53", "grid-p-beyond-2^53", "repeated-p-decay",
-        "repeated-p-parity"])
+], ids=["float-n", "misspelt-check", "no-checks", "float-kappa", "p-beyond-2^53", "grid-p-beyond-2^53",
+        "repeated-p-decay", "repeated-p-parity"])
 def test_configs_refuse_a_bad_field_naming_it(make, field):
     # construction draws nothing, so a bad field is refused before any trial runs
     with pytest.raises(BadArity, match=rf"^{field}: "):
@@ -185,6 +185,14 @@ def test_gram_chunk_draws_radii_and_orientations_once_per_block(monkeypatch, nu)
     calls.update(dict.fromkeys(calls, 0))
     _gram_chunk(nu, 2 * _STEP_BLOCK + 3, 5, 2 * CHUNK_TRIALS + 16, *(np.random.default_rng(97 + k) for k in range(3)))
     assert calls == {"draw_radii": 9, orientation: 9, unused: 0}
+
+
+# no symmetrize pass: G's mirrored lower triangle and the symmetric radii make both outputs symmetric
+@pytest.mark.parametrize("nu, p", [(Q2_RANK1, 2), (Q3_ATOMS, 4)], ids=["q2-rank1", "q3-q<p<2q"])
+def test_gram_chunk_outputs_equal_their_transposes(nu, p):
+    xi, a = _gram_chunk(nu, _STEP_BLOCK + 5, p, CHUNK_TRIALS + 100, trial_stream(3, 1, 0), trial_stream(3, 1, 1))
+    for x in (xi, a):
+        assert np.array_equal(x, x.transpose(0, 2, 1))
 
 
 def test_gram_chunk_q1_reproduces_scalar_recursion():
@@ -419,17 +427,45 @@ def test_verify_clt_degenerate_limit_skips_ks():
     assert rep.verdicts["exact_covariance"] == "PASS"
 
 
+def test_a_requested_check_that_is_skipped_gives_no_pass():
+    # a point mass has Sigma = 0, so the CLT II limit is a point mass and KS has nothing to test
+    cfg = WalkConfig(nu=RadialLaw.point_mass(1.0), n=10, p=100, trials=2000, regime="CLT_II", seed=5, checks=["ks"])
+    rep = verify_clt(cfg)
+    assert rep.verdicts["ks_normality"] == "SKIPPED"
+    assert rep.overall == "INCONCLUSIVE"
+
+
 def test_verify_clt_deterministic_and_worker_independent():
     cfg = _cfg(trials=CHUNK_TRIALS * 2 + 100, seed=21, checks=("exact",))
-    rep1 = verify_clt(cfg)
-    with ProcessPoolExecutor(2) as pool:
-        rep2 = verify_clt(cfg, pool=pool)
-    assert rep1.to_dict() == rep2.to_dict()
+    reps = [verify_clt(cfg, workers).to_dict() for workers in (1, 2, 3)]
+    assert reps[0] == reps[1] == reps[2]
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The size of each process pool the walk runner opens; the pools run their tasks in this process."""
+    sizes = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(clt_experiments, "ProcessPoolExecutor", Recorder)
+    return sizes
 
 
 @pytest.mark.parametrize("chunks", [1, 2, 7, 40])
 @pytest.mark.parametrize("workers", [1, 2, 3])
-def test_chunk_groups_spread_over_the_workers_in_chunk_order(monkeypatch, workers, chunks):
+def test_chunk_groups_spread_over_the_workers_in_chunk_order(monkeypatch, pool_sizes, workers, chunks):
     # each task records its chunks and returns the indices of the trials it
     # covers, so the merged result shows the order and the coverage
     trials, tasks = chunks * CHUNK_TRIALS - 100, []
@@ -440,10 +476,30 @@ def test_chunk_groups_spread_over_the_workers_in_chunk_order(monkeypatch, worker
         return np.arange(first * CHUNK_TRIALS, min(last * CHUNK_TRIALS, trials))[:, None]
 
     monkeypatch.setattr(clt_experiments, "_chunk_task", task)
-    merged = clt_experiments._run_all_chunks(_cfg(trials=trials), SimpleNamespace(map=map), workers)
+    merged = clt_experiments._run_all_chunks(_cfg(trials=trials), workers)
     assert np.array_equal(merged[:, 0], np.arange(trials))
-    assert len(tasks) % min(workers, chunks) == 0  # so every worker gets a task when chunks >= workers
+    w = min(workers, chunks)
+    assert pool_sizes == ([w] if w > 1 else [])
+    assert len(tasks) % w == 0  # so every worker gets a task when chunks >= workers
     assert max(tasks) <= _GROUP_CHUNKS and max(tasks) - min(tasks) <= 1
+
+
+def test_pool_is_sized_by_the_work(tmp_path, pool_sizes):
+    # a fork pool starts all its workers at its first task, so each walk entry
+    # gets a pool of min(workers, its chunks), none when that is 1, and a run
+    # of moments and selftest entries starts none
+    law = {"family": "two_point", "params": {"r_a": 1.0, "p_a": 0.5, "r_b": 2.0}}
+    walks = [{"id": f"c{k}", "regime": "CLT_II", "n": 3, "p": 10, "trials": k * CHUNK_TRIALS, "law": law,
+              "checks": ["exact"]} for k in (2, 1, 5)]
+    rest = [{"id": "m", "kind": "moments", "law": law, "kappa": [[[0, 0], 2]], "p_grid": [2, 4, 8], "trials": 2000},
+            {"id": "s", "kind": "selftest", "cases": 5}]
+    for name, entries, sizes in (("walk", walks, [2, 3]), ("rest", rest, [])):
+        manifest = tmp_path / f"{name}.json"
+        manifest.write_text(json.dumps({"entries": entries}))
+        argv = ["clt", "--manifest", str(manifest), "--out", str(tmp_path / name), "--workers", "3"]
+        assert cli.main(argv) in (0, 1)
+        assert pool_sizes == sizes
+        pool_sizes.clear()
 
 
 def test_a_task_holds_at_most_a_group_of_chunks_in_memory(monkeypatch):
@@ -464,7 +520,7 @@ def test_a_task_holds_at_most_a_group_of_chunks_in_memory(monkeypatch):
     try:
         for trials in (_GROUP_CHUNKS * CHUNK_TRIALS, 16 * _GROUP_CHUNKS * CHUNK_TRIALS):
             peaks.append(0)
-            clt_experiments._run_all_chunks(WalkConfig(nu=Q3_ATOMS, n=4, p=5, trials=trials, regime="CLT_II"), None)
+            clt_experiments._run_all_chunks(WalkConfig(nu=Q3_ATOMS, n=4, p=5, trials=trials, regime="CLT_II"))
     finally:
         tracemalloc.stop()
     assert peaks[1] <= 1.05 * peaks[0], peaks

@@ -25,14 +25,14 @@ Laws are ``{"q": q, "atoms": [{"weight": w, "radius": [row-major]}]}`` or
 ``{"family": name, "params": {...}}`` with families ``point_mass``,
 ``two_point``, ``uniform_interval``, parsed by ``RadialLaw.from_config``.
 
-Each rule on a field is stated once, in ``WalkConfig``, ``MomentSweep`` or
-``RadialLaw``, whose errors name the field; this module reads the JSON,
-refuses keys an entry's kind does not take, and prefixes the entry's path
-to the errors.  Every entry is validated before the first one runs, so a
-bad manifest exits with code 2 and a message naming the field, with
-nothing written.  ``radwalk moments`` turns its flags into a moments entry
-and applies the same rules.  ``--seed`` must be an integer >= 0, and
-``--workers`` an integer from 1 to ``WORKERS_CAP``.
+Each rule on a field is stated once, in ``WalkConfig``, ``MomentSweep``,
+``RadialLaw`` or ``_config_keys`` (the rule on keys), whose errors name the
+field; this module reads the JSON and prefixes the entry's path to the
+errors.  ``load_manifest`` checks every entry and builds its config before
+the first one runs, so a bad manifest exits with code 2 and a message
+naming the field, with nothing written.  ``radwalk moments`` turns its
+flags into a moments entry and applies the same rules.  ``--seed`` must be
+an integer >= 0, and ``--workers`` an integer from 1 to ``WORKERS_CAP``.
 
 Each walk entry runs on a process pool of its own, of that many workers or
 of as many as the entry has chunks where that is fewer, and on none where
@@ -51,6 +51,7 @@ import json
 import os
 import re
 import sys
+from contextlib import contextmanager
 from functools import reduce
 from math import factorial
 from pathlib import Path
@@ -61,29 +62,27 @@ from . import __version__
 from .clt_experiments import (
     MomentSweep,
     WalkConfig,
+    _workers,
     moment_decay_experiment,
     trial_stream,
     verify_clt,
 )
 from .combinatorics import kron_multinomial_expand
-from .errors import RadwalkError
+from .errors import BadArity, RadwalkError
 from .gaussian_moments import MatrixNormalSpec, moment_tensor, sum_moment, wick_moment
 from .kron_algebra import PermMat, hadamard, kron, reorder_perm
-from .radial_measures import RadialLaw, _integer
+from .radial_measures import RadialLaw, _config_keys, _integer
 
 CSV_COLUMNS = ("id", "regime", "n", "p", "q", "predicted_var", "empirical_var",
                "stderr", "rel_frob_err", "ks_stat", "max_abs_z_mean", "verdict")
-# the fields each entry kind takes; any other key is a config error
-_FIELDS = {
-    "clt": {"id", "kind", "regime", "n", "p", "trials", "law", "checks", "rel_tol"},
-    "moments": {"id", "kind", "law", "kappa", "p_grid", "trials"},
-    "selftest": {"id", "kind", "cases"},
+# each entry kind's required and optional keys; any other key is a config error
+_KEYS = {
+    "clt": (("id", "law", "regime", "n", "p", "trials"), ("kind", "checks", "rel_tol")),
+    "moments": (("id", "kind", "law", "kappa", "p_grid", "trials"), ()),
+    "selftest": (("id", "kind"), ("cases",)),
 }
 # an entry id names its report file, so it must stay a plain file name
 _ID_PATTERN = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]*")
-# A process pool forks all its workers at its first task, so --workers is
-# capped: at 64, or at the host's CPU count where that is larger.
-WORKERS_CAP = max(64, os.cpu_count() or 1)
 # The time rule on a selftest entry: at most this many cases, 500 times the largest in use.
 SELFTEST_CASES_CAP = 10**5
 
@@ -103,17 +102,14 @@ def _entry_tag(entry_id: str) -> int:
     return int.from_bytes(hashlib.sha256(entry_id.encode()).digest()[:8], "big")
 
 
-def _require(mapping, key, prefix):
-    if key not in mapping:
-        raise ManifestError(f"{prefix}{key}: missing")
-    return mapping[key]
-
-
-def _as_int(value, path, minimum):
+@contextmanager
+def _named(prefix=""):
+    """Raise a rule's RadwalkError, whose message starts with its field, as
+    a ManifestError with ``prefix``, the path to that field, put before it."""
     try:
-        return _integer(value, path, minimum)
+        yield
     except RadwalkError as exc:
-        raise ManifestError(str(exc)) from exc
+        raise ManifestError(f"{prefix}{exc}") from exc
 
 
 def _decode(text, field):
@@ -143,42 +139,29 @@ def _out_dir(path) -> Path:
     return out
 
 
-def load_manifest(path):
+def load_manifest(path, seed_override=None):
+    """``(doc, sha256 of its bytes, one config per entry)`` from the one check of a
+    manifest, in document order: its top level, its ``seed`` (replaced by
+    ``seed_override`` if given) and each entry.  A fault raises ManifestError."""
     doc, raw = _read_json(path, "manifest")
     if not isinstance(doc, dict):
         raise ManifestError("manifest: top level must be an object")
-    for key in doc:
-        if key not in ("suite", "seed", "entries"):
-            raise ManifestError(f"{key}: unknown field")
-    doc.setdefault("seed", 0)
-    _as_int(doc["seed"], "seed", minimum=0)
-    entries = _require(doc, "entries", "")
-    if not isinstance(entries, list):
-        raise ManifestError("entries: expected a list")
-    seen = set()
-    for i, entry in enumerate(entries):
-        path_i = f"entries[{i}]"
+    with _named():
+        _config_keys(doc, "", ("entries",), ("suite", "seed"))
+        _integer(doc.setdefault("seed", 0), "seed", 0)
+        if seed_override is not None:
+            doc["seed"] = _integer(seed_override, "seed_override", 0)
+        if not isinstance(doc["entries"], list):
+            raise BadArity("entries: expected a list")
+    configs, seen = [], set()
+    for i, entry in enumerate(doc["entries"]):
         if not isinstance(entry, dict):
-            raise ManifestError(f"{path_i}: expected an object")
-        eid = _require(entry, "id", f"{path_i}.")
-        if not isinstance(eid, str) or not _ID_PATTERN.fullmatch(eid):
-            raise ManifestError(f"{path_i}.id: expected a file name of letters, digits, '_', '.' "
-                                f"and '-' that starts with a letter or digit, got {eid!r}")
-        if eid in seen:
-            raise ManifestError(f"{path_i}.id: duplicate id {eid!r}")
-        seen.add(eid)
-        kind = entry.setdefault("kind", "clt")
-        if not isinstance(kind, str) or kind not in _FIELDS:
-            raise ManifestError(f"{path_i}.kind: unknown kind {kind!r}")
-        for key in entry:
-            if key not in _FIELDS[kind]:
-                raise ManifestError(f"{path_i}.{key}: unknown field")
-    return doc, hashlib.sha256(raw).hexdigest()
-
-
-def _meta(master_seed, config_hash):
-    return {"tool": "radwalk", "version": __version__,
-            "master_seed": master_seed, "config_sha256": config_hash}
+            raise ManifestError(f"entries[{i}]: expected an object")
+        configs.append(_parse_entry(entry, f"entries[{i}].", doc["seed"]))
+        if entry["id"] in seen:
+            raise ManifestError(f"entries[{i}].id: duplicate id {entry['id']!r}")
+        seen.add(entry["id"])
+    return doc, hashlib.sha256(raw).hexdigest(), configs
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -190,52 +173,52 @@ def _summary_scalar(matrix: np.ndarray, q: int) -> float:
 
 
 def _parse_entry(entry, prefix, master_seed=0):
-    """Validate one entry into the config its runner takes; ``prefix`` is
+    """The config an entry object's runner takes: a WalkConfig, a MomentSweep
+    or a selftest's case count.  Errors name the field after ``prefix``,
     the entry path plus a dot in a manifest, empty on the command line."""
-    kind = entry["kind"]
-    if kind == "selftest":
-        cases = _as_int(entry.get("cases", 50), f"{prefix}cases", minimum=1)
-        if cases > SELFTEST_CASES_CAP:
-            raise ManifestError(f"{prefix}cases: {cases} cases exceed the cap of {SELFTEST_CASES_CAP}")
-        return cases
-    required = ("regime", "n", "p") if kind == "clt" else ("kappa", "p_grid")
-    for key in ("law", *required, "trials"):
-        _require(entry, key, prefix)
-    fields = {key: value for key, value in entry.items() if key not in ("id", "kind", "law")}
-    if not isinstance(entry["law"], dict):
-        raise ManifestError(f"{prefix}law: expected an object")
-    try:
+    with _named(prefix):
+        kind = entry.get("kind", "clt")
+        if not isinstance(kind, str) or kind not in _KEYS:
+            raise BadArity(f"kind: unknown kind {kind!r}")
+        _config_keys(entry, "", *_KEYS[kind])
+        eid = entry["id"]
+        if not isinstance(eid, str) or not _ID_PATTERN.fullmatch(eid):
+            raise BadArity(f"id: expected a file name of letters, digits, '_', '.' "
+                           f"and '-' that starts with a letter or digit, got {eid!r}")
+        if kind == "selftest":
+            cases = _integer(entry.get("cases", 50), "cases", 1)
+            if cases > SELFTEST_CASES_CAP:
+                raise BadArity(f"cases: {cases} cases exceed the cap of {SELFTEST_CASES_CAP}")
+            return cases
+        if not isinstance(entry["law"], dict):
+            raise BadArity("law: expected an object")
+    with _named(f"{prefix}law."):  # a law's message starts with the field's path in the law
         nu = RadialLaw.from_config(entry["law"])
-    except RadwalkError as exc:  # its message starts with the field's path in the law
-        raise ManifestError(f"{prefix}law.{exc}") from exc
-    try:
+    fields = {key: value for key, value in entry.items() if key not in ("id", "kind", "law")}
+    with _named(prefix):
         if kind == "clt":
-            return WalkConfig(nu=nu, seed=master_seed, stream_tag=_entry_tag(entry["id"]), **fields)
+            return WalkConfig(nu=nu, seed=master_seed, stream_tag=_entry_tag(eid), **fields)
         return MomentSweep(nu=nu, **fields)
-    except RadwalkError as exc:  # its message starts with the field's name
-        raise ManifestError(f"{prefix}{exc}") from exc
 
 
 def cmd_clt(manifest_path, out_dir, seed_override=None, workers=1) -> int:
     """Run every manifest entry, write one JSON report per entry plus the
-    suite CSV, and return 0 only if all verdicts PASS.
-
-    Every entry is validated before the first one runs, so a bad entry
-    raises :class:`ManifestError` with nothing computed or written.  Each
-    walk entry runs on up to ``workers`` processes.
-    """
-    doc, config_hash = load_manifest(manifest_path)
-    master_seed = doc["seed"] if seed_override is None else seed_override
-    entries = doc["entries"]
-    parsed = [_parse_entry(entry, f"entries[{i}].", master_seed) for i, entry in enumerate(entries)]
+    suite CSV, and return 0 only if all verdicts PASS.  ``workers`` (each
+    walk entry runs on up to that many processes), ``seed_override`` and
+    every entry are checked before ``out_dir`` is made, so a fault raises
+    :class:`ManifestError` with nothing computed or written."""
+    with _named():
+        _workers(workers)
+    doc, config_hash, configs = load_manifest(manifest_path, seed_override)
+    master_seed = doc["seed"]
     out = _out_dir(out_dir)
-    meta = _meta(master_seed, config_hash)
+    meta = {"tool": "radwalk", "version": __version__, "master_seed": master_seed, "config_sha256": config_hash}
     rows = []
     all_pass = True
-    for entry, cfg in zip(entries, parsed):
+    for entry, cfg in zip(doc["entries"], configs):
         eid = entry["id"]
         rng = trial_stream(master_seed, _entry_tag(eid), 0)  # a walk keys one stream per chunk itself
-        if entry["kind"] == "clt":
+        if isinstance(cfg, WalkConfig):
             report = verify_clt(cfg, workers)
             verdict, body = report.overall, {"report": report.to_dict()}
             q = cfg.nu.q
@@ -249,7 +232,7 @@ def cmd_clt(manifest_path, out_dir, seed_override=None, workers=1) -> int:
                 _fmt(report.max_abs_z_mean),
                 verdict,
             ))
-        elif entry["kind"] == "moments":
+        elif isinstance(cfg, MomentSweep):
             report = moment_decay_experiment(cfg, rng)
             verdict = report.verdict
             body = {"verdict": verdict, "report": report.to_dict()}
@@ -361,7 +344,7 @@ def cmd_moments(law_path, kappa_text, p_grid_text, trials, out_dir, seed=0) -> i
     law_cfg, raw = _read_json(law_path, "law")
     # "row,col:exp;..." is the manifest's [[[row, col], exp], ...] without its brackets
     terms = (t.replace(":", "],") for t in kappa_text.split(";") if t.strip())
-    entry = {"kind": "moments", "law": law_cfg,
+    entry = {"id": "moments", "kind": "moments", "law": law_cfg,
              "kappa": _decode("[" + ",".join(f"[[{t}]" for t in terms) + "]", "kappa"),
              "p_grid": _decode(f"[{p_grid_text}]", "p_grid"), "trials": trials}
     sweep = _parse_entry(entry, "")
@@ -412,14 +395,15 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        if args.seed is not None:
-            _as_int(args.seed, "--seed", minimum=0)
+        with _named():  # the flags' own checks, so that their errors name the flag
+            if args.seed is not None:
+                _integer(args.seed, "--seed", 0)
+            if args.command == "clt" and args.workers is not None:
+                _workers(args.workers, "--workers")
         if args.command == "selftest":
             return cmd_selftest(seed=args.seed)
         if args.command == "moments":
             return cmd_moments(args.law, args.kappa, args.p_grid, args.trials, args.out, seed=args.seed)
-        if args.workers is not None and _as_int(args.workers, "--workers", minimum=1) > WORKERS_CAP:
-            raise ManifestError(f"--workers: expected at most {WORKERS_CAP}, got {args.workers}")
         return cmd_clt(args.manifest, args.out, seed_override=args.seed,
                        workers=args.workers or os.cpu_count() or 1)
     except ManifestError as exc:

@@ -30,6 +30,7 @@ process pool: every draw and every per-trial operation is the same either way.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from math import erfc, log, sqrt
@@ -55,6 +56,7 @@ from .radial_measures import (
 
 __all__ = [
     "CHUNK_TRIALS",
+    "WORKERS_CAP",
     "KS_ALPHA",
     "TRIAL_STEPS_CAP",
     "P_CAP",
@@ -75,6 +77,9 @@ __all__ = [
 # Fixed work-unit size: chunk k of an experiment always covers trials
 # [k*CHUNK_TRIALS, ...), whatever the worker count.
 CHUNK_TRIALS = 512
+# A process pool forks all its workers at its first task, so a walk's workers
+# are capped: at 64, or at the host's CPU count where that is larger.
+WORKERS_CAP = max(64, os.cpu_count() or 1)
 # Chunks a task steps side by side, as one kernel call: wide enough that a
 # step's ufunc calls cost little per trial (at q = 1, one call of 4 096
 # trials took 15 % less time than eight of 512), narrow enough to bound a
@@ -336,6 +341,13 @@ def _chunk_task(args):
     return xi.reshape(m, -1)
 
 
+def _workers(value, name: str = "workers") -> int:
+    """A walk's worker count, an integer from 1 to WORKERS_CAP; errors name ``name``."""
+    if _integer(value, name, 1) > WORKERS_CAP:
+        raise BadArity(f"{name}: expected at most {WORKERS_CAP}, got {value}")
+    return int(value)
+
+
 def _run_all_chunks(cfg: WalkConfig, workers: int = 1):
     """Run the chunks in contiguous, near-equal groups of at most
     ``_GROUP_CHUNKS``, whose number is a multiple of w = min(workers, chunks),
@@ -343,7 +355,7 @@ def _run_all_chunks(cfg: WalkConfig, workers: int = 1):
     of w processes opened here and closed when its tasks are done.  A fork
     pool starts all its workers at its first task, hence no more than chunks."""
     chunks = -(-cfg.trials // CHUNK_TRIALS)
-    w = min(workers, chunks)
+    w = min(_workers(workers), chunks)
     groups = w * -(-chunks // (w * _GROUP_CHUNKS))
     bounds = [chunks * g // groups for g in range(groups + 1)]
     tasks = [(cfg, first, last) for first, last in zip(bounds, bounds[1:])]
@@ -473,7 +485,8 @@ def verify_clt(cfg: WalkConfig, workers: int = 1) -> ExperimentReport:
     asymptotic limit, with a KS normality check on scalar projections at
     level ``KS_ALPHA``.
 
-    The chunks run on up to ``workers`` processes, with the same report at
+    The chunks run on up to ``workers`` processes (1 to ``WORKERS_CAP``, else
+    BadArity naming ``workers`` before any starts), with the same report at
     every count.  Every comparison is reported; those in ``cfg.checks`` give
     the overall verdict: FAIL if one fails, else INCONCLUSIVE if one is
     INCONCLUSIVE or SKIPPED or there are under 1 000 trials, else PASS.

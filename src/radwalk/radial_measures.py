@@ -79,11 +79,12 @@ def _trials(value, minimum: int, sample_bytes: int) -> int:
     return trials
 
 
-def _config_keys(obj, name: str, keys) -> None:
-    """Refuse a law config object at path ``name`` unless its keys are ``keys``."""
+def _config_keys(obj, name: str, keys, optional=()) -> None:
+    """Refuse a config object (a law's, a manifest's or an entry's) at path
+    ``name`` unless it has all of ``keys`` and no key outside ``keys`` and ``optional``."""
     if not isinstance(obj, dict):
         raise BadArity(f"{name or 'law'}: expected an object, got {obj!r}")
-    odd = [key for key in obj if key not in keys] + [key for key in keys if key not in obj]
+    odd = [key for key in obj if key not in keys and key not in optional] + [key for key in keys if key not in obj]
     if odd:
         field = f"{name}.{odd[0]}" if name else odd[0]
         raise BadArity(f"{field}: {'unknown field' if odd[0] in obj else 'missing'}")

@@ -1,14 +1,17 @@
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+import threading
+from concurrent.futures import process
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from radwalk import cli, clt_experiments
-from radwalk.clt_experiments import MomentSweep, WalkConfig
+from radwalk.clt_experiments import CHUNK_TRIALS, WORKERS_CAP, MomentSweep, WalkConfig
 from radwalk.radial_measures import SAMPLE_BYTES_CAP
 
 
@@ -274,10 +277,9 @@ def test_seed_override_changes_outputs(tmp_path):
 
 
 def test_demo_manifest_entries_parse_into_their_configs():
-    doc, _ = cli.load_manifest(Path(__file__).resolve().parents[1] / "manifests" / "demo.json")
+    doc, _, configs = cli.load_manifest(Path(__file__).resolve().parents[1] / "manifests" / "demo.json")
     kinds = {"clt": WalkConfig, "moments": MomentSweep, "selftest": int}
-    for i, entry in enumerate(doc["entries"]):
-        assert isinstance(cli._parse_entry(entry, f"entries[{i}].", doc["seed"]), kinds[entry["kind"]])
+    assert [type(cfg) for cfg in configs] == [kinds[entry.get("kind", "clt")] for entry in doc["entries"]]
 
 
 def test_csv_floats_round_trip():
@@ -503,3 +505,56 @@ def test_entry_beyond_the_time_cap_is_config_error(tmp_path, capsys, monkeypatch
     assert code == 2
     assert f"config error: entries[0].{field}: " in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_load_manifest_checks_every_entry_in_document_order(tmp_path):
+    # one pass: a bad value is refused by load_manifest itself, and of several
+    # faults the one in the first entry is named, before the later duplicate id
+    manifest = _write_manifest(tmp_path / "m.json", [_clt_entry("c0"), _clt_entry("c1", n=0)])
+    with pytest.raises(cli.ManifestError, match=r"^entries\[1\]\.n: "):
+        cli.load_manifest(manifest)
+    manifest = _write_manifest(tmp_path / "m.json", [_clt_entry("c0", n=0), _clt_entry("c0")])
+    with pytest.raises(cli.ManifestError, match=r"^entries\[0\]\.n: "):
+        cli.load_manifest(manifest)
+
+
+@pytest.mark.parametrize("entry", [_clt_entry("c0"), _moments_entry("m"), {"id": "s", "kind": "selftest", "cases": 2}],
+                         ids=["walk", "moments", "selftest"])
+@pytest.mark.parametrize("argument, value", [
+    ("seed_override", -1), ("seed_override", 2.5),
+    ("workers", 0), ("workers", -1), ("workers", 2.5), ("workers", True),
+    pytest.param("workers", WORKERS_CAP + 1, id="workers-over-cap"),
+])
+def test_bad_run_argument_is_config_error_before_out_is_made(tmp_path, entry, argument, value):
+    manifest = _write_manifest(tmp_path / "m.json", [entry])
+    kwargs = {"workers": 1, argument: value}
+    with pytest.raises(cli.ManifestError, match=rf"^{argument}: expected "):
+        cli.cmd_clt(manifest, tmp_path / "out", **kwargs)
+    assert not (tmp_path / "out").exists()
+
+
+def test_the_benchmarks_two_calls_into_src(tmp_path):
+    # the benchmark's worker loads each manifest with one argument and runs it
+    # with cmd_clt(path, out, workers=...); a change to either call fails here
+    entries = [_clt_entry("c0"), _moments_entry("m"), {"id": "s", "kind": "selftest", "cases": 2}]
+    manifest = _write_manifest(tmp_path / "m.json", entries)
+    cli.load_manifest(manifest)
+    assert cli.cmd_clt(manifest, tmp_path / "out", workers=2) in (0, 1)
+    assert sorted(f.name for f in (tmp_path / "out").iterdir()) == ["c0.json", "m.json", "s.json", "summary.csv"]
+
+
+def test_a_walk_on_a_pool_leaves_nothing_running(tmp_path, monkeypatch):
+    # a worker or manager thread left behind by an entry's pool would outlive the run
+    pools = []
+
+    class Recorded(process.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            pools.append(self)
+
+    monkeypatch.setattr(clt_experiments, "ProcessPoolExecutor", Recorded)
+    manifest = _write_manifest(tmp_path / "m.json", [_clt_entry("c0", trials=2 * CHUNK_TRIALS)])
+    code = cli.main(["clt", "--manifest", str(manifest), "--out", str(tmp_path / "out"), "--workers", "2"])
+    assert code in (0, 1) and len(pools) == 1
+    assert multiprocessing.active_children() == []
+    assert not [t for t in threading.enumerate() if isinstance(t, process._ExecutorManagerThread)]

@@ -16,6 +16,7 @@ from radwalk.clt_experiments import (
     CHUNK_TRIALS,
     P_CAP,
     TRIAL_STEPS_CAP,
+    WORKERS_CAP,
     _GROUP_CHUNKS,
     _STEP_BLOCK,
     MomentDecayReport,
@@ -482,6 +483,17 @@ def test_chunk_groups_spread_over_the_workers_in_chunk_order(monkeypatch, pool_s
     assert pool_sizes == ([w] if w > 1 else [])
     assert len(tasks) % w == 0  # so every worker gets a task when chunks >= workers
     assert max(tasks) <= _GROUP_CHUNKS and max(tasks) - min(tasks) <= 1
+
+
+@pytest.mark.parametrize("workers", [0, -1, 2.5, True, pytest.param(WORKERS_CAP + 1, id="over-cap")])
+def test_bad_workers_are_refused_before_any_pool_starts(monkeypatch, pool_sizes, workers):
+    def ran(args):
+        raise AssertionError("a chunk ran")
+
+    monkeypatch.setattr(clt_experiments, "_chunk_task", ran)
+    with pytest.raises(BadArity, match=r"^workers: expected "):
+        verify_clt(_cfg(trials=4 * CHUNK_TRIALS), workers)
+    assert pool_sizes == []
 
 
 def test_pool_is_sized_by_the_work(tmp_path, pool_sizes):

@@ -2,8 +2,8 @@
 
 Mutants of a shrunk demo manifest (values swapped for other types, NaN,
 infinities, 1e308 and huge integers; keys renamed or deleted; list items
-repeated) go through ``load_manifest`` and ``_parse_entry`` only, so no walk
-runs.  Each must give a config per entry or a ``ManifestError`` whose message
+repeated; values at both sides of every cap) go through ``load_manifest``
+only, so no walk runs.  Each must give a config per entry or a ``ManifestError`` whose message
 starts with a field path present in the mutated document (the last step of
 the path may be absent when the message says it is missing); any other
 exception fails.
@@ -24,15 +24,20 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from radwalk import cli
-from radwalk.clt_experiments import MomentSweep, WalkConfig
+from radwalk.clt_experiments import P_CAP, TRIAL_STEPS_CAP, MomentSweep, WalkConfig
+from radwalk.radial_measures import SAMPLE_BYTES_CAP
 
 DEMO = json.loads((Path(__file__).resolve().parents[1] / "manifests" / "demo.json").read_text())
 # one entry of each shape: a q = 1 family walk, a q = 2 atom walk, a parity
 # and a decay sweep, and a selftest
 SHRUNK = {**DEMO, "entries": DEMO["entries"][2:]}
 
+# each cap and one past it: the dimension, the trials of a moment sweep's
+# 8-byte samples, the trial-steps and the selftest cases
+CAPS = [P_CAP, SAMPLE_BYTES_CAP // 8, TRIAL_STEPS_CAP, cli.SELFTEST_CASES_CAP]
 VALUES = st.sampled_from([None, True, "x", "", [], {}, [1], math.nan, math.inf, -math.inf,
-                          1e308, -1e308, 10**30, -(10**30), 10**400, 0, -1, 1.5])
+                          1e308, -1e308, 10**30, -(10**30), 10**400, 0, -1, 1.5,
+                          *(v + extra for v in CAPS for extra in (0, 1))])
 NEW_KEYS = st.text(alphabet="abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=8)
 
 
@@ -85,9 +90,8 @@ def test_manifest_mutants_give_configs_or_errors_naming_a_field(tmp_path_factory
     path = tmp_path_factory.getbasetemp() / "fuzz_manifest.json"
     path.write_text(json.dumps(doc))
     try:
-        loaded, _ = cli.load_manifest(path)
-        for i, entry in enumerate(loaded["entries"]):
-            cli._parse_entry(entry, f"entries[{i}].", loaded["seed"])
+        _, _, configs = cli.load_manifest(path)
+        assert len(configs) == len(doc["entries"])
     except cli.ManifestError as exc:
         assert _names_a_path(doc, str(exc)), (str(exc), doc)
 
@@ -119,8 +123,7 @@ def test_manifest_mutants_run_end_to_end_to_an_exit_code(tmp_path_factory, data)
     path = tmp_path_factory.getbasetemp() / "fuzz_run_manifest.json"
     path.write_text(json.dumps(doc))
     try:
-        loaded, _ = cli.load_manifest(path)
-        work = sum(_work(cli._parse_entry(entry, "", loaded["seed"])) for entry in loaded["entries"])
+        work = sum(map(_work, cli.load_manifest(path)[2]))
     except cli.ManifestError:
         work = 0
     assume(work <= WORK_BUDGET)

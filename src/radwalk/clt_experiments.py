@@ -23,9 +23,11 @@ Trials are split into chunks of CHUNK_TRIALS = 512, the unit of the random
 streams: each chunk owns a PCG64 stream, seeded by a SeedSequence keyed by
 (seed, stream tag, chunk index), and draws into its own slice of trials.  A
 task steps a contiguous group of up to ``_GROUP_CHUNKS`` chunks side by side
-as one state, so a step's ufunc calls are paid once per group.  The result
-bytes depend neither on the grouping nor on the worker count of the entry's
-process pool: every draw and every per-trial operation is the same either way.
+as one state, so a step's ufunc calls are paid once per group.  An entry
+opens a process pool only when its work pays for one: each worker must get
+``_POOL_WORK`` trial-steps weighted by q^3, so small entries run in this
+process.  The result bytes depend neither on the grouping nor on the worker
+count: every draw and every per-trial operation is the same either way.
 """
 
 from __future__ import annotations
@@ -85,6 +87,12 @@ WORKERS_CAP = max(64, os.cpu_count() or 1)
 # trials took 15 % less time than eight of 512), narrow enough to bound a
 # task's memory.
 _GROUP_CHUNKS = 8
+# Weighted trial-steps, n trials q^3 (a step's Cholesky and products are
+# O(q^3)), that pay for one pool worker.  On a 2-core host, opening and
+# closing a 2-process pool cost as much as 230-360 thousand q = 1 trial-steps
+# (10-19 ms at 34-59 ns each; a q = 2 or 3 step costs 7-10 or 17-21 of them),
+# so each worker gets 2^19, one and a half to two starts' worth.
+_POOL_WORK = 1 << 19
 # Steps whose radii and orientations the walk kernel draws at once: large
 # enough to amortize the draw calls, small enough that the block stays in cache.
 _STEP_BLOCK = 32
@@ -350,12 +358,14 @@ def _workers(value, name: str = "workers") -> int:
 
 def _run_all_chunks(cfg: WalkConfig, workers: int = 1):
     """Run the chunks in contiguous, near-equal groups of at most
-    ``_GROUP_CHUNKS``, whose number is a multiple of w = min(workers, chunks),
-    and merge them in chunk order: in this process at w = 1, else on a pool
-    of w processes opened here and closed when its tasks are done.  A fork
-    pool starts all its workers at its first task, hence no more than chunks."""
+    ``_GROUP_CHUNKS``, whose number is a multiple of w, and merge them in
+    chunk order: in this process at w = 1, else on a pool of w processes
+    opened here and closed when its tasks are done.  w is workers, capped at
+    the chunks (a fork pool starts all its workers at its first task) and at
+    the entry's weighted trial-steps over ``_POOL_WORK``, so that each worker
+    earns its start."""
     chunks = -(-cfg.trials // CHUNK_TRIALS)
-    w = min(_workers(workers), chunks)
+    w = min(_workers(workers), chunks, max(1, cfg.n * cfg.trials * cfg.nu.q ** 3 // _POOL_WORK))
     groups = w * -(-chunks // (w * _GROUP_CHUNKS))
     bounds = [chunks * g // groups for g in range(groups + 1)]
     tasks = [(cfg, first, last) for first, last in zip(bounds, bounds[1:])]

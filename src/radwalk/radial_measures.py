@@ -215,7 +215,7 @@ class RadialLaw:
         """Inverse of :meth:`to_config`.  Every error is a RadwalkError whose
         message starts with the field's path in the law: ``q``, ``params.b``,
         ``atoms[0].radius`` or, for a key the law does not take, the key."""
-        if "family" in cfg:
+        if isinstance(cfg, dict) and "family" in cfg:
             _config_keys(cfg, "", ("family", "params"))
             family, params = cfg["family"], cfg["params"]
             if not isinstance(family, str) or family not in _FAMILIES:

@@ -343,7 +343,7 @@ def test_criterion_09_moment_parity_and_decay():
                     f"pointwise 1/p={pointwise_ok}, {elapsed:.1f}s")
 
 
-def test_criterion_10_determinism_across_worker_counts(tmp_path):
+def test_criterion_10_determinism_across_worker_counts(tmp_path, forced_pools):
     entries = [
         {"id": "walk1", "kind": "clt", "regime": "CLT_II", "n": 25, "p": 625, "trials": 1500,
          "law": TWO_POINT.to_config(), "checks": ["exact"]},
@@ -357,6 +357,7 @@ def test_criterion_10_determinism_across_worker_counts(tmp_path):
     manifest.write_text(json.dumps({"suite": "determinism", "seed": 20240810, "entries": entries}))
     cli.cmd_clt(manifest, tmp_path / "w1", workers=1)
     cli.cmd_clt(manifest, tmp_path / "w4", workers=4)
+    assert forced_pools == [3, 3]  # each walk's three chunks ran on a pool
     names = ["summary.csv", "walk1.json", "walk2.json", "parity.json", "algebra.json"]
     same = all((tmp_path / "w1" / name).read_bytes() == (tmp_path / "w4" / name).read_bytes()
                for name in names)

@@ -251,7 +251,7 @@ def test_bad_kappa_spec_is_config_error(tmp_path, capsys):
     assert "kappa" in capsys.readouterr().err
 
 
-def test_outputs_byte_identical_across_worker_counts(tmp_path):
+def test_outputs_byte_identical_across_worker_counts(tmp_path, forced_pools):
     entries = [
         {"id": "walk", "kind": "clt", "regime": "MIXED", "n": 12, "p": 12, "trials": 1200,
          "law": TWO_POINT_LAW, "checks": ["exact"]},
@@ -260,6 +260,7 @@ def test_outputs_byte_identical_across_worker_counts(tmp_path):
     manifest = _write_manifest(tmp_path / "m.json", entries, seed=2024)
     cli.cmd_clt(manifest, tmp_path / "out1", workers=1)
     cli.cmd_clt(manifest, tmp_path / "out2", workers=3)
+    assert forced_pools == [3]
     for name in ("summary.csv", "walk.json", "algebra.json"):
         assert (tmp_path / "out1" / name).read_bytes() == (tmp_path / "out2" / name).read_bytes()
 
@@ -543,18 +544,10 @@ def test_the_benchmarks_two_calls_into_src(tmp_path):
     assert sorted(f.name for f in (tmp_path / "out").iterdir()) == ["c0.json", "m.json", "s.json", "summary.csv"]
 
 
-def test_a_walk_on_a_pool_leaves_nothing_running(tmp_path, monkeypatch):
+def test_a_walk_on_a_pool_leaves_nothing_running(tmp_path, forced_pools):
     # a worker or manager thread left behind by an entry's pool would outlive the run
-    pools = []
-
-    class Recorded(process.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            pools.append(self)
-
-    monkeypatch.setattr(clt_experiments, "ProcessPoolExecutor", Recorded)
     manifest = _write_manifest(tmp_path / "m.json", [_clt_entry("c0", trials=2 * CHUNK_TRIALS)])
     code = cli.main(["clt", "--manifest", str(manifest), "--out", str(tmp_path / "out"), "--workers", "2"])
-    assert code in (0, 1) and len(pools) == 1
+    assert code in (0, 1) and forced_pools == [2]
     assert multiprocessing.active_children() == []
     assert not [t for t in threading.enumerate() if isinstance(t, process._ExecutorManagerThread)]

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from radwalk import BadArity, TooFewSamples, cli, clt_experiments
@@ -18,6 +20,7 @@ from radwalk.clt_experiments import (
     TRIAL_STEPS_CAP,
     WORKERS_CAP,
     _GROUP_CHUNKS,
+    _POOL_WORK,
     _STEP_BLOCK,
     MomentDecayReport,
     MomentSweep,
@@ -436,14 +439,14 @@ def test_a_requested_check_that_is_skipped_gives_no_pass():
     assert rep.overall == "INCONCLUSIVE"
 
 
-def test_verify_clt_deterministic_and_worker_independent():
+def test_verify_clt_deterministic_and_worker_independent(forced_pools):
     cfg = _cfg(trials=CHUNK_TRIALS * 2 + 100, seed=21, checks=("exact",))
     reps = [verify_clt(cfg, workers).to_dict() for workers in (1, 2, 3)]
+    assert forced_pools == [2, 3]
     assert reps[0] == reps[1] == reps[2]
 
 
-@pytest.fixture
-def pool_sizes(monkeypatch):
+def _record_pools(monkeypatch):
     """The size of each process pool the walk runner opens; the pools run their tasks in this process."""
     sizes = []
 
@@ -464,25 +467,55 @@ def pool_sizes(monkeypatch):
     return sizes
 
 
-@pytest.mark.parametrize("chunks", [1, 2, 7, 40])
-@pytest.mark.parametrize("workers", [1, 2, 3])
-def test_chunk_groups_spread_over_the_workers_in_chunk_order(monkeypatch, pool_sizes, workers, chunks):
-    # each task records its chunks and returns the indices of the trials it
-    # covers, so the merged result shows the order and the coverage
-    trials, tasks = chunks * CHUNK_TRIALS - 100, []
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    return _record_pools(monkeypatch)
 
+
+def _covering_task(trials, tasks):
+    """A stand-in chunk task: records its chunk count and returns the indices
+    of the trials it covers, so the merged result shows order and coverage."""
     def task(args):
         _, first, last = args
         tasks.append(last - first)
         return np.arange(first * CHUNK_TRIALS, min(last * CHUNK_TRIALS, trials))[:, None]
+    return task
 
-    monkeypatch.setattr(clt_experiments, "_chunk_task", task)
-    merged = clt_experiments._run_all_chunks(_cfg(trials=trials), workers)
+
+@pytest.mark.parametrize("chunks", [1, 2, 7, 40])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_chunk_groups_spread_over_the_workers_in_chunk_order(monkeypatch, pool_sizes, workers, chunks):
+    trials = chunks * CHUNK_TRIALS - 100
+    # n = 20 never pays for a pool; n = 2000 pays for one worker per chunk from 2 chunks on
+    for n, w in ((20, 1), (2000, min(workers, chunks))):
+        tasks = []
+        pool_sizes.clear()
+        monkeypatch.setattr(clt_experiments, "_chunk_task", _covering_task(trials, tasks))
+        merged = clt_experiments._run_all_chunks(_cfg(n=n, trials=trials), workers)
+        assert np.array_equal(merged[:, 0], np.arange(trials))
+        assert pool_sizes == ([w] if w > 1 else [])
+        assert len(tasks) % w == 0  # so every worker gets a task when chunks >= workers
+        assert max(tasks) <= _GROUP_CHUNKS and max(tasks) - min(tasks) <= 1
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(n=st.integers(1, 10**5), trials=st.integers(100, 40 * CHUNK_TRIALS), q=st.integers(1, 3),
+       workers=st.integers(1, 64))
+def test_each_pool_worker_gets_a_pools_worth_of_work(n, trials, q, workers):
+    nu = {1: TWO_POINT, 2: Q2_ATOMS, 3: Q3_ATOMS}[q]
+    trials, tasks = max(trials, 8 * q * q), []
+    chunks, work = -(-trials // CHUNK_TRIALS), n * trials * q ** 3
+    with pytest.MonkeyPatch.context() as mp:
+        sizes = _record_pools(mp)
+        mp.setattr(clt_experiments, "_chunk_task", _covering_task(trials, tasks))
+        merged = clt_experiments._run_all_chunks(_cfg(nu=nu, n=n, p=10, trials=trials), workers)
     assert np.array_equal(merged[:, 0], np.arange(trials))
-    w = min(workers, chunks)
-    assert pool_sizes == ([w] if w > 1 else [])
-    assert len(tasks) % w == 0  # so every worker gets a task when chunks >= workers
-    assert max(tasks) <= _GROUP_CHUNKS and max(tasks) - min(tasks) <= 1
+    assert len(sizes) <= 1 and sizes != [1]
+    w = sizes[0] if sizes else 1
+    assert 1 <= w <= min(workers, chunks)
+    assert w == 1 or work >= w * _POOL_WORK
+    assert w == min(workers, chunks) or work < (w + 1) * _POOL_WORK  # no worker that would pay is left out
+    assert len(tasks) % w == 0
 
 
 @pytest.mark.parametrize("workers", [0, -1, 2.5, True, pytest.param(WORKERS_CAP + 1, id="over-cap")])
@@ -498,20 +531,40 @@ def test_bad_workers_are_refused_before_any_pool_starts(monkeypatch, pool_sizes,
 
 def test_pool_is_sized_by_the_work(tmp_path, pool_sizes):
     # a fork pool starts all its workers at its first task, so each walk entry
-    # gets a pool of min(workers, its chunks), none when that is 1, and a run
-    # of moments and selftest entries starts none
+    # gets a pool of min(workers, its chunks, its trial-steps n trials q^3 over
+    # _POOL_WORK), none when that is 1, and a run of moments and selftest
+    # entries starts none
     law = {"family": "two_point", "params": {"r_a": 1.0, "p_a": 0.5, "r_b": 2.0}}
-    walks = [{"id": f"c{k}", "regime": "CLT_II", "n": 3, "p": 10, "trials": k * CHUNK_TRIALS, "law": law,
-              "checks": ["exact"]} for k in (2, 1, 5)]
+
+    def walk(eid, n, chunks, nu=law):
+        return {"id": eid, "regime": "CLT_II", "n": n, "p": 10, "trials": chunks * CHUNK_TRIALS, "law": nu,
+                "checks": ["exact"]}
+
+    two = 2 * _POOL_WORK // (4 * CHUNK_TRIALS)
+    walks = [walk("tiny", 3, 5),  # a tiny entry starts no pool at 3 workers
+             walk("under_two", two - 1, 4),  # just under 2 _POOL_WORK: one worker
+             walk("two", two, 4),
+             walk("three", 3 * _POOL_WORK // (5 * CHUNK_TRIALS) + 1, 5),
+             walk("q2_two", two // 8, 4, Q2_ATOMS.to_config())]  # q^3 = 8 times the work per trial-step
     rest = [{"id": "m", "kind": "moments", "law": law, "kappa": [[[0, 0], 2]], "p_grid": [2, 4, 8], "trials": 2000},
             {"id": "s", "kind": "selftest", "cases": 5}]
-    for name, entries, sizes in (("walk", walks, [2, 3]), ("rest", rest, [])):
+    for name, entries, sizes in (("walk", walks, [2, 3, 2]), ("rest", rest, [])):
         manifest = tmp_path / f"{name}.json"
         manifest.write_text(json.dumps({"entries": entries}))
         argv = ["clt", "--manifest", str(manifest), "--out", str(tmp_path / name), "--workers", "3"]
         assert cli.main(argv) in (0, 1)
         assert pool_sizes == sizes
         pool_sizes.clear()
+
+
+def test_every_demo_walk_opens_a_pool_at_two_workers(monkeypatch, pool_sizes):
+    # the demo's walks are large enough that a second worker pays for its start
+    demo = Path(__file__).resolve().parents[1] / "manifests" / "demo.json"
+    walks = [cfg for cfg in cli.load_manifest(demo)[2] if isinstance(cfg, WalkConfig)]
+    monkeypatch.setattr(clt_experiments, "_chunk_task", lambda args: np.zeros((0, 1)))
+    for cfg in walks:
+        clt_experiments._run_all_chunks(cfg, 2)
+    assert len(walks) == 4 and pool_sizes == [2, 2, 2, 2]
 
 
 def test_a_task_holds_at_most_a_group_of_chunks_in_memory(monkeypatch):

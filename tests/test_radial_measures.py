@@ -115,6 +115,12 @@ def test_from_config_names_bad_atom():
         RadialLaw.from_config(cfg)
 
 
+@pytest.mark.parametrize("cfg", [5, None, "x", [1]], ids=["int", "none", "str", "list"])
+def test_a_law_that_is_not_an_object_is_refused_naming_the_law(cfg):
+    with pytest.raises(BadArity, match=r"^law: expected an object, got "):
+        RadialLaw.from_config(cfg)
+
+
 def test_slightly_asymmetric_radius_is_refused_naming_the_field():
     cfg = {"q": 2, "atoms": [{"weight": 1.0, "radius": [1.0, 1e-15, 0.0, 1.0]}]}
     with pytest.raises(NotPSD, match=r"^atoms\[0\]\.radius: matrix is not symmetric"):

@@ -34,13 +34,13 @@ naming the field, with nothing written.  ``radwalk moments`` turns its
 flags into a moments entry and applies the same rules.  ``--seed`` must be
 an integer >= 0, and ``--workers`` an integer from 1 to ``WORKERS_CAP``.
 
-Each walk entry runs on a process pool of its own, of that many workers or
-of as many as the entry has chunks where that is fewer, and on none where
-that is one.  Every output file embeds the tool version, the master seed,
-and a SHA-256 hash of the manifest.  Outputs are byte-identical for a fixed
-(manifest, seed, version) whatever the worker count: random streams attach
-to fixed work units, results merge in trial order, and no wall time is
-recorded.
+Each walk entry runs on a process pool of its own, of as many of those
+workers as ``clt_experiments._run_all_chunks`` finds its work pays for, or
+in process where that is one.  Every output file embeds the tool version,
+the master seed, and a SHA-256 hash of the manifest.  Outputs are
+byte-identical for a fixed (manifest, seed, version) whatever the worker
+count: random streams attach to fixed work units, results merge in trial
+order, and no wall time is recorded.
 """
 
 from __future__ import annotations
@@ -186,10 +186,7 @@ def _parse_entry(entry, prefix, master_seed=0):
             raise BadArity(f"id: expected a file name of letters, digits, '_', '.' "
                            f"and '-' that starts with a letter or digit, got {eid!r}")
         if kind == "selftest":
-            cases = _integer(entry.get("cases", 50), "cases", 1)
-            if cases > SELFTEST_CASES_CAP:
-                raise BadArity(f"cases: {cases} cases exceed the cap of {SELFTEST_CASES_CAP}")
-            return cases
+            return _integer(entry.get("cases", 50), "cases", 1, SELFTEST_CASES_CAP)
         if not isinstance(entry["law"], dict):
             raise BadArity("law: expected an object")
     with _named(f"{prefix}law."):  # a law's message starts with the field's path in the law

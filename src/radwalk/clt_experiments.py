@@ -99,8 +99,8 @@ _STEP_BLOCK = 32
 # Family-wise significance level of the KS normality check.
 KS_ALPHA = 1e-3
 # The time rule on a walk or sweep entry: a walk runs at most TRIAL_STEPS_CAP
-# trial-steps (n times trials) and a sweep at most as many draws (grid points
-# times trials), 250 times the demo's largest walk.
+# trial-steps (n is at most TRIAL_STEPS_CAP // trials) and a sweep at most as
+# many draws (grid points times trials), 250 times the demo's largest walk.
 TRIAL_STEPS_CAP = 10**10
 # The largest lift dimension: every integer up to 2^53 is exact as a float.
 P_CAP = 1 << 53
@@ -134,11 +134,11 @@ class WalkConfig:
             raise BadArity(f"nu: expected a RadialLaw, got {self.nu!r}")
         if self.regime not in REGIMES:
             raise BadArity(f"regime: must be one of {REGIMES}, got {self.regime!r}")
-        for name, minimum in (("n", 1), ("seed", 0), ("stream_tag", 0)):
-            object.__setattr__(self, name, _integer(getattr(self, name), name, minimum))
+        for name in ("seed", "stream_tag"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name, 0))
         object.__setattr__(self, "p", _dimension(self.p, "p", self.nu.q))
         object.__setattr__(self, "trials", _trials(self.trials, 100, 8 * self.nu.q ** 2))
-        _time_rule(self.n * self.trials, "n", f"{self.n} steps of {self.trials} trials")
+        object.__setattr__(self, "n", _integer(self.n, "n", 1, TRIAL_STEPS_CAP // self.trials))
         checks = self.checks
         if not (isinstance(checks, (list, tuple)) and checks
                 and all(isinstance(k, str) and k in CHECKS for k in checks)):
@@ -163,15 +163,7 @@ class WalkConfig:
 
 def _dimension(value, field: str, q: int) -> int:
     """A lift dimension from q to P_CAP; errors name the field."""
-    p = _integer(value, field, q)
-    if p > P_CAP:
-        raise BadArity(f"{field}: expected an integer <= 2^53, got {p}")
-    return p
-
-
-def _time_rule(work: int, field: str, what: str) -> None:
-    if work > TRIAL_STEPS_CAP:
-        raise BadArity(f"{field}: {what} exceed the cap of {TRIAL_STEPS_CAP} trial-steps on an entry")
+    return _integer(value, field, q, P_CAP)
 
 
 @dataclass
@@ -351,9 +343,7 @@ def _chunk_task(args):
 
 def _workers(value, name: str = "workers") -> int:
     """A walk's worker count, an integer from 1 to WORKERS_CAP; errors name ``name``."""
-    if _integer(value, name, 1) > WORKERS_CAP:
-        raise BadArity(f"{name}: expected at most {WORKERS_CAP}, got {value}")
-    return int(value)
+    return _integer(value, name, 1, WORKERS_CAP)
 
 
 def _run_all_chunks(cfg: WalkConfig, workers: int = 1):
@@ -591,7 +581,9 @@ class MomentSweep:
             if first.setdefault(p, k) != k:
                 raise BadArity(f"p_grid[{k}]: repeats p_grid[{first[p]}] = {p}; grid points must be distinct")
         kappa = _monomial_rules(self.kappa, min(grid), self.nu.q, self.trials)
-        _time_rule(len(grid) * self.trials, "p_grid", f"{len(grid)} grid points of {self.trials} trials")
+        if len(grid) * self.trials > TRIAL_STEPS_CAP:
+            raise BadArity(f"p_grid: {len(grid)} grid points of {self.trials} trials exceed the cap "
+                           f"of {TRIAL_STEPS_CAP} trial-steps on an entry")
         # X = U r, so column j of X is 0 when column j of every radius is,
         # and the moment is then 0 at every p: no slope, no z-score
         norms = r2(self.nu).diagonal()

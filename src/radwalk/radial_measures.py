@@ -40,6 +40,7 @@ __all__ = [
     "kappa_all_rows_even",
     "radial_moment_mc",
     "SAMPLE_BYTES_CAP",
+    "Q_CAP",
 ]
 
 _WEIGHT_TOL = 1e-12
@@ -56,27 +57,27 @@ def _real(value, field: str) -> float:
     return float(value)
 
 
-def _integer(value, field: str, minimum: int) -> int:
-    """A config integer >= ``minimum`` as an int; bools, floats and strings
-    are refused, naming the field."""
+def _integer(value, field: str, minimum: int, maximum: int | None = None) -> int:
+    """A config integer from ``minimum`` to ``maximum`` (if given) as an int;
+    bools, floats and strings are refused, naming the field."""
     if isinstance(value, bool) or not isinstance(value, Integral) or value < minimum:
         raise BadArity(f"{field}: expected an integer >= {minimum}, got {value!r}")
+    if maximum is not None and value > maximum:
+        raise BadArity(f"{field}: expected an integer <= {maximum}, got {value!r}")
     return int(value)
 
 
 # The one work rule on an entry's size: the samples it keeps (trials times
 # q*q doubles for a walk, trials doubles for a moment estimate) fit in this.
 SAMPLE_BYTES_CAP = 1 << 28
+# The largest q of a law: a walk task's four (q, q, 32, 4096) float64 block
+# buffers then hold at most SAMPLE_BYTES_CAP bytes, and Sigma(nu), T(nu) stay small.
+Q_CAP = 8
 
 
 def _trials(value, minimum: int, sample_bytes: int) -> int:
-    """A config ``trials`` >= ``minimum`` whose samples of ``sample_bytes``
-    each fit in SAMPLE_BYTES_CAP; errors name the field."""
-    trials = _integer(value, "trials", minimum)
-    if trials * sample_bytes > SAMPLE_BYTES_CAP:
-        raise BadArity(f"trials: {trials} samples of {sample_bytes} bytes exceed the "
-                       f"{SAMPLE_BYTES_CAP}-byte cap on an entry's samples")
-    return trials
+    """A config ``trials`` >= ``minimum`` whose samples of ``sample_bytes`` each fit in SAMPLE_BYTES_CAP."""
+    return _integer(value, "trials", minimum, SAMPLE_BYTES_CAP // sample_bytes)
 
 
 def _config_keys(obj, name: str, keys, optional=()) -> None:
@@ -106,7 +107,7 @@ class RadialLaw:
     """
 
     def __init__(self, q, family, weights=None, radii=None, params=None):
-        self.q = int(q)
+        self.q = _integer(q, "q", 1, Q_CAP)
         self.family = family
         self.params = dict(params) if params else {}
         if weights is not None:
@@ -223,7 +224,7 @@ class RadialLaw:
             _config_keys(params, "params", _FAMILIES[family])
             return getattr(cls, family)(**{name: _real(v, f"params.{name}") for name, v in params.items()})
         _config_keys(cfg, "", ("q", "atoms"))
-        q = _integer(cfg["q"], "q", 1)
+        q = _integer(cfg["q"], "q", 1, Q_CAP)
         atoms = cfg["atoms"]
         if not isinstance(atoms, list) or not atoms:
             raise BadArity(f"atoms: expected a nonempty list, got {atoms!r}")

@@ -334,6 +334,7 @@ def _atom_law(q=1, weight=1.0, radius=(1.0,)):
     pytest.param("rel_tol", 10**400, id="rel_tol-int-beyond-float"),
     pytest.param("law.q", _atom_law(q=1.5), id="law.q-1.5"),
     pytest.param("law.q", _atom_law(q=0, radius=()), id="law.q-0"),
+    pytest.param("law.q", _atom_law(q=9, radius=np.eye(9).reshape(-1)), id="law.q-beyond-cap"),
     pytest.param("law.params.b", {"family": "uniform_interval", "params": {"a": 0.0, "b": float("inf")}},
                  id="law.params.b-inf"),
     pytest.param("law.atoms[0].weight", _atom_law(weight="a"), id="law.atoms.weight-a"),

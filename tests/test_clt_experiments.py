@@ -35,7 +35,7 @@ from radwalk.clt_experiments import (
     trial_stream,
     verify_clt,
 )
-from radwalk.radial_measures import (SAMPLE_BYTES_CAP, RadialLaw, _stiefel_rows, r2, sigma_nu, t_nu,
+from radwalk.radial_measures import (Q_CAP, SAMPLE_BYTES_CAP, RadialLaw, _stiefel_rows, r2, sigma_nu, t_nu,
                                      uniform_sphere_cosine)
 
 from helpers import _walk_chunk
@@ -100,19 +100,42 @@ def test_trials_cap_counts_the_bytes_of_an_entrys_samples(make, sample_bytes):
     # construction only: the largest admitted entry is never run
     most = SAMPLE_BYTES_CAP // sample_bytes
     assert make(most).trials == most
-    with pytest.raises(BadArity, match=rf"^trials: {most + 1} samples of {sample_bytes} bytes exceed"):
+    with pytest.raises(BadArity, match=rf"^trials: expected an integer <= {most}, got {most + 1}$"):
         make(most + 1)
 
 
-@pytest.mark.parametrize("make, field", [
-    (lambda work: _cfg(n=work // 2000), "n"),  # steps of 2000 trials
-    (lambda work: MomentSweep(TWO_POINT, {(0, 0): 2}, list(range(2, 2 + work // 10**6)), 10**6), "p_grid"),
+@pytest.mark.parametrize("make, refusal", [
+    # steps of 2000 trials: the walk's rule is a bound on n
+    (lambda work: _cfg(n=work // 2000), rf"^n: expected an integer <= {TRIAL_STEPS_CAP // 2000}, got "),
+    (lambda work: MomentSweep(TWO_POINT, {(0, 0): 2}, list(range(2, 2 + work // 10**6)), 10**6),
+     rf"^p_grid: .* exceed the cap of {TRIAL_STEPS_CAP} trial-steps"),
 ], ids=["walk", "sweep"])
-def test_time_rule_counts_trial_steps(make, field):
+def test_time_rule_counts_trial_steps(make, refusal):
     # construction only: the largest admitted entry is never run
     make(TRIAL_STEPS_CAP)
-    with pytest.raises(BadArity, match=rf"^{field}: .* exceed the cap of {TRIAL_STEPS_CAP} trial-steps"):
+    with pytest.raises(BadArity, match=refusal):
         make(TRIAL_STEPS_CAP + 10**6)
+
+
+@pytest.mark.parametrize("make, field, bound", [
+    (lambda v: _cfg(trials=v).trials, "trials", SAMPLE_BYTES_CAP // 8),
+    (lambda v: WalkConfig(nu=Q2_ATOMS, n=5, p=10, trials=v, regime="CLT_II").trials, "trials", SAMPLE_BYTES_CAP // 32),
+    (lambda v: WalkConfig(nu=Q3_ATOMS, n=5, p=10, trials=v, regime="CLT_II").trials, "trials", SAMPLE_BYTES_CAP // 72),
+    (lambda v: MomentSweep(Q2_ATOMS, {(0, 0): 2}, [10, 20, 40], v).trials, "trials", SAMPLE_BYTES_CAP // 8),
+    (lambda v: _cfg(n=v).n, "n", TRIAL_STEPS_CAP // 2000),
+    (lambda v: _cfg(p=v).p, "p", P_CAP),
+    (lambda v: MomentSweep(TWO_POINT, {(0, 0): 2}, [10, v, 40], 2000).p_grid[1], r"p_grid\[1\]", P_CAP),
+    (lambda v: cli._parse_entry({"id": "s", "kind": "selftest", "cases": v}, ""), "cases", cli.SELFTEST_CASES_CAP),
+    (lambda v: clt_experiments._workers(v), "workers", WORKERS_CAP),
+    (lambda v: RadialLaw.from_atoms(np.eye(v)[None], [1.0]).q, "q", Q_CAP),
+], ids=["walk-trials-q1", "walk-trials-q2", "walk-trials-q3", "sweep-trials", "walk-n", "p", "p_grid",
+        "selftest-cases", "workers", "law-q"])
+def test_every_bounded_count_admits_its_bound_and_refuses_one_more(make, field, bound):
+    # construction only: no entry runs, and each refusal has the one wording of _integer
+    assert make(bound) == bound
+    refusal = rf"^{field}: expected an integer <= {bound}, got {bound + 1}$"
+    with pytest.raises((BadArity, cli.ManifestError), match=refusal):  # cases is refused through cli's prefixer
+        make(bound + 1)
 
 
 def test_single_step_trial_has_no_cross_terms():

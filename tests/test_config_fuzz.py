@@ -18,6 +18,8 @@ import copy
 import json
 import math
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 from hypothesis import HealthCheck, assume, given, settings
@@ -25,16 +27,17 @@ from hypothesis import strategies as st
 
 from radwalk import cli
 from radwalk.clt_experiments import P_CAP, TRIAL_STEPS_CAP, MomentSweep, WalkConfig
-from radwalk.radial_measures import SAMPLE_BYTES_CAP
+from radwalk.radial_measures import Q_CAP, SAMPLE_BYTES_CAP
 
-DEMO = json.loads((Path(__file__).resolve().parents[1] / "manifests" / "demo.json").read_text())
+ROOT = Path(__file__).resolve().parents[1]
+DEMO = json.loads((ROOT / "manifests" / "demo.json").read_text())
 # one entry of each shape: a q = 1 family walk, a q = 2 atom walk, a parity
 # and a decay sweep, and a selftest
 SHRUNK = {**DEMO, "entries": DEMO["entries"][2:]}
 
 # each cap and one past it: the dimension, the trials of a moment sweep's
-# 8-byte samples, the trial-steps and the selftest cases
-CAPS = [P_CAP, SAMPLE_BYTES_CAP // 8, TRIAL_STEPS_CAP, cli.SELFTEST_CASES_CAP]
+# 8-byte samples, the trial-steps, the selftest cases and a law's q
+CAPS = [P_CAP, SAMPLE_BYTES_CAP // 8, TRIAL_STEPS_CAP, cli.SELFTEST_CASES_CAP, Q_CAP]
 VALUES = st.sampled_from([None, True, "x", "", [], {}, [1], math.nan, math.inf, -math.inf,
                           1e308, -1e308, 10**30, -(10**30), 10**400, 0, -1, 1.5,
                           *(v + extra for v in CAPS for extra in (0, 1))])
@@ -131,3 +134,15 @@ def test_manifest_mutants_run_end_to_end_to_an_exit_code(tmp_path_factory, data)
     code = cli.main(["clt", "--manifest", str(path), "--out", str(out), "--workers", "1"])
     assert code in (0, 1, 2)
     assert code != 2 or not out.exists()
+
+
+def test_a_failing_property_reports_one_failure(tmp_path):
+    # under the repo's warning filters, hypothesis's report hook on a failing
+    # property must not raise, which would end the session with INTERNALERROR
+    (tmp_path / "test_prop.py").write_text("from hypothesis import given, strategies as st\n\n\n"
+                                           "@given(st.integers())\ndef test_negative(x):\n    assert x < 0\n")
+    run = subprocess.run([sys.executable, "-m", "pytest", "-c", str(ROOT / "pyproject.toml"), "--rootdir",
+                          str(tmp_path), "-p", "no:cacheprovider", "test_prop.py"],
+                         cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 1, run.stdout[-2000:]
+    assert "1 failed" in run.stdout and "INTERNALERROR" not in run.stdout + run.stderr

@@ -81,8 +81,8 @@ _KEYS = {
     "moments": (("id", "kind", "law", "kappa", "p_grid", "trials"), ()),
     "selftest": (("id", "kind"), ("cases",)),
 }
-# an entry id names its report file, so it must stay a plain file name
-_ID_PATTERN = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]*")
+# an entry id names its report file, <id>.json: a plain file name of at most 255 bytes
+_ID_PATTERN = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]{0,249}")
 # The time rule on a selftest entry: at most this many cases, 500 times the largest in use.
 SELFTEST_CASES_CAP = 10**5
 
@@ -115,7 +115,7 @@ def _named(prefix=""):
 def _decode(text, field):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, an int over 4300 digits, deep nesting
         raise ManifestError(f"{field}: invalid JSON: {exc}") from exc
 
 
@@ -183,8 +183,8 @@ def _parse_entry(entry, prefix, master_seed=0):
         _config_keys(entry, "", *_KEYS[kind])
         eid = entry["id"]
         if not isinstance(eid, str) or not _ID_PATTERN.fullmatch(eid):
-            raise BadArity(f"id: expected a file name of letters, digits, '_', '.' "
-                           f"and '-' that starts with a letter or digit, got {eid!r}")
+            raise BadArity(f"id: expected a file name of at most 250 letters, digits, '_', "
+                           f"'.' and '-' that starts with a letter or digit, got {eid!r}")
         if kind == "selftest":
             return _integer(entry.get("cases", 50), "cases", 1, SELFTEST_CASES_CAP)
         if not isinstance(entry["law"], dict):

@@ -239,7 +239,7 @@ def _gram_chunk(nu: RadialLaw, n: int, p: int, m: int, *rngs: np.random.Generato
         radii, w = radii_buf[:, :, :k], w_buf[:, :, :k]
         for rng, lo, hi in zip(rngs, bounds, bounds[1:]):
             size = k * (hi - lo)
-            radii[..., lo:hi] = nu.draw_radii(size, rng).transpose(1, 2, 0).reshape(q, q, k, hi - lo)
+            radii[..., lo:hi] = nu.draw_radii(size, rng).reshape(q, q, k, hi - lo)
             rows = uniform_sphere_cosine(p, size, rng) if q == 1 else _stiefel_rows(p, q, q, size, rng)
             np.multiply(rows.reshape(q, q, k, hi - lo), 2.0, out=w[..., lo:hi])
         for i, j in pairs:  # 2 W r, and X'X = r'U'U r = r r since radii are symmetric

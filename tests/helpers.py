@@ -110,7 +110,7 @@ def _walk_chunk(nu: RadialLaw, n: int, p: int, m: int, rng: np.random.Generator)
     s = np.zeros((m, p, q))
     a = np.zeros((m, q, q))
     for _ in range(n):
-        radii = nu.draw_radii(m, rng)
+        radii = np.ascontiguousarray(nu.draw_radii(m, rng).transpose(2, 0, 1))
         x = _orbit_batch(p, radii, rng)
         s += x
         # x'x rather than r r: keeps the frames' orthonormality under test

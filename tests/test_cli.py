@@ -305,6 +305,21 @@ def test_entry_id_cannot_name_a_path_outside_out(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+# <id>.json must fit the usual 255-byte limit on a file name, and ids are ASCII
+@pytest.mark.parametrize("length", [250, 251])
+def test_entry_id_length_is_bounded_by_its_report_file_name(tmp_path, capsys, length):
+    eid = "a" * length
+    manifest = _write_manifest(tmp_path / "m.json", [{"id": eid, "kind": "selftest", "cases": 2}])
+    code = cli.main(["clt", "--manifest", str(manifest), "--out", str(tmp_path / "out")])
+    if length == 250:
+        assert code == 0
+        assert (tmp_path / "out" / f"{eid}.json").exists()
+    else:
+        assert code == 2
+        assert "config error: entries[0].id: expected a file name of at most 250 " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 def test_checks_string_rejected_before_any_entry_runs(tmp_path, capsys):
     entries = [_clt_entry("first"), _clt_entry("second", checks="exact")]
     manifest = _write_manifest(tmp_path / "m.json", entries)
@@ -437,6 +452,22 @@ def test_bad_moments_command_is_config_error(tmp_path, capsys, field, args, law)
     code = cli.main(["moments", "--law", str(law_path), *args, "--out", str(tmp_path / "out")])
     assert code == 2
     assert f"config error: {field}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+# each gets past json.JSONDecodeError: a ValueError on the integer digit limit,
+# a UnicodeDecodeError, and a RecursionError
+@pytest.mark.parametrize("raw", [b"[" + b"1" * 5000 + b"]", b'["\xff"]', b"[" * 100_000 + b"]" * 100_000],
+                         ids=["5000-digit-int", "non-utf8-byte", "nested-100000-deep"])
+@pytest.mark.parametrize("field", ["manifest", "law"])
+def test_undecodable_json_document_is_config_error(tmp_path, capsys, raw, field):
+    doc = tmp_path / "doc.json"
+    doc.write_bytes(raw)
+    command = (["clt", "--manifest", str(doc)] if field == "manifest"
+               else ["moments", "--law", str(doc), *GOOD_MOMENTS_ARGS])
+    code = cli.main([*command, "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert f"config error: {field}: invalid JSON: " in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

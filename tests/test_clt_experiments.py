@@ -261,7 +261,7 @@ def test_gram_chunk_reproduces_matrix_recursion(nu, p):
     steps = []
     for start in range(0, n, _STEP_BLOCK):
         k = min(_STEP_BLOCK, n - start)
-        r = nu.draw_radii(k * m, rng).reshape(k, m, q, q)
+        r = nu.draw_radii(k * m, rng).reshape(q, q, k, m).transpose(2, 3, 0, 1)
         w = _stiefel_rows(p, q, q, k * m, rng).transpose(2, 0, 1).reshape(k, m, q, q)
         steps += zip(r, w)
     assert xi.shape == a.shape == (m, q, q)

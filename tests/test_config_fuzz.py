@@ -36,11 +36,12 @@ DEMO = json.loads((ROOT / "manifests" / "demo.json").read_text())
 SHRUNK = {**DEMO, "entries": DEMO["entries"][2:]}
 
 # each cap and one past it: the dimension, the trials of a moment sweep's
-# 8-byte samples, the trial-steps, the selftest cases and a law's q
+# 8-byte samples, the trial-steps, the selftest cases and a law's q; and an
+# entry id of 250 characters and of one more
 CAPS = [P_CAP, SAMPLE_BYTES_CAP // 8, TRIAL_STEPS_CAP, cli.SELFTEST_CASES_CAP, Q_CAP]
 VALUES = st.sampled_from([None, True, "x", "", [], {}, [1], math.nan, math.inf, -math.inf,
                           1e308, -1e308, 10**30, -(10**30), 10**400, 0, -1, 1.5,
-                          *(v + extra for v in CAPS for extra in (0, 1))])
+                          *(v + extra for v in CAPS for extra in (0, 1)), "a" * 250, "a" * 251])
 NEW_KEYS = st.text(alphabet="abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=8)
 
 

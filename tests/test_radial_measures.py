@@ -288,12 +288,20 @@ def test_draw_radii_atom_index_matches_searchsorted(atoms):
                             [0.0, np.nextafter(1.0, 0.0)], rng.uniform(cum[-1], 1.0, 16)])
         u = u[(u >= 0.0) & (u < 1.0)]
         want = np.minimum(np.searchsorted(cum, u, side="right"), atoms - 1)
-        # atom j has radius j (times I_2 at q = 2), so a draw reads back its index
-        for q in (1, 2):
-            law = RadialLaw.from_atoms(np.arange(atoms)[:, None, None] * np.eye(q), w)
+        # atom j has radius j I + (j / 10)(J - I), J all ones: symmetric, PSD, and
+        # distinct off the diagonal, so a swapped axis shows in the whole draw
+        for q in (1, 2, 3):
+            j = np.arange(atoms)[:, None, None]
+            law = RadialLaw.from_atoms(j * np.eye(q) + j / 10 * (np.ones((q, q)) - np.eye(q)), w)
             radii = law.draw_radii(u.size, _FixedUniforms(u))
-            assert radii.shape == (u.size, q, q)
-            assert np.array_equal(radii[:, 0, 0], want)
+            assert radii.shape == (q, q, u.size)
+            assert np.array_equal(radii, law.radii[want].transpose(1, 2, 0))
+
+
+def test_uniform_interval_draws_trials_last():
+    radii = RadialLaw.uniform_interval(0.5, 2.0).draw_radii(1000, np.random.default_rng(3))
+    assert radii.shape == (1, 1, 1000)
+    assert np.array_equal(radii[0, 0], np.random.default_rng(3).uniform(0.5, 2.0, 1000))
 
 
 def test_uniform_sphere_cosine_p1_is_sign():

@@ -7,7 +7,7 @@ Each name has one import path: its own module (``radwalk.kron_algebra``,
 version and the error classes.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .errors import (
     BadArity,

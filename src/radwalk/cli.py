@@ -73,8 +73,9 @@ from .gaussian_moments import MatrixNormalSpec, moment_tensor, sum_moment, wick_
 from .kron_algebra import PermMat, hadamard, kron, reorder_perm
 from .radial_measures import RadialLaw, _config_keys, _integer
 
-CSV_COLUMNS = ("id", "regime", "n", "p", "q", "predicted_var", "empirical_var",
-               "stderr", "rel_frob_err", "ks_stat", "max_abs_z_mean", "verdict")
+# the verdict stays last, and decided_by joins its check names with "+", so no field holds a comma
+CSV_COLUMNS = ("id", "regime", "n", "p", "q", "predicted_var", "empirical_var", "stderr", "rel_frob_err",
+               "ks_stat", "max_abs_z_mean", "rel_frob_err_exact", "decided_by", "verdict")
 # each entry kind's required and optional keys; any other key is a config error
 _KEYS = {
     "clt": (("id", "law", "regime", "n", "p", "trials"), ("kind", "checks", "rel_tol")),
@@ -165,7 +166,7 @@ def load_manifest(path, seed_override=None):
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(payload, sort_keys=True) + "\n")  # no indent: json's C encoder
 
 
 def _summary_scalar(matrix: np.ndarray, q: int) -> float:
@@ -200,7 +201,7 @@ def _parse_entry(entry, prefix, master_seed=0):
 
 def cmd_clt(manifest_path, out_dir, seed_override=None, workers=1) -> int:
     """Run every manifest entry, write one JSON report per entry plus the
-    suite CSV, and return 0 only if all verdicts PASS.  ``workers`` (each
+    suite CSV, and return 0 only if every verdict is PASS.  ``workers`` (each
     walk entry runs on up to that many processes), ``seed_override`` and
     every entry are checked before ``out_dir`` is made, so a fault raises
     :class:`ManifestError` with nothing computed or written."""
@@ -218,16 +219,12 @@ def cmd_clt(manifest_path, out_dir, seed_override=None, workers=1) -> int:
         if isinstance(cfg, WalkConfig):
             report = verify_clt(cfg, workers)
             verdict, body = report.overall, {"report": report.to_dict()}
-            q = cfg.nu.q
+            q, checks = cfg.nu.q, report.checks
             rows.append((
                 eid, cfg.regime, str(cfg.n), str(cfg.p), str(q),
-                _fmt(_summary_scalar(report.predicted_limit, q)),
-                _fmt(_summary_scalar(report.empirical_cov, q)),
-                _fmt(_summary_scalar(report.stderr, q)),
-                _fmt(report.rel_frob_err_limit),
-                _fmt(report.ks_stat) if report.ks_stat is not None else "",
-                _fmt(report.max_abs_z_mean),
-                verdict,
+                *(_fmt(_summary_scalar(m, q)) for m in (report.predicted_limit, report.empirical_cov, report.stderr)),
+                _fmt(checks["limit"]["rel_frob_err"]), _fmt(checks["ks"]["stat"]), _fmt(report.max_abs_z_mean),
+                _fmt(checks["exact"]["rel_frob_err"]), "+".join(report.decided_by), verdict,
             ))
         elif isinstance(cfg, MomentSweep):
             report = moment_decay_experiment(cfg, rng)

@@ -1,6 +1,6 @@
 """Simulate the radial walks, decompose the centered squared-radius
 statistic into its per-step and cross-term parts, predict exact finite-n
-covariances, estimate empirical ones, and render pass/fail verdicts.
+covariances, estimate empirical ones, and judge each comparison PASS or FAIL.
 
 Let S_n be the walk sum and r2 the law's second-moment matrix.  Per trial
 
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from math import erfc, log, sqrt
 
 import numpy as np
@@ -106,16 +106,14 @@ TRIAL_STEPS_CAP = 10**10
 P_CAP = 1 << 53
 
 REGIMES = ("CLT_I", "CLT_II", "MIXED")
-# Each check a walk experiment can request, and the verdict it reads.
-CHECKS = {"exact": "exact_covariance", "limit": "limit_covariance", "ks": "ks_normality"}
 
 
 @dataclass(frozen=True)
 class WalkConfig:
     """Parameters of one walk experiment, checked on construction.
 
-    ``checks`` selects which comparisons feed the overall verdict, from
-    ``CHECKS``; ``stream_tag`` keys the random streams next to ``seed``.
+    ``checks`` selects which comparisons feed the overall verdict, by their
+    names in ``CHECKS``; ``stream_tag`` keys the random streams next to ``seed``.
     A bad field raises BadArity whose message starts with the field's name.
     """
 
@@ -125,7 +123,7 @@ class WalkConfig:
     trials: int
     regime: str
     seed: int = 0
-    checks: tuple = tuple(CHECKS)
+    checks: tuple = field(default_factory=lambda: tuple(CHECKS))
     rel_tol: float = 0.05
     stream_tag: int = 0
 
@@ -294,15 +292,18 @@ def estimate_covariance(samples) -> CovarianceEstimate:
     return CovarianceEstimate(mean=mean, cov=cov, stderr=np.sqrt(np.maximum(var, 0.0)))
 
 
-def _fields_dict(report) -> dict:
-    """A report's fields by name, arrays as nested lists, for JSON."""
-    out = {f.name: getattr(report, f.name) for f in fields(report)}
-    return {name: v.tolist() if isinstance(v, np.ndarray) else v for name, v in out.items()}
+def _plain(value):
+    """``value`` with its arrays, at any depth of dicts, as nested lists, for JSON."""
+    if isinstance(value, dict):
+        return {key: _plain(v) for key, v in value.items()}
+    return value.tolist() if isinstance(value, np.ndarray) else value
 
 
 @dataclass
 class ExperimentReport:
-    """Self-contained record of one verified experiment.
+    """Self-contained record of one verified experiment: ``checks`` holds each
+    entry of ``CHECKS`` by its name (see :func:`verify_clt`), ``max_abs_z_mean``
+    the largest |z| of the mean against 0, which feeds no verdict.
 
     No wall time is recorded, so on one numpy build and CPU dispatch the
     embedded seed reproduces every byte, whatever the worker and BLAS thread
@@ -317,18 +318,13 @@ class ExperimentReport:
     empirical_mean: np.ndarray
     empirical_cov: np.ndarray
     stderr: np.ndarray
-    rel_frob_err_exact: float
-    rel_frob_err_limit: float
-    z_scores_exact: np.ndarray
     max_abs_z_mean: float
-    ks_stat: float | None
-    ks_critical: float | None
-    ks_per_projection: list | None
-    verdicts: dict
+    checks: dict
+    decided_by: list
     overall: str
 
     def to_dict(self) -> dict:
-        return _fields_dict(self)
+        return _plain(vars(self))
 
 
 def _chunk_task(args):
@@ -479,80 +475,79 @@ def _ks_projections(samples: np.ndarray, q: int, alpha: float):
     return max(per_projection), critical, per_projection
 
 
+def _check_exact(samples, est, predicted, cfg) -> dict:
+    """The covariance band against the exact finite-n prediction, and each entry's z-score."""
+    verdict, rel = _compare_covariance(est.cov, est.stderr, predicted["exact"], cfg.rel_tol)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = (est.cov - predicted["exact"]) / est.stderr
+    z[np.isnan(z)] = 0.0
+    return {"verdict": verdict, "rel_frob_err": rel, "z_scores": z}
+
+
+def _check_limit(samples, est, predicted, cfg) -> dict:
+    """The covariance band against the regime's limit."""
+    verdict, rel = _compare_covariance(est.cov, est.stderr, predicted["limit"], cfg.rel_tol)
+    return {"verdict": verdict, "rel_frob_err": rel}
+
+
+def _check_ks(samples, est, predicted, cfg) -> dict:
+    """KS normality of the projections at level ``KS_ALPHA``, SKIPPED when the
+    limit is a point mass or a projection is constant."""
+    stat = critical = per_projection = None
+    if float(np.abs(predicted["limit"]).max()) != 0.0:
+        stat, critical, per_projection = _ks_projections(samples, cfg.nu.q, KS_ALPHA)
+    verdict = "SKIPPED" if stat is None else ("PASS" if stat < critical else "FAIL")
+    return {"verdict": verdict, "stat": stat, "critical": critical, "per_projection": per_projection}
+
+
+# Each check a walk experiment can request, by its manifest name:
+# fn(normalized samples, their CovarianceEstimate, predictions by name, cfg) -> {"verdict": ..., statistics}
+CHECKS = {"exact": _check_exact, "limit": _check_limit, "ks": _check_ks}
+
+
 def verify_clt(cfg: WalkConfig, workers: int = 1) -> ExperimentReport:
-    """Run the configured experiment and compare the empirical covariance of
-    the normalized statistic against the exact finite-n prediction and the
-    asymptotic limit, with a KS normality check on scalar projections at
-    level ``KS_ALPHA``.
+    """Run the configured experiment, then every entry of ``CHECKS`` on the
+    normalized statistic, each reported under its name.
 
     The chunks run on up to ``workers`` processes (1 to ``WORKERS_CAP``, else
     BadArity naming ``workers`` before any starts), with the same report at
-    every count.  Every comparison is reported; those in ``cfg.checks`` give
-    the overall verdict: FAIL if one fails, else INCONCLUSIVE if one is
-    INCONCLUSIVE or SKIPPED or there are under 1 000 trials, else PASS.
+    every count.  The checks in ``cfg.checks`` give the overall verdict: FAIL
+    if one fails, else INCONCLUSIVE if one is INCONCLUSIVE or SKIPPED or there
+    are under 1 000 trials, else PASS.  ``decided_by`` names the requested
+    checks that set it, or is ``["trials"]`` when only the trial floor did.
     """
     q = cfg.nu.q
-    xi_vecs = _run_all_chunks(cfg, workers)
     scale = cfg.scale
-    samples = scale * xi_vecs
+    samples = scale * _run_all_chunks(cfg, workers)
     est = estimate_covariance(samples)
-
     _, _, cov_xi = predict_covariances(cfg.nu, cfg.n, cfg.p)
-    predicted_exact = scale * scale * cov_xi
-    if cfg.regime == "CLT_I":
-        predicted_limit = t_nu(cfg.nu)
-    else:
-        predicted_limit = sigma_nu(cfg.nu) + cfg.limit_c * t_nu(cfg.nu)
-
-    verdict_exact, rel_exact = _compare_covariance(est.cov, est.stderr, predicted_exact, cfg.rel_tol)
-    verdict_limit, rel_limit = _compare_covariance(est.cov, est.stderr, predicted_limit, cfg.rel_tol)
-
-    degenerate = float(np.abs(predicted_limit).max()) == 0.0
-    if degenerate:
-        ks_stat = ks_crit = ks_all = None
-        verdict_ks = "SKIPPED"
-    else:
-        ks_stat, ks_crit, ks_all = _ks_projections(samples, q, KS_ALPHA)
-        verdict_ks = "SKIPPED" if ks_stat is None else ("PASS" if ks_stat < ks_crit else "FAIL")
+    limit = t_nu(cfg.nu) if cfg.regime == "CLT_I" else sigma_nu(cfg.nu) + cfg.limit_c * t_nu(cfg.nu)
+    predicted = {"exact": scale * scale * cov_xi, "limit": limit}
+    checks = {name: check(samples, est, predicted, cfg) for name, check in CHECKS.items()}
 
     upper = [i * q + j for i in range(q) for j in range(i, q)]
     with np.errstate(divide="ignore", invalid="ignore"):
-        z = (est.cov - predicted_exact) / est.stderr
         # E[Xi_n] = 0 exactly: the mean's z per upper-triangle coordinate, reported only
         z_mean = est.mean[upper] / np.sqrt(est.cov.diagonal()[upper] / cfg.trials)
-    z[np.isnan(z)] = 0.0
     z_mean[np.isnan(z_mean)] = 0.0
 
-    verdicts = {"exact_covariance": verdict_exact, "limit_covariance": verdict_limit, "ks_normality": verdict_ks}
-    requested = [verdicts[CHECKS[c]] for c in cfg.checks]
-    if any(v == "FAIL" for v in requested):
-        overall = "FAIL"
-    elif any(v in ("INCONCLUSIVE", "SKIPPED") for v in requested) or cfg.trials < 1000:
+    failed = [name for name in cfg.checks if checks[name]["verdict"] == "FAIL"]
+    inconclusive = [name for name in cfg.checks if checks[name]["verdict"] in ("INCONCLUSIVE", "SKIPPED")]
+    if failed:
+        overall, decided_by = "FAIL", failed
+    elif inconclusive or cfg.trials < 1000:
         # a requested check that did not run, or noise-dominated bands below 10^3 trials, give no PASS
-        overall = "INCONCLUSIVE"
+        overall, decided_by = "INCONCLUSIVE", inconclusive or ["trials"]
     else:
-        overall = "PASS"
+        overall, decided_by = "PASS", list(cfg.checks)
 
     # every field but the law object, so a new WalkConfig field is echoed too
     config_echo = {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name != "nu"}
     config_echo.update(law=cfg.nu.to_config(), q=q, c=cfg.limit_c, checks=list(cfg.checks), ks_alpha=KS_ALPHA)
     return ExperimentReport(
-        config=config_echo,
-        normalization=scale,
-        predicted_exact=predicted_exact,
-        predicted_limit=predicted_limit,
-        empirical_mean=est.mean,
-        empirical_cov=est.cov,
-        stderr=est.stderr,
-        rel_frob_err_exact=rel_exact,
-        rel_frob_err_limit=rel_limit,
-        z_scores_exact=z,
-        max_abs_z_mean=float(np.abs(z_mean).max()),
-        ks_stat=ks_stat,
-        ks_critical=ks_crit,
-        ks_per_projection=ks_all,
-        verdicts=verdicts,
-        overall=overall,
+        config=config_echo, normalization=scale, predicted_exact=predicted["exact"], predicted_limit=limit,
+        empirical_mean=est.mean, empirical_cov=est.cov, stderr=est.stderr,
+        max_abs_z_mean=float(np.abs(z_mean).max()), checks=checks, decided_by=decided_by, overall=overall,
     )
 
 
@@ -620,7 +615,7 @@ class MomentDecayReport:
         return "PASS" if abs(self.slope + self.weight / 2.0) <= 0.5 else "FAIL"
 
     def to_dict(self) -> dict:
-        return _fields_dict(self)
+        return _plain(vars(self))
 
 
 def moment_decay_experiment(sweep: MomentSweep, rng: np.random.Generator) -> MomentDecayReport:

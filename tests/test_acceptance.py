@@ -209,7 +209,7 @@ def test_criterion_04_finite_n_variance_identity():
         emp = rep.empirical_cov[0, 0]
         se = rep.stderr[0, 0]
         within = abs(emp - target) <= max(5.0 * se, 0.03 * target)
-        ok &= within and rep.verdicts["exact_covariance"] == "PASS"
+        ok &= within and rep.checks["exact"]["verdict"] == "PASS"
         details.append(f"(n={n},p={p}): {emp:.4f} vs {target}")
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 300.0
@@ -221,13 +221,14 @@ def test_criterion_05_clt2_c0_verdict():
     rep = _two_point_variance_run(60, 3600, 20_000, "CLT_II", 20240805, 0.05, ("limit", "ks"))
     emp = rep.empirical_cov[0, 0]
     var_ok = abs(emp - 1.0) <= 0.05 * 1.0
-    ks_ok = rep.ks_stat < rep.ks_critical
+    ks = rep.checks["ks"]
+    ks_ok = ks["stat"] < ks["critical"]
     elapsed = time.perf_counter() - t0
     ok = var_ok and ks_ok and elapsed < 300.0
     _verdict(5, "clt2-c0", ok,
              f"var {emp:.4f} vs 1.0 within 5%={var_ok} "
              f"(exact finite-n value is 1+8*59/3600={1 + 8 * 59 / 3600:.4f}), "
-             f"KS {rep.ks_stat:.5f} < {rep.ks_critical:.5f}={ks_ok}, {elapsed:.1f}s")
+             f"KS {ks['stat']:.5f} < {ks['critical']:.5f}={ks_ok}, {elapsed:.1f}s")
     assert var_ok, (
         "criterion as specified is unattainable: the exact finite-n variance "
         f"is 1 + 8*59/3600 = {1 + 8 * 59 / 3600:.4f}, which is 13% above the "

@@ -67,6 +67,37 @@ def test_clt_entry_reports_limit_prediction_of_one(tmp_path):
     assert fields[-1] == report["report"]["overall"]  # the verdict stays the last column
 
 
+def test_summary_rows_end_in_the_report_verdict_and_hold_no_comma(tmp_path):
+    law_q1_point = {"family": "point_mass", "params": {"radius": 1.0}}
+    entries = [
+        # under the trial floor: INCONCLUSIVE, decided by the inconclusive checks or the floor
+        {"id": "few", "kind": "clt", "regime": "CLT_II", "n": 20, "p": 400, "trials": 256, "law": TWO_POINT_LAW},
+        # every check passes: PASS, decided by all three
+        {"id": "all", "kind": "clt", "regime": "CLT_II", "n": 50, "p": 10_000, "trials": 1000,
+         "law": TWO_POINT_LAW, "rel_tol": 0.2},
+        # a point mass has a point-mass limit, so the requested KS check is SKIPPED
+        {"id": "skip", "kind": "clt", "regime": "CLT_II", "n": 1, "p": 16, "trials": 1024,
+         "law": law_q1_point, "checks": ["ks", "exact"]},
+    ]
+    manifest = _write_manifest(tmp_path / "m.json", entries)
+    cli.cmd_clt(manifest, tmp_path / "out", workers=1)
+    rows = (tmp_path / "out" / "summary.csv").read_text().splitlines()[2:]
+    column = {name: k for k, name in enumerate(cli.CSV_COLUMNS)}
+    assert cli.CSV_COLUMNS[-1] == "verdict" and len(rows) == len(entries)
+    decided = []
+    for row, entry in zip(rows, entries):
+        fields = row.split(",")
+        report = json.loads((tmp_path / "out" / f"{entry['id']}.json").read_text())["report"]
+        assert len(fields) == len(cli.CSV_COLUMNS) and fields[0] == entry["id"]
+        assert fields[-1] == report["overall"]
+        assert fields[column["decided_by"]] == "+".join(report["decided_by"])
+        assert float(fields[column["rel_frob_err_exact"]]) == report["checks"]["exact"]["rel_frob_err"]
+        assert float(fields[column["rel_frob_err"]]) == report["checks"]["limit"]["rel_frob_err"]
+        decided.append((fields[-1], fields[column["decided_by"]]))
+    assert decided[1:] == [("PASS", "exact+limit+ks"), ("INCONCLUSIVE", "ks")]
+    assert decided[0][0] == "INCONCLUSIVE"
+
+
 def test_clt_run_with_ks_check_loads_no_scipy(tmp_path):
     # a fresh interpreter, so no module loaded by the tests counts
     entries = [{"id": "ks", "kind": "clt", "regime": "CLT_II", "n": 10, "p": 50, "trials": 200,
@@ -81,7 +112,7 @@ def test_clt_run_with_ks_check_loads_no_scipy(tmp_path):
     run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env,
                          timeout=120, check=True)
     report = json.loads((tmp_path / "out" / "ks.json").read_text())["report"]
-    assert report["verdicts"]["ks_normality"] in ("PASS", "FAIL")
+    assert report["checks"]["ks"]["verdict"] in ("PASS", "FAIL")
     assert run.stdout.splitlines()[-1] == "[]"
 
 
@@ -100,7 +131,7 @@ def _numbers(node):
 def test_q1_report_agrees_across_cpu_dispatch(tmp_path):
     # numpy's AVX-512 loops for log, expm1 and tan can round differently from
     # the AVX2 ones, and the q = 1 cosine draw uses all three: the bytes may
-    # differ, but the verdicts may not and every number stays within 1e-10
+    # differ, but no verdict may and every number stays within 1e-10
     try:
         from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
     except ImportError:  # numpy 1.x
@@ -125,7 +156,9 @@ def test_q1_report_agrees_across_cpu_dispatch(tmp_path):
         assert run.returncode in (0, 1), run.stderr
         reports.append(json.loads((tmp_path / name / "q1.json").read_text())["report"])
     default, other = reports
-    assert (default["verdicts"], default["overall"]) == (other["verdicts"], other["overall"])
+    judged = [({name: check["verdict"] for name, check in report["checks"].items()}, report["decided_by"],
+               report["overall"]) for report in reports]
+    assert judged[0] == judged[1]
     pairs = list(zip(_numbers(default), _numbers(other), strict=True))
     assert all(x == pytest.approx(y, rel=1e-10, abs=0) for x, y in pairs)
 
@@ -158,7 +191,7 @@ def test_exit_one_on_failed_verdict(tmp_path):
     assert cli.cmd_clt(manifest, tmp_path / "out", workers=1) == 1
 
 
-def test_selftest_passes_and_seed_override_keeps_verdicts(capsys):
+def test_selftest_passes_and_seed_override_keeps_each_verdict(capsys):
     assert cli.main(["selftest"]) == 0
     first = capsys.readouterr().out
     assert first.count("PASS") == 5

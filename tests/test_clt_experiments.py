@@ -386,7 +386,7 @@ def test_zero_cross_covariance_of_parts():
 def test_verify_clt_exact_check_passes():
     cfg = _cfg(n=30, p=900, trials=4096, seed=11, checks=("exact",))
     rep = verify_clt(cfg)
-    assert rep.verdicts["exact_covariance"] == "PASS"
+    assert rep.checks["exact"]["verdict"] == "PASS"
     assert rep.overall == "PASS"
     target = sigma_nu(TWO_POINT)[0, 0] + 29 / 900 * t_nu(TWO_POINT)[0, 0]
     assert rep.predicted_exact[0, 0] == pytest.approx(target, rel=1e-12)
@@ -402,16 +402,17 @@ def test_fast_path_p1_covariance_is_finite():
     rep = verify_clt(cfg)
     assert np.all(np.isfinite(rep.empirical_cov))
     assert np.all(np.isfinite(rep.stderr))
-    assert rep.verdicts["exact_covariance"] == "PASS"
+    assert rep.checks["exact"]["verdict"] == "PASS"
 
 
 def test_compare_covariance_nan_fails():
     se = np.array([[0.1]])
-    for pred in (np.zeros((1, 1)), np.ones((1, 1))):  # zero-prediction and band branches
-        verdict, _ = _compare_covariance(np.array([[np.nan]]), se, pred, 0.05)
-        assert verdict == "FAIL"
-        verdict, _ = _compare_covariance(pred.copy(), np.array([[np.nan]]), pred, 0.05)
-        assert verdict == "FAIL"
+    for bad in (np.nan, np.inf, -np.inf):  # a non-finite estimate or stderr fails, whatever its band
+        for pred in (np.zeros((1, 1)), np.ones((1, 1))):  # zero-prediction and band branches
+            verdict, _ = _compare_covariance(np.array([[bad]]), se, pred, 0.05)
+            assert verdict == "FAIL"
+            verdict, _ = _compare_covariance(pred.copy(), np.array([[bad]]), pred, 0.05)
+            assert verdict == "FAIL"
 
 
 @pytest.mark.parametrize("n", [100, 1000, 20000])
@@ -447,19 +448,19 @@ def test_verify_clt_degenerate_limit_skips_ks():
     cfg = WalkConfig(nu=RadialLaw.point_mass(1.0), n=1, p=16, trials=1024,
                      regime="CLT_II", seed=5, checks=("limit",))
     rep = verify_clt(cfg)
-    assert rep.verdicts["ks_normality"] == "SKIPPED"
+    assert rep.checks["ks"]["verdict"] == "SKIPPED"
     assert not rep.predicted_limit.any()
     assert not rep.empirical_cov.any()
-    assert rep.verdicts["limit_covariance"] == "PASS"
-    assert rep.verdicts["exact_covariance"] == "PASS"
+    assert rep.checks["limit"]["verdict"] == "PASS"
+    assert rep.checks["exact"]["verdict"] == "PASS"
 
 
 def test_a_requested_check_that_is_skipped_gives_no_pass():
     # a point mass has Sigma = 0, so the CLT II limit is a point mass and KS has nothing to test
     cfg = WalkConfig(nu=RadialLaw.point_mass(1.0), n=10, p=100, trials=2000, regime="CLT_II", seed=5, checks=["ks"])
     rep = verify_clt(cfg)
-    assert rep.verdicts["ks_normality"] == "SKIPPED"
-    assert rep.overall == "INCONCLUSIVE"
+    assert rep.checks["ks"]["verdict"] == "SKIPPED"
+    assert (rep.overall, rep.decided_by) == ("INCONCLUSIVE", ["ks"])
 
 
 def test_verify_clt_deterministic_and_worker_independent(forced_pools):

@@ -15,7 +15,7 @@ a plain file name, and a ``kind``:
   ``[[row, col], exponent]``), ``p_grid`` and ``trials``, the fields of a
   :class:`~radwalk.clt_experiments.MomentSweep`, run by
   ``moment_decay_experiment(sweep, rng)``.
-* ``selftest`` -- the exact-identity suites, optional ``cases``.
+* ``selftest`` -- the exact-identity ``SUITES``, optional ``cases`` (default ``SELFTEST_CASES``).
 
 Each kind's result states its verdict (``ExperimentReport.overall``,
 ``MomentDecayReport.verdict``, or every suite passing), and one loop body
@@ -86,6 +86,8 @@ _KEYS = {
 _ID_PATTERN = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]{0,249}")
 # The time rule on a selftest entry: at most this many cases, 500 times the largest in use.
 SELFTEST_CASES_CAP = 10**5
+# The cases of a selftest entry without ``cases``, and of ``radwalk selftest``.
+SELFTEST_CASES = 200
 
 
 class ManifestError(Exception):
@@ -187,7 +189,7 @@ def _parse_entry(entry, prefix, master_seed=0):
             raise BadArity(f"id: expected a file name of at most 250 letters, digits, '_', "
                            f"'.' and '-' that starts with a letter or digit, got {eid!r}")
         if kind == "selftest":
-            return _integer(entry.get("cases", 50), "cases", 1, SELFTEST_CASES_CAP)
+            return _integer(entry.get("cases", SELFTEST_CASES), "cases", 1, SELFTEST_CASES_CAP)
         if not isinstance(entry["law"], dict):
             raise BadArity("law: expected an object")
     with _named(f"{prefix}law."):  # a law's message starts with the field's path in the law
@@ -232,7 +234,7 @@ def cmd_clt(manifest_path, out_dir, seed_override=None, workers=1) -> int:
             body = {"verdict": verdict, "report": report.to_dict()}
         else:  # selftest
             results = run_selftest_suites(rng, cases=cfg)
-            verdict = _selftest_verdict(results)
+            verdict = "PASS" if all(passed for _, passed, _ in results) else "FAIL"
             body = {"verdict": verdict,
                     "suites": [{"suite": s, "passed": p, "detail": d} for s, p, d in results]}
         _write_json(out / f"{eid}.json", {"meta": meta, "entry_id": eid, **body})
@@ -244,92 +246,75 @@ def cmd_clt(manifest_path, out_dir, seed_override=None, workers=1) -> int:
     return 0 if all_pass else 1
 
 
-def run_selftest_suites(rng: np.random.Generator, cases: int = 200):
-    """Exact-identity suites on random cases drawn from ``rng``; returns a
-    list of (name, passed, detail)."""
+def _reorder_case(rng):
+    """Factor reordering: the permuted product equals P (product) Q."""
+    k = int(rng.integers(2, 5))
+    shapes = [(int(rng.integers(1, 4)), int(rng.integers(1, 4))) for _ in range(k)]
+    mats = [rng.integers(-4, 5, size=sh).astype(float) for sh in shapes]
+    sigma = rng.permutation(k)
+    p, q = reorder_perm(shapes, sigma)
+    return reduce(np.kron, [mats[i] for i in sigma]), p.apply_left(q.apply_right(kron(*mats)))
+
+
+def _multinomial_case(rng):
+    """The multinomial expansion equals the Kronecker power of the sum."""
+    n, k = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+    shape = (int(rng.integers(1, 3)), int(rng.integers(1, 3)))
+    xs = [rng.standard_normal(shape) for _ in range(n)]
+    return kron_multinomial_expand(xs, k), reduce(np.kron, [sum(xs)] * k)
+
+
+def _hadamard_case(rng):
+    """Permutation conjugation distributes over the entrywise product."""
+    rows, cols = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+    a, b = rng.standard_normal((rows, cols)), rng.standard_normal((rows, cols))
+    p, q = PermMat(rng.permutation(rows)), PermMat(rng.permutation(cols))
+    lhs = p.apply_left(q.apply_right(hadamard(a, b)))
+    return lhs, hadamard(p.apply_left(q.apply_right(a)), p.apply_left(q.apply_right(b)))
+
+
+def _wick_case(rng):
+    """Univariate Gaussian moments of orders 2 to 8 against the double-factorial form; draws nothing."""
+    grid = [(sigma2, k // 2, k) for sigma2 in (1.0, 2.0, 0.25, 4.0) for k in (2, 4, 6, 8)]
+    got = [wick_moment(MatrixNormalSpec(1, np.zeros((1, 1)), [[s2]]), ((0, 0),) * k) for s2, _, k in grid]
+    return np.array(got), np.array([s2**u * factorial(k) / (2**u * factorial(u)) for s2, u, k in grid])
+
+
+def _sum_moment_case(rng):
+    """Moments of a sum of independents match the summed-covariance law."""
+    q, k = int(rng.integers(1, 3)), int(rng.integers(2, 5))
+    covs = [m @ m.T for m in (rng.standard_normal((q * q, q * q)) for _ in range(2))]
+    s1, s2, total = (MatrixNormalSpec(q, np.zeros((q, q)), cov) for cov in (*covs, covs[0] + covs[1]))
+    return sum_moment(s1, s2, k), moment_tensor(total, k)
+
+
+# name -> (case(rng) -> (observed, expected), cases run for a requested count, tolerance: 0 if exact in floats)
+SUITES = {
+    "kron-reorder": (_reorder_case, lambda cases: cases, 0.0),
+    "kron-multinomial": (_multinomial_case, lambda cases: max(1, cases // 2), 1e-12),
+    "hadamard-conjugation": (_hadamard_case, lambda cases: max(1, cases // 2), 0.0),
+    "wick-univariate": (_wick_case, lambda cases: 1, 0.0),
+    "gaussian-sum-moment": (_sum_moment_case, lambda cases: 20, 1e-10),
+}
+
+
+def run_selftest_suites(rng: np.random.Generator, cases: int = SELFTEST_CASES):
+    """(name, passed, detail) of each suite of SUITES, on cases drawn from ``rng``.  A suite passes
+    when its largest deviation, relative to max(1, max |expected|), is at most its tolerance."""
     results = []
-
-    # factor reordering: permuted product equals P (product) Q exactly
-    worst = 0.0
-    ok = True
-    for _ in range(cases):
-        k = int(rng.integers(2, 5))
-        shapes = [(int(rng.integers(1, 4)), int(rng.integers(1, 4))) for _ in range(k)]
-        mats = [rng.integers(-4, 5, size=sh).astype(float) for sh in shapes]
-        sigma = rng.permutation(k)
-        p, q = reorder_perm(shapes, sigma)
-        observed = reduce(np.kron, [mats[i] for i in sigma])
-        expected = p.apply_left(q.apply_right(reduce(kron, mats)))
-        if not np.array_equal(observed, expected):
-            ok = False
-            worst = max(worst, float(np.abs(observed - expected).max()))
-    results.append(("kron-reorder", ok, f"{cases} cases, exact" if ok else f"max abs dev {worst:.3e}"))
-
-    # multinomial expansion equals the Kronecker power of the sum
-    worst = 0.0
-    for _ in range(max(1, cases // 2)):
-        n = int(rng.integers(1, 4))
-        k = int(rng.integers(1, 5))
-        shape = (int(rng.integers(1, 3)), int(rng.integers(1, 3)))
-        xs = [rng.standard_normal(shape) for _ in range(n)]
-        expansion = kron_multinomial_expand(xs, k)
-        power = reduce(np.kron, [sum(xs)] * k)
-        scale = max(1.0, float(np.abs(power).max()))
-        worst = max(worst, float(np.abs(expansion - power).max()) / scale)
-    results.append(("kron-multinomial", worst <= 1e-12, f"max rel dev {worst:.3e}"))
-
-    # permutation conjugation distributes over the entrywise product, exactly
-    ok = True
-    for _ in range(max(1, cases // 2)):
-        rows, cols = int(rng.integers(1, 5)), int(rng.integers(1, 5))
-        a = rng.standard_normal((rows, cols))
-        b = rng.standard_normal((rows, cols))
-        p = PermMat(rng.permutation(rows))
-        q = PermMat(rng.permutation(cols))
-        lhs = p.apply_left(q.apply_right(hadamard(a, b)))
-        rhs = hadamard(p.apply_left(q.apply_right(a)), p.apply_left(q.apply_right(b)))
-        ok &= np.array_equal(lhs, rhs)
-    results.append(("hadamard-conjugation", ok, "exact" if ok else "violated"))
-
-    # univariate Gaussian moments match the double-factorial closed form
-    ok = True
-    for sigma2 in (1.0, 2.0, 0.25, 4.0):
-        spec = MatrixNormalSpec(1, np.zeros((1, 1)), np.array([[sigma2]]))
-        for k in (2, 4, 6, 8):
-            u = k // 2
-            expected = sigma2**u * factorial(k) / (2**u * factorial(u))
-            got = wick_moment(spec, (((0, 0),) * k))
-            ok &= got == expected
-    results.append(("wick-univariate", ok, "k in {2,4,6,8}, exact" if ok else "mismatch"))
-
-    # moments of a sum of independents match the summed-covariance law
-    worst = 0.0
-    for _ in range(20):
-        q = int(rng.integers(1, 3))
-        k = int(rng.integers(2, 5))
-        covs = []
-        for _ in range(2):
-            m = rng.standard_normal((q * q, q * q))
-            covs.append(m @ m.T)
-        s1 = MatrixNormalSpec(q, np.zeros((q, q)), covs[0])
-        s2 = MatrixNormalSpec(q, np.zeros((q, q)), covs[1])
-        lhs = sum_moment(s1, s2, k)
-        rhs = moment_tensor(MatrixNormalSpec(q, np.zeros((q, q)), covs[0] + covs[1]), k)
-        scale = max(1.0, float(np.abs(rhs).max()))
-        worst = max(worst, float(np.abs(lhs - rhs).max()) / scale)
-    results.append(("gaussian-sum-moment", worst <= 1e-10, f"max rel dev {worst:.3e}"))
+    for name, (case, count, tolerance) in SUITES.items():
+        pairs = [case(rng) for _ in range(count(cases))]
+        devs = [np.abs(observed - expected).max() / max(1.0, np.abs(expected).max()) for observed, expected in pairs]
+        worst = np.max(devs)  # NaN propagates, and fails the rule
+        results.append((name, bool(worst <= tolerance), f"{len(devs)} cases, max rel dev {worst:.3e}"))
     return results
-
-
-def _selftest_verdict(results) -> str:
-    return "PASS" if all(passed for _, passed, _ in results) else "FAIL"
 
 
 def cmd_selftest(seed: int) -> int:
     results = run_selftest_suites(trial_stream(seed, 0, 0))
     for name, passed, detail in results:
         print(f"{name}: {'PASS' if passed else 'FAIL'} ({detail})")
-    return 0 if _selftest_verdict(results) == "PASS" else 1
+    return 0 if all(passed for _, passed, _ in results) else 1
 
 
 def cmd_moments(law_path, kappa_text, p_grid_text, trials, out_dir, seed=0) -> int:

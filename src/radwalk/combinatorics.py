@@ -9,13 +9,12 @@ in the package stay 0-based.
 from __future__ import annotations
 
 from itertools import combinations
-from math import prod
 from typing import Iterator
 
 import numpy as np
 
 from .errors import BadArity
-from .kron_algebra import _check_cap, _kron2
+from .kron_algebra import _check_cap, kron
 
 __all__ = [
     "compositions",
@@ -28,21 +27,12 @@ __all__ = [
 
 def compositions(k: int, u: int) -> list[tuple[int, ...]]:
     """All u-part compositions of k into parts >= 1, in lexicographic order
-    (count C(k-1, u-1))."""
+    (count C(k-1, u-1)): the gaps between u - 1 increasing cuts of 0..k."""
     if k < 0 or u < 1:
         raise BadArity(f"need k >= 0 and u >= 1, got k={k}, u={u}")
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix: tuple[int, ...], remaining: int, parts_left: int) -> None:
-        if parts_left == 1:
-            if remaining >= 1:
-                out.append(prefix + (remaining,))
-            return
-        for v in range(1, remaining - parts_left + 2):
-            rec(prefix + (v,), remaining - v, parts_left - 1)
-
-    rec((), k, u)
-    return out
+    if k < u:
+        return []
+    return [tuple(b - a for a, b in zip((0, *cuts), (*cuts, k))) for cuts in combinations(range(1, k), u - 1)]
 
 
 def multiset_perms(lam) -> Iterator[tuple[int, ...]]:
@@ -90,12 +80,7 @@ def apply_perm_kron(word, ms) -> np.ndarray:
         raise BadArity("word must have length >= 1")
     if any(s < 1 or s > len(ms) for s in word):
         raise BadArity(f"word symbols must index the {len(ms)} operands")
-    mats = [np.atleast_2d(np.asarray(ms[s - 1], dtype=np.float64)) for s in word]
-    _check_cap(prod(m.shape[0] for m in mats), prod(m.shape[1] for m in mats))
-    out = mats[0]
-    for m in mats[1:]:
-        out = _kron2(out, m)
-    return out
+    return kron(*[ms[s - 1] for s in word])
 
 
 def kron_multinomial_expand(xs, k: int) -> np.ndarray:

@@ -52,12 +52,16 @@ def _kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(rows, cols)
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product [a_ij * b] as a dense block matrix."""
-    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
-    b = np.atleast_2d(np.asarray(b, dtype=np.float64))
-    _check_cap(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
-    return _kron2(a, b)
+def kron(*factors) -> np.ndarray:
+    """Kronecker product A_0 x (A_1 x (... x A_{k-1})) of k >= 1 factors, folded right to left."""
+    if not factors:
+        raise BadArity("need at least one factor")
+    mats = [np.atleast_2d(np.asarray(f, dtype=np.float64)) for f in factors]
+    _check_cap(prod(m.shape[0] for m in mats), prod(m.shape[1] for m in mats))
+    out = mats[-1]
+    for m in mats[-2::-1]:
+        out = _kron2(m, out)
+    return out
 
 
 def hadamard(a, b) -> np.ndarray:
@@ -74,11 +78,8 @@ def kron_power(a, k: int) -> np.ndarray:
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
     if k < 1:
         raise BadArity(f"k must be >= 1, got {k}")
-    _check_cap(a.shape[0] ** k, a.shape[1] ** k)
-    out = a
-    for _ in range(k - 1):
-        out = _kron2(a, out)
-    return out
+    _check_cap(a.shape[0] ** k, a.shape[1] ** k)  # before kron's k-long factor list
+    return kron(*[a] * k)
 
 
 def vec(x) -> np.ndarray:

@@ -41,6 +41,7 @@ __all__ = [
     "radial_moment_mc",
     "SAMPLE_BYTES_CAP",
     "Q_CAP",
+    "ATOMS_CAP",
 ]
 
 _WEIGHT_TOL = 1e-12
@@ -73,6 +74,8 @@ SAMPLE_BYTES_CAP = 1 << 28
 # The largest q of a law: a walk task's four (q, q, 32, 4096) float64 block
 # buffers then hold at most SAMPLE_BYTES_CAP bytes, and Sigma(nu), T(nu) stay small.
 Q_CAP = 8
+# The most atoms of a law: a radius draw makes one pass per atom, so this bounds a trial-step's time.
+ATOMS_CAP = 64
 
 
 def _trials(value, minimum: int, sample_bytes: int) -> int:
@@ -112,6 +115,7 @@ class RadialLaw:
         self.params = dict(params) if params else {}
         if weights is not None:
             weights = np.asarray(weights, dtype=np.float64)
+            _integer(weights.size, "atoms", 1, ATOMS_CAP)
             radii = np.asarray(radii, dtype=np.float64)
             if radii.shape != (weights.size, self.q, self.q):
                 raise BadArity(f"radii must have shape (n, {self.q}, {self.q}), got {radii.shape}")

@@ -212,11 +212,45 @@ def test_selftest_draws_from_named_streams(tmp_path, monkeypatch, capsys):
     assert cli.cmd_clt(manifest, tmp_path / "out", workers=1) == 0
 
 
-def test_selftest_canary_detects_skewed_kron(monkeypatch, capsys):
-    kron = cli.kron
-    monkeypatch.setattr(cli, "kron", lambda a, b: kron(a, b) + 1e-6)
+def _skew_first_entry(out):
+    """One ulp more on the first entry alone: a skew that depends on the position."""
+    out = out.copy()
+    out.flat[0] = np.nextafter(out.flat[0], np.inf)
+    return out
+
+
+# the function each suite checks, and a skew of its result that the suite's rule must
+# catch: one ulp where the tolerance is 0, ten times the tolerance where it is not
+# (relative to max(1, max |result|), as the rule is); hadamard's skew depends on the
+# position, since conjugation by permutations commutes with any entrywise map
+_SKEWS = {
+    "kron-reorder": ("kron", lambda out: np.nextafter(out, np.inf)),
+    "kron-multinomial": ("kron_multinomial_expand", lambda out: out + 1e-11 * max(1.0, np.abs(out).max())),
+    "hadamard-conjugation": ("hadamard", _skew_first_entry),
+    "wick-univariate": ("wick_moment", lambda out: np.nextafter(out, np.inf)),
+    "gaussian-sum-moment": ("sum_moment", lambda out: out + 1e-9 * max(1.0, np.abs(out).max())),
+}
+
+
+@pytest.mark.parametrize("suite", list(_SKEWS))
+def test_selftest_canary_fails_only_its_suite(monkeypatch, capsys, suite):
+    name, skew = _SKEWS[suite]
+    original = getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda *args: skew(original(*args)))
     assert cli.main(["selftest"]) == 1
-    assert "FAIL" in capsys.readouterr().out
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == list(cli.SUITES)
+    assert [line.split(":")[0] for line in lines if ": FAIL" in line] == [suite]
+
+
+def test_selftest_entry_without_cases_runs_as_many_as_the_command(tmp_path, capsys):
+    assert cli.main(["selftest"]) == 0
+    command = [line.split("(")[1].split(",")[0] for line in capsys.readouterr().out.splitlines()]
+    manifest = _write_manifest(tmp_path / "m.json", [{"id": "s", "kind": "selftest"}])
+    assert cli.cmd_clt(manifest, tmp_path / "out", workers=1) == 0
+    suites = json.loads((tmp_path / "out" / "s.json").read_text())["suites"]
+    assert [s["detail"].split(",")[0] for s in suites] == command
+    assert command[0] == f"{cli.SELFTEST_CASES} cases"
 
 
 def test_moments_parity_verdict(tmp_path, capsys):
@@ -399,6 +433,8 @@ def _atom_law(q=1, weight=1.0, radius=(1.0,)):
     pytest.param("law.atoms[0].radius: missing", {"q": 1, "atoms": [{"weight": 1.0}]},
                  id="law.atoms.radius-missing"),
     pytest.param("law.bogus: unknown field", {**TWO_POINT_LAW, "bogus": 1}, id="law.unknown-key"),
+    pytest.param("law.atoms: expected an integer <= 64, got 65",
+                 {"q": 1, "atoms": [{"weight": 1 / 65, "radius": [1.0]}] * 65}, id="law.atoms-beyond-cap"),
     # refused by the sample cap before any chunk task or sample array is made
     pytest.param("trials", 10**12, id="trials-beyond-sample-cap"),
     pytest.param("p", 10**400, id="p-beyond-2^53"),  # would overflow a float in the cosine draw

@@ -35,7 +35,7 @@ from radwalk.clt_experiments import (
     trial_stream,
     verify_clt,
 )
-from radwalk.radial_measures import (Q_CAP, SAMPLE_BYTES_CAP, RadialLaw, _stiefel_rows, r2, sigma_nu, t_nu,
+from radwalk.radial_measures import (ATOMS_CAP, Q_CAP, SAMPLE_BYTES_CAP, RadialLaw, _stiefel_rows, r2, sigma_nu, t_nu,
                                      uniform_sphere_cosine)
 
 from helpers import _walk_chunk
@@ -128,8 +128,9 @@ def test_time_rule_counts_trial_steps(make, refusal):
     (lambda v: cli._parse_entry({"id": "s", "kind": "selftest", "cases": v}, ""), "cases", cli.SELFTEST_CASES_CAP),
     (lambda v: clt_experiments._workers(v), "workers", WORKERS_CAP),
     (lambda v: RadialLaw.from_atoms(np.eye(v)[None], [1.0]).q, "q", Q_CAP),
+    (lambda v: RadialLaw.from_atoms(np.ones((v, 1, 1)), np.full(v, 1 / v)).weights.size, "atoms", ATOMS_CAP),
 ], ids=["walk-trials-q1", "walk-trials-q2", "walk-trials-q3", "sweep-trials", "walk-n", "p", "p_grid",
-        "selftest-cases", "workers", "law-q"])
+        "selftest-cases", "workers", "law-q", "law-atoms"])
 def test_every_bounded_count_admits_its_bound_and_refuses_one_more(make, field, bound):
     # construction only: no entry runs, and each refusal has the one wording of _integer
     assert make(bound) == bound

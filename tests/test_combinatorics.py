@@ -24,6 +24,12 @@ def test_compositions_zero_weight():
     assert compositions(0, 3) == []
 
 
+def test_compositions_with_more_parts_than_units_are_none():
+    # k < u: no cut set exists, and at k = 0, u = 1 the one empty cut set would give the part 0
+    assert compositions(0, 1) == []
+    assert compositions(2, 3) == []
+
+
 def test_compositions_membership():
     assert (1, 3, 2) in compositions(6, 3)
 

@@ -1,5 +1,5 @@
 """Compositions, ordered index tuples, multiset permutations, and the
-Kronecker multinomial expansion built from them.
+Kronecker multinomial expansion.
 
 A word drawn from a multiset over the alphabet {1..u} uses 1-based symbols
 (symbol ``i`` occurs ``lam[i-1]`` times); matrix row/column indices elsewhere
@@ -14,13 +14,12 @@ from typing import Iterator
 import numpy as np
 
 from .errors import BadArity
-from .kron_algebra import _check_cap, kron
+from .kron_algebra import _check_cap, _kron2
 
 __all__ = [
     "compositions",
     "multiset_perms",
     "ordered_tuples",
-    "apply_perm_kron",
     "kron_multinomial_expand",
 ]
 
@@ -69,27 +68,32 @@ def ordered_tuples(n: int, u: int) -> Iterator[tuple[int, ...]]:
     return iter(combinations(range(1, n + 1), u))
 
 
-def apply_perm_kron(word, ms) -> np.ndarray:
-    """Kronecker product of the matrices ``ms`` in word order.
-
-    Symbol ``i`` of the word selects ``ms[i-1]``; the result is the k-fold
-    product m_{word[0]} x m_{word[1]} x ... for a word of length k.
-    """
-    word = tuple(int(s) for s in word)
-    if not word:
-        raise BadArity("word must have length >= 1")
-    if any(s < 1 or s > len(ms) for s in word):
-        raise BadArity(f"word symbols must index the {len(ms)} operands")
-    return kron(*[ms[s - 1] for s in word])
+def _word_sum(mats, counts: tuple[int, ...], memo: dict) -> np.ndarray:
+    """Sum of m_{w_0} x m_{w_1} x ... over every word with symbol counts
+    ``counts``, split on the first symbol: sum_s m_s x (the sum for counts - e_s).
+    ``memo`` holds the sums of the shorter count vectors."""
+    total = None
+    for s, c in enumerate(counts):
+        if c:
+            rest = (*counts[:s], c - 1, *counts[s + 1:])
+            if any(rest):
+                if rest not in memo:
+                    memo[rest] = _word_sum(mats, rest, memo)
+                term = _kron2(mats[s], memo[rest])
+            else:
+                term = mats[s]
+            total = term if total is None else total + term
+    return total
 
 
 def kron_multinomial_expand(xs, k: int) -> np.ndarray:
-    """Expand (x_1 + ... + x_n)^{x,k} as the quadruple sum over u-subsets,
-    compositions, and multiset words.
+    """Expand (x_1 + ... + x_n)^{x,k} as the sum over u-subsets mu of the
+    factors and u-part compositions lam of k of the multiset-word sums.
 
-    The result equals ``kron_power(sum(xs), k)``; the expansion enumerates
-    one summand per way of placing the k Kronecker slots among the chosen
-    factors, n^k terms in total.
+    The result equals ``kron_power(sum(xs), k)``, and the literal sum of one
+    Kronecker product per word (n^k of them) to rounding.  Each word sum is
+    formed by its first symbol from the sums of shorter count vectors,
+    memoized across every composition of one mu, so each is formed once.
     """
     mats = [np.atleast_2d(np.asarray(x, dtype=np.float64)) for x in xs]
     n = len(mats)
@@ -104,8 +108,7 @@ def kron_multinomial_expand(xs, k: int) -> np.ndarray:
     for u in range(1, min(k, n) + 1):
         lams = compositions(k, u)
         for mu in ordered_tuples(n, u):
-            chosen = [mats[i - 1] for i in mu]
+            chosen, memo = [mats[i - 1] for i in mu], {}
             for lam in lams:
-                for word in multiset_perms(lam):
-                    acc += apply_perm_kron(word, chosen)
+                acc += _word_sum(chosen, lam, memo)
     return acc

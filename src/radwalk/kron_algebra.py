@@ -38,8 +38,10 @@ ENTRY_CAP = 1_000_000
 
 
 def _check_cap(rows: int, cols: int) -> None:
-    if rows * cols > ENTRY_CAP:
-        raise SizeOverflow(f"result would have {rows}x{cols} = {rows * cols} entries, cap is {ENTRY_CAP}")
+    # stated by bit length: a huge size has too many digits to print in decimal
+    if (size := rows * cols) > ENTRY_CAP:
+        raise SizeOverflow(f"result would have at least 2^{size.bit_length() - 1} entries, "
+                           f"above ENTRY_CAP = {ENTRY_CAP}")
 
 
 def _kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -197,4 +199,5 @@ def reorder_perm(shapes, sigma) -> tuple[PermMat, PermMat]:
     cols = [c for _, c in shapes]
     _check_cap(prod(rows), 1)
     _check_cap(prod(cols), 1)
-    return PermMat(_digit_perm(rows, sigma)), PermMat(_digit_perm(cols, sigma)).transpose()
+    # Q undoes the column reordering: the inverse digit transpose, over the reordered dims
+    return PermMat(_digit_perm(rows, sigma)), PermMat(_digit_perm([cols[t] for t in sigma], np.argsort(sigma)))

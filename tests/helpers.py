@@ -3,6 +3,7 @@
 import numpy as np
 
 from radwalk.errors import BadArity, RankDeficient
+from radwalk.kron_algebra import kron
 from radwalk.matrix_core import symmetrize
 from radwalk.radial_measures import _MAX_RESAMPLES, _RANK_TOL, RadialLaw, r2
 
@@ -57,6 +58,21 @@ def kron_loop(a, b):
                 for l in range(q):
                     out[i * p + k, j * q + l] = a[i, j] * b[k, l]
     return out
+
+
+def apply_perm_kron(word, ms) -> np.ndarray:
+    """Kronecker product of the matrices ``ms`` in word order, the literal
+    per-word term of the multinomial expansion.
+
+    Symbol ``i`` of the word selects ``ms[i-1]``; the result is the k-fold
+    product m_{word[0]} x m_{word[1]} x ... for a word of length k.
+    """
+    word = tuple(int(s) for s in word)
+    if not word:
+        raise BadArity("word must have length >= 1")
+    if any(s < 1 or s > len(ms) for s in word):
+        raise BadArity(f"word symbols must index the {len(ms)} operands")
+    return kron(*[ms[s - 1] for s in word])
 
 
 def pair_blocks(word) -> tuple[tuple[int, int], ...]:

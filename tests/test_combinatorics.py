@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from radwalk import BadArity
+import radwalk.combinatorics
 from radwalk.combinatorics import (
-    apply_perm_kron,
     compositions,
     kron_multinomial_expand,
     multiset_perms,
@@ -13,7 +13,7 @@ from radwalk.combinatorics import (
 )
 from radwalk.kron_algebra import kron_power, reorder_perm
 
-from helpers import pair_blocks
+from helpers import apply_perm_kron, pair_blocks
 
 
 def test_compositions_strict_example():
@@ -135,6 +135,59 @@ def test_expand_matches_kron_power_of_sum():
         rhs = kron_power(sum(xs), k)
         scale = max(1.0, float(np.abs(rhs).max()))
         assert np.abs(lhs - rhs).max() <= 1e-12 * scale
+
+
+def _literal_expansion(xs, k):
+    """One Kronecker product per word, every u, as the expansion is written."""
+    n = len(xs)
+    acc = 0.0
+    for u in range(1, min(k, n) + 1):
+        for mu in ordered_tuples(n, u):
+            for lam in compositions(k, u):
+                for word in multiset_perms(lam):
+                    acc = acc + apply_perm_kron(word, [xs[i - 1] for i in mu])
+    return acc
+
+
+@pytest.mark.parametrize("shape", [(1, 3), (2, 1)])
+def test_expand_matches_the_literal_per_word_sum(shape):
+    rng = np.random.default_rng(45)
+    for n in range(1, 5):
+        for k in range(1, 6):
+            xs = [rng.standard_normal(shape) for _ in range(n)]
+            expected = _literal_expansion(xs, k)
+            scale = max(1.0, float(np.abs(expected).max()))
+            assert np.abs(kron_multinomial_expand(xs, k) - expected).max() <= 1e-12 * scale
+
+
+def _count_products(monkeypatch):
+    calls = [0]
+    kron2 = radwalk.combinatorics._kron2
+
+    def counted(a, b):
+        calls[0] += 1
+        return kron2(a, b)
+
+    monkeypatch.setattr(radwalk.combinatorics, "_kron2", counted)
+    return calls
+
+
+def test_expand_forms_each_word_sum_once(monkeypatch):
+    # the literal per-word sum forms 4^6 words of 5 products each, 20 480 in all; a memo per
+    # composition instead of per index subset forms 2 944
+    calls = _count_products(monkeypatch)
+    xs = [np.random.default_rng(46).standard_normal((2, 2)) for _ in range(4)]
+    kron_multinomial_expand(xs, 6)
+    assert 0 < calls[0] <= 2000
+
+
+def test_expand_of_scalars_at_k_60_needs_no_word_enumeration(monkeypatch):
+    # 2^60 words; the count vectors of two symbols summing to at most 60 number under 2 000
+    calls = _count_products(monkeypatch)
+    out = kron_multinomial_expand([[[0.3]], [[0.5]]], 60)
+    assert calls[0] <= 10_000
+    assert out.shape == (1, 1)
+    assert abs(out[0, 0] / 0.8**60 - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("n,k", [(2, 2), (2, 3), (3, 3), (4, 2), (3, 5), (4, 5)])

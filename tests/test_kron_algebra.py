@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from radwalk import BadArity, ShapeMismatch, SizeOverflow
-from radwalk.kron_algebra import PermMat, _kron2, hadamard, kron, kron_power, reorder_perm, unvec, vec
+from radwalk.gaussian_moments import MatrixNormalSpec, moment_tensor
+from radwalk.kron_algebra import PermMat, _digit_perm, _kron2, hadamard, kron, kron_power, reorder_perm, unvec, vec
 
 from helpers import frobenius_loop, kron_loop
 
@@ -110,6 +111,16 @@ def test_kron_power_entry_cap():
         kron_power(np.ones((10, 10)), 4)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: kron_power(np.ones((2, 2)), 10**5),
+    lambda: moment_tensor(MatrixNormalSpec(2, np.zeros((2, 2)), np.eye(4)), 20000),
+], ids=["kron_power", "moment_tensor"])
+def test_refusing_a_size_too_long_for_decimal_is_size_overflow(build):
+    # 2^200000 and 2^40000 entries: past the 4300-digit limit of int-to-str conversion
+    with pytest.raises(SizeOverflow, match="ENTRY_CAP"):
+        build()
+
+
 def test_vec_examples():
     assert np.array_equal(vec(np.eye(2)), [1.0, 0.0, 0.0, 1.0])
     row = np.array([[1.0, 2.0, 3.0]])
@@ -203,6 +214,17 @@ def test_reorder_random_cases_exact():
         for m in mats[1:]:
             base = kron(base, m)
         assert np.array_equal(lhs, p.apply_left(q.apply_right(base)))
+
+
+def test_reorder_column_map_is_the_inverse_of_the_column_digit_transpose():
+    # oracle: the column map built forward, as the row map is, then inverted
+    rng = np.random.default_rng(35)
+    for _ in range(300):
+        k = int(rng.integers(1, 6))
+        shapes = [(int(rng.integers(1, 5)), int(rng.integers(1, 5))) for _ in range(k)]
+        sigma = rng.permutation(k)
+        _, q = reorder_perm(shapes, sigma)
+        assert q == PermMat(_digit_perm([c for _, c in shapes], sigma)).transpose()
 
 
 def test_hadamard_conjugation_by_permutations():

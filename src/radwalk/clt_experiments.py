@@ -201,12 +201,13 @@ def _gram_chunk(nu: RadialLaw, n: int, p: int, m: int, *rngs: np.random.Generato
     Each q x q quantity is held trials-last, (q, q, m), so each entry is one
     vector op over the trials, for every q; at q = 1 a step is five ufunc
     calls.  W r and r r do not depend on the walk, so each block of
-    ``_STEP_BLOCK`` steps draws, stream by stream into the stream's slice,
-    its radii, then its W, then forms 2 W r and r r for all m and adds
-    its sum of r r - r2 to a at once; a step updates G's lower triangle in
-    buffers whose entry views are built once.  W carries a factor 2, so c's
-    diagonal is that of c + c', and its off-diagonal sums are halved (exact).
-    Mirroring G's lower triangle makes xi exactly symmetric; r r, so a, is too.
+    ``_STEP_BLOCK`` steps draws, stream by stream, its radii, then its W, and
+    writes 2 W r and r r in place, into the stream's slice of the two block
+    buffers that the steps read, then adds its sum of r r - r2 to a at once;
+    a step updates G's lower triangle in buffers whose entry views are built
+    once.  W carries a factor 2, so c's diagonal is that of c + c', and its
+    off-diagonal sums are halved (exact).  Mirroring G's lower triangle makes
+    xi exactly symmetric; r r, so a, is too.
     """
     q = nu.q
     r2m = r2(nu)
@@ -214,7 +215,7 @@ def _gram_chunk(nu: RadialLaw, n: int, p: int, m: int, *rngs: np.random.Generato
     bounds = [i * CHUNK_TRIALS for i in range(len(rngs))] + [m]
     g, low, c, a = (np.zeros((q, q, m)) for _ in range(4))
     t = np.empty(m)
-    radii_buf, w_buf, wr, rr = (np.empty((q, q, steps, m)) for _ in range(4))
+    wr, rr = (np.empty((q, q, steps, m)) for _ in range(2))
     gv, lv, cv = ([list(x) for x in buf] for buf in (g, low, c))
     pairs = [(i, j) for i in range(q) for j in range(q)]
     lower = [(i, j) for i, j in pairs if i >= j]
@@ -234,17 +235,13 @@ def _gram_chunk(nu: RadialLaw, n: int, p: int, m: int, *rngs: np.random.Generato
     plan = [step_ops(s) for s in range(steps)]
     for start in range(0, n, _STEP_BLOCK):
         k = min(_STEP_BLOCK, n - start)
-        radii, w = radii_buf[:, :, :k], w_buf[:, :, :k]
         for rng, lo, hi in zip(rngs, bounds, bounds[1:]):
             size = k * (hi - lo)
-            radii[..., lo:hi] = nu.draw_radii(size, rng).reshape(q, q, k, hi - lo)
-            rows = uniform_sphere_cosine(p, size, rng) if q == 1 else _stiefel_rows(p, q, q, size, rng)
-            np.multiply(rows.reshape(q, q, k, hi - lo), 2.0, out=w[..., lo:hi])
-        for i, j in pairs:  # 2 W r, and X'X = r'U'U r = r r since radii are symmetric
-            for out, x in ((wr, w), (rr, radii)):
-                np.multiply(x[i, 0], radii[0, j], out=out[i, j, :k])
-                for l in range(1, q):
-                    out[i, j, :k] += x[i, l] * radii[l, j]
+            radii = nu.draw_radii(size, rng).reshape(q, q, k, hi - lo)
+            w = uniform_sphere_cosine(p, size, rng) if q == 1 else _stiefel_rows(p, q, q, size, rng)
+            w *= 2.0
+            np.einsum("ilsm,ljsm->ijsm", w.reshape(q, q, k, hi - lo), radii, out=wr[:, :, :k, lo:hi])  # 2 W r
+            np.einsum("ilsm,ljsm->ijsm", radii, radii, out=rr[:, :, :k, lo:hi])  # X'X = r r (radii are symmetric)
         for ops in plan[:k]:
             chol_psd(gv, lv)
             for f, x, y, out in ops:
@@ -270,7 +267,9 @@ def estimate_covariance(samples) -> CovarianceEstimate:
     S_(i) = (n-1)/(n-2) S - k c_i c_i' with k = n/((n-1)(n-2)), so with
     M = C'C/n the jackknife variance is (n-1)/n k^2 ((C*C)'(C*C) - n M*M)
     (Efron & Stein, Ann. Stat. 1981), clamped at 0: it can round below 0
-    when |c_ia c_ib| is constant over i.
+    when |c_ia c_ib| is constant over i.  It works in units of the power of
+    two just above max |x|, so no fourth power over- or underflows whatever
+    the samples' scale, and the result is that of their own units to the bit.
     """
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim == 1:
@@ -278,18 +277,21 @@ def estimate_covariance(samples) -> CovarianceEstimate:
     n, d = x.shape
     if n < 2:
         raise TooFewSamples(f"need at least 2 samples, got {n}")
+    e = int(np.frexp(np.abs(x).max(initial=0.0))[1])
+    x = np.ldexp(x, -e)
     mean = x.mean(axis=0)
     xc = x - mean
     # einsum without ``optimize`` never calls BLAS, whose sums split by thread
     # count, so the same samples give the same bytes on every host
     gram = np.einsum("ni,nj->ij", xc, xc)
     cov = symmetrize(gram / (n - 1))
-    if n < 3:
-        return CovarianceEstimate(mean=mean, cov=cov, stderr=np.full((d, d), np.inf))
-    k = n / ((n - 1) * (n - 2))
-    sq, m = xc * xc, gram / n
-    var = (n - 1) / n * k * k * (np.einsum("ni,nj->ij", sq, sq) - n * m * m)
-    return CovarianceEstimate(mean=mean, cov=cov, stderr=np.sqrt(np.maximum(var, 0.0)))
+    var = np.full((d, d), np.inf)
+    if n >= 3:
+        k = n / ((n - 1) * (n - 2))
+        sq, m = xc * xc, gram / n
+        var = (n - 1) / n * k * k * (np.einsum("ni,nj->ij", sq, sq) - n * m * m)
+    return CovarianceEstimate(mean=np.ldexp(mean, e), cov=np.ldexp(cov, 2 * e),
+                              stderr=np.ldexp(np.sqrt(np.maximum(var, 0.0)), 2 * e))
 
 
 def _plain(value):

@@ -54,8 +54,11 @@ def gram(x) -> np.ndarray:
 
 
 def frobenius_norm(x) -> float:
-    """Frobenius norm sqrt(tr(x'x))."""
-    return float(np.linalg.norm(np.asarray(x, dtype=np.float64)))
+    """Frobenius norm sqrt(tr(x'x)), in units of the power of two just above
+    max |x|: exact, and no square over- or underflows whatever x's scale."""
+    x = np.asarray(x, dtype=np.float64)
+    e = int(np.frexp(np.abs(x).max(initial=0.0))[1])
+    return float(np.ldexp(np.linalg.norm(np.ldexp(x, -e)), e))
 
 
 def sym_eig(s) -> tuple[np.ndarray, np.ndarray]:

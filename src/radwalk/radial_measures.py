@@ -71,8 +71,8 @@ def _integer(value, field: str, minimum: int, maximum: int | None = None) -> int
 # The one work rule on an entry's size: the samples it keeps (trials times
 # q*q doubles for a walk, trials doubles for a moment estimate) fit in this.
 SAMPLE_BYTES_CAP = 1 << 28
-# The largest q of a law: a walk task's four (q, q, 32, 4096) float64 block
-# buffers then hold at most SAMPLE_BYTES_CAP bytes, and Sigma(nu), T(nu) stay small.
+# The largest q of a law: a walk task's two (q, q, 32, 4096) float64 block
+# buffers then hold at most half of SAMPLE_BYTES_CAP bytes, and Sigma(nu), T(nu) stay small.
 Q_CAP = 8
 # The most atoms of a law: a radius draw makes one pass per atom, so this bounds a trial-step's time.
 ATOMS_CAP = 64
@@ -119,6 +119,10 @@ class RadialLaw:
             radii = np.asarray(radii, dtype=np.float64)
             if radii.shape != (weights.size, self.q, self.q):
                 raise BadArity(f"radii must have shape (n, {self.q}, {self.q}), got {radii.shape}")
+            for name, values in (("weight", weights), ("radius", radii)):  # NaN would slip past the rules below
+                finite = np.isfinite(values.reshape(weights.size, -1)).all(axis=1)
+                if not finite.all():
+                    raise BadArity(f"atoms[{finite.argmin()}].{name}: must be finite")
             if np.any(weights <= 0):
                 raise BadArity(f"atoms[{np.argmax(weights <= 0)}].weight: must be positive")
             if abs(weights.sum() - 1.0) > _WEIGHT_TOL:

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -614,6 +615,46 @@ def test_a_task_holds_at_most_a_group_of_chunks_in_memory(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peaks[1] <= 1.05 * peaks[0], peaks
+
+
+def test_a_walk_task_holds_two_block_buffers():
+    # each stream writes its 2 W r and r r straight into the two (q, q, 32, m)
+    # buffers that the steps read, so no staging copy of its radii or frames
+    # lives as long as a block: q = 2, 4 096 trials in 8 streams
+    buffer = 2 * 2 * 32 * 4096 * 8
+    streams = [trial_stream(5, 0, k) for k in range(8)]
+    tracemalloc.start()
+    try:
+        _gram_chunk(Q2_ATOMS, 32, 5, 4096, *streams)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * buffer, peak / buffer
+
+
+@pytest.mark.parametrize("nu", [TWO_POINT, Q2_ATOMS], ids=["q1", "q2"])
+def test_a_walks_verdict_does_not_depend_on_the_scale_of_its_radii(nu):
+    # radii times 2^k scale xi by 2^(2k) exactly, so every covariance by
+    # 2^(4k): at k = 130 the jackknife's fourth powers would overflow, at
+    # k = -130 underflow, were they not taken in power-of-two units
+    def report(k):
+        law = RadialLaw.from_atoms(np.ldexp(nu.radii, k), nu.weights)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return verify_clt(WalkConfig(nu=law, n=50, p=300, trials=2000, regime="CLT_II", seed=3))
+
+    base = report(0)
+    for k in (130, -130):
+        scaled = report(k)
+        assert (scaled.overall, scaled.decided_by) == (base.overall, base.decided_by)
+        assert scaled.max_abs_z_mean == base.max_abs_z_mean
+        assert scaled.checks["ks"]["stat"] == base.checks["ks"]["stat"]
+        for name in ("exact", "limit"):
+            assert scaled.checks[name]["verdict"] == base.checks[name]["verdict"]
+            assert scaled.checks[name]["rel_frob_err"] == base.checks[name]["rel_frob_err"]
+        assert np.array_equal(scaled.checks["exact"]["z_scores"], base.checks["exact"]["z_scores"])
+        for field in ("empirical_cov", "stderr", "predicted_exact"):
+            assert np.array_equal(getattr(scaled, field), np.ldexp(getattr(base, field), 4 * k)), field
 
 
 def test_verify_clt_report_is_self_contained():

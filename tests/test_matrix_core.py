@@ -14,6 +14,16 @@ from radwalk.matrix_core import (
 from helpers import gram_loop, householder_orthogonal, random_psd
 
 
+def test_frobenius_norm_scales_exactly_by_powers_of_two():
+    # squares of 2^600 overflow and of 2^-600 underflow; the norm is taken in
+    # power-of-two units, so it scales exactly and raises no warning
+    x = np.random.default_rng(3).standard_normal((4, 4))
+    for k in (600, -600, 0):
+        assert frobenius_norm(np.ldexp(x, k)) == np.ldexp(frobenius_norm(x), k)
+    assert frobenius_norm(np.zeros((2, 2))) == 0.0
+    assert np.isnan(frobenius_norm([[np.nan, 1.0]])) and frobenius_norm([[np.inf, 1.0]]) == np.inf
+
+
 def test_gram_column_vector():
     assert np.array_equal(gram([[3.0], [4.0]]), [[25.0]])
 

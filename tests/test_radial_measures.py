@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -97,6 +98,22 @@ def test_law_validation():
         RadialLaw.from_atoms(np.array([[[0.0, 1.0], [-1.0, 0.0]]]), [1.0])
     with pytest.raises(NotPSD):
         RadialLaw.from_atoms(np.array([[[-1.0]]]), [1.0])
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("radii, weights, field", [
+    ([1.0, 2.0], [NAN, 0.5], "atoms[0].weight"),
+    ([1.0, 2.0], [0.5, INF], "atoms[1].weight"),
+    ([1.0, 2.0], [-INF, 0.5], "atoms[0].weight"),
+    ([NAN, 2.0], [0.5, 0.5], "atoms[0].radius"),
+    ([1.0, INF], [0.5, 0.5], "atoms[1].radius"),
+    ([np.eye(2), [[1.0, NAN], [NAN, 1.0]]], [0.5, 0.5], "atoms[1].radius"),
+], ids=["nan-weight", "inf-weight", "minus-inf-weight", "nan-radius", "inf-radius", "q2-nan-radius"])
+def test_a_non_finite_atom_field_is_refused_naming_that_field(radii, weights, field):
+    with pytest.raises(BadArity, match=rf"^{re.escape(field)}: must be finite$"):
+        RadialLaw.from_atoms(np.array(radii), weights)
 
 
 def test_law_config_round_trip():

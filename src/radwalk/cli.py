@@ -45,7 +45,6 @@ order, and no wall time is recorded.
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import os
@@ -351,6 +350,8 @@ def cmd_moments(law_path, kappa_text, p_grid_text, trials, out_dir, seed=0) -> i
 
 
 def main(argv=None) -> int:
+    import argparse  # here, so that a library caller never loads it
+
     parser = argparse.ArgumentParser(prog="radwalk",
                                      description="Radial-walk limit-theorem verification suite")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -33,7 +33,6 @@ count: every draw and every per-trial operation is the same either way.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from math import erfc, log, sqrt
 
@@ -359,6 +358,7 @@ def _run_all_chunks(cfg: WalkConfig, workers: int = 1):
     tasks = [(cfg, first, last) for first, last in zip(bounds, bounds[1:])]
     if w == 1:
         return np.concatenate(list(map(_chunk_task, tasks)), axis=0)
+    from concurrent.futures import ProcessPoolExecutor  # here, so a run that opens no pool loads no multiprocessing
     with ProcessPoolExecutor(w) as pool:
         return np.concatenate(list(pool.map(_chunk_task, tasks)), axis=0)
 
@@ -368,10 +368,11 @@ def _compare_covariance(emp: np.ndarray, se: np.ndarray, pred: np.ndarray, rel_t
 
     Band per entry is max(5 stderr, rel_tol * |pred entry|).  A prediction
     that is exactly zero (degenerate limit) is checked purely against the
-    stderr band.  The verdict degrades to INCONCLUSIVE when the stderr
-    exceeds half the relative band at the matrix scale.  A non-finite
-    estimate or stderr fails outright, since every comparison with NaN is
-    false.
+    stderr band, and the returned error is then the absolute Frobenius norm
+    of emp - pred, since no relative one exists.  The verdict degrades to
+    INCONCLUSIVE when the stderr exceeds half the relative band at the
+    matrix scale.  A non-finite estimate or stderr fails outright, since
+    every comparison with NaN is false.
     """
     diff = emp - pred
     scale = float(np.abs(pred).max())

@@ -94,8 +94,7 @@ def psd_sqrt(s) -> np.ndarray:
     and clamped to zero; anything below that floor raises :class:`NotPSD`.
     """
     w, v = sym_eig(s)
-    scale = float(np.linalg.norm(np.asarray(s, dtype=np.float64)))
-    floor = -PSD_TOL * scale
+    floor = -PSD_TOL * frobenius_norm(s)
     if w[-1] < floor:
         raise NotPSD(f"eigenvalue {w[-1]:.3e} below tolerance floor {floor:.3e}")
     w = np.clip(w, 0.0, None)

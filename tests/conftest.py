@@ -20,5 +20,5 @@ def forced_pools(monkeypatch):
             sizes.append(max_workers)
 
     monkeypatch.setattr(clt_experiments, "_POOL_WORK", 1)
-    monkeypatch.setattr(clt_experiments, "ProcessPoolExecutor", Recorded)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Recorded)  # read when a pool opens
     return sizes

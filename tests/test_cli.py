@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from radwalk import cli, clt_experiments
+from radwalk import cli
 from radwalk.clt_experiments import CHUNK_TRIALS, WORKERS_CAP, MomentSweep, WalkConfig
 from radwalk.radial_measures import SAMPLE_BYTES_CAP
 
@@ -113,6 +113,28 @@ def test_clt_run_with_ks_check_loads_no_scipy(tmp_path):
                          timeout=120, check=True)
     report = json.loads((tmp_path / "out" / "ks.json").read_text())["report"]
     assert report["checks"]["ks"]["verdict"] in ("PASS", "FAIL")
+    assert run.stdout.splitlines()[-1] == "[]"
+
+
+def test_an_in_process_run_loads_no_pool_or_parser(tmp_path):
+    # a fresh interpreter, so no module loaded by the tests counts; a walk
+    # that opens a pool still loads it (the forced_pools tests show it runs)
+    entries = [{"id": "walk", "kind": "clt", "regime": "CLT_II", "n": 10, "p": 50, "trials": 600,
+                "law": TWO_POINT_LAW},
+               _moments_entry("sweep"),
+               {"id": "algebra", "kind": "selftest", "cases": 4}]
+    manifest = _write_manifest(tmp_path / "m.json", entries)
+    script = ("import sys\n"
+              "from radwalk import cli\n"
+              f"cli.load_manifest({str(manifest)!r})\n"
+              f"cli.cmd_clt({str(manifest)!r}, {str(tmp_path / 'out')!r}, workers=1)\n"
+              "print([m for m in ('concurrent.futures.process', 'multiprocessing', 'argparse') if m in sys.modules])\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env,
+                         timeout=120, check=True)
+    assert sorted(path.name for path in (tmp_path / "out").iterdir()) == [
+        "algebra.json", "summary.csv", "sweep.json", "walk.json"]
     assert run.stdout.splitlines()[-1] == "[]"
 
 
@@ -568,7 +590,7 @@ def test_bad_workers_flag_is_config_error(tmp_path, capsys, monkeypatch, value):
     def no_pool(*args, **kwargs):  # a pool of 100 000 workers would fork them all at once
         raise AssertionError("a process pool was started")
 
-    monkeypatch.setattr(clt_experiments, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
     manifest = _write_manifest(tmp_path / "m.json", [_clt_entry("c0")])
     code = cli.main(["clt", "--manifest", str(manifest), "--out", str(tmp_path / "out"), "--workers", value])
     assert code == 2

@@ -489,7 +489,7 @@ def _record_pools(monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(clt_experiments, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Recorder)
     return sizes
 
 

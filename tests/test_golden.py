@@ -1,11 +1,14 @@
-"""The golden manifest's outputs, reproduced at 1 and 2 workers.
+"""The golden manifest's outputs, reproduced at 1 and 2 workers, and the
+golden command-line outputs.
 
 ``tests/golden/expected`` holds the reports and ``summary.csv`` of
-``tests/golden/manifest.json``; ``tests/golden/regenerate.py`` rewrites them
-for a change that moves them on purpose.  Every number must agree within
-1e-9 relative (1e-12 absolute, for roundoff-sized selftest deviations) and
-every other character exactly, so each verdict does; where numpy and the
-CPU features it dispatches on are the recorded ones, every byte must agree.
+``tests/golden/manifest.json``, and ``tests/golden/commands`` the stdout of
+``radwalk selftest`` and the ``moments.csv`` of one ``radwalk moments``;
+``tests/golden/regenerate.py`` rewrites them for a change that moves them on
+purpose.  Every number must agree within 1e-9 relative (1e-12 absolute, for
+roundoff-sized selftest deviations) and every other character exactly, so
+each verdict does; where numpy and the CPU features it dispatches on are the
+recorded ones, every byte must agree.
 """
 
 import json
@@ -13,7 +16,7 @@ import re
 
 import pytest
 
-from golden.regenerate import ENV, EXPECTED, environment, run
+from golden.regenerate import COMMANDS, ENV, EXPECTED, commands, environment, run
 
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
@@ -26,16 +29,25 @@ def _agrees(expected: str, observed: str) -> bool:
     return all(float(x) == pytest.approx(float(y), rel=1e-9, abs=1e-12) for x, y in pairs)
 
 
-@pytest.mark.parametrize("workers, pools", [(1, []), (2, [2, 2])])
-def test_golden_outputs_are_reproduced(tmp_path, forced_pools, workers, pools):
-    observed = run(tmp_path / "out", workers)
-    assert forced_pools == pools  # at 2 workers, each walk's three chunks ran on a pool
-    expected = {path.name: path.read_bytes() for path in sorted(EXPECTED.iterdir())}
+def _reproduces(directory, observed):
+    """Assert that ``observed`` holds the files of ``directory``, by the rule above."""
+    expected = {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
     assert sorted(observed) == sorted(expected)
     for name, data in expected.items():
         assert _agrees(data.decode(), observed[name].decode()), name
     if environment() == json.loads(ENV.read_text()):
         assert observed == expected
+
+
+@pytest.mark.parametrize("workers, pools", [(1, []), (2, [2, 2])])
+def test_golden_outputs_are_reproduced(tmp_path, forced_pools, workers, pools):
+    observed = run(tmp_path / "out", workers)
+    assert forced_pools == pools  # at 2 workers, each walk's three chunks ran on a pool
+    _reproduces(EXPECTED, observed)
+
+
+def test_golden_command_outputs_are_reproduced(tmp_path):
+    _reproduces(COMMANDS, commands(tmp_path / "moments"))
 
 
 def test_golden_comparison_tells_a_moved_number_from_roundoff():

@@ -74,6 +74,13 @@ def test_psd_sqrt_recovers_root():
         assert frobenius_norm(psd_sqrt(r @ r) - r) < 1e-9
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_psd_sqrt_of_a_huge_or_tiny_matrix_is_exact(scale):
+    # the eigenvalue floor's norm squares no entry, so 1e200 raises no overflow
+    # warning (an error under this suite's filterwarnings)
+    np.testing.assert_array_max_ulp(psd_sqrt(np.eye(2) * scale), np.eye(2) * np.sqrt(scale), maxulp=1)
+
+
 def test_psd_sqrt_rejects_indefinite():
     with pytest.raises(NotPSD):
         psd_sqrt(np.diag([1.0, -1.0]))

@@ -17,9 +17,8 @@ a plain file name, and a ``kind``:
   ``moment_decay_experiment(sweep, rng)``.
 * ``selftest`` -- the exact-identity ``SUITES``, optional ``cases`` (default ``SELFTEST_CASES``).
 
-Each kind's result states its verdict (``ExperimentReport.overall``,
-``MomentDecayReport.verdict``, or every suite passing), and one loop body
-runs, judges and writes every entry's report.
+Every kind's checks are judged by one rule, ``clt_experiments.judge``, and
+one loop body writes every entry's report and its ``summary.csv`` row.
 
 Laws are ``{"q": q, "atoms": [{"weight": w, "radius": [row-major]}]}`` or
 ``{"family": name, "params": {...}}`` with families ``point_mass``,
@@ -62,6 +61,7 @@ from .clt_experiments import (
     MomentSweep,
     WalkConfig,
     _workers,
+    judge,
     moment_decay_experiment,
     trial_stream,
     verify_clt,
@@ -73,7 +73,7 @@ from .kron_algebra import PermMat, hadamard, kron, reorder_perm
 from .radial_measures import RadialLaw, _config_keys, _integer
 
 # the verdict stays last, and decided_by joins its check names with "+", so no field holds a comma
-CSV_COLUMNS = ("id", "regime", "n", "p", "q", "predicted_var", "empirical_var", "stderr", "rel_frob_err",
+CSV_COLUMNS = ("id", "kind", "regime", "n", "p", "q", "predicted_var", "empirical_var", "stderr", "rel_frob_err",
                "ks_stat", "max_abs_z_mean", "rel_frob_err_exact", "decided_by", "verdict")
 # each entry kind's required and optional keys; any other key is a config error
 _KEYS = {
@@ -170,10 +170,6 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True) + "\n")  # no indent: json's C encoder
 
 
-def _summary_scalar(matrix: np.ndarray, q: int) -> float:
-    return float(matrix[0, 0]) if q == 1 else float(np.linalg.norm(matrix))
-
-
 def _parse_entry(entry, prefix, master_seed=0):
     """The config an entry object's runner takes: a WalkConfig, a MomentSweep
     or a selftest's case count.  Errors name the field after ``prefix``,
@@ -201,8 +197,8 @@ def _parse_entry(entry, prefix, master_seed=0):
 
 
 def cmd_clt(manifest_path, out_dir, seed_override=None, workers=1) -> int:
-    """Run every manifest entry, write one JSON report per entry plus the
-    suite CSV, and return 0 only if every verdict is PASS.  ``workers`` (each
+    """Run every manifest entry, write one JSON report and one ``summary.csv``
+    row per entry, and return 0 only if every verdict is PASS.  ``workers`` (each
     walk entry runs on up to that many processes), ``seed_override`` and
     every entry are checked before ``out_dir`` is made, so a fault raises
     :class:`ManifestError` with nothing computed or written."""
@@ -213,36 +209,34 @@ def cmd_clt(manifest_path, out_dir, seed_override=None, workers=1) -> int:
     out = _out_dir(out_dir)
     meta = {"tool": "radwalk", "version": __version__, "master_seed": master_seed, "config_sha256": config_hash}
     rows = []
-    all_pass = True
     for entry, cfg in zip(doc["entries"], configs):
-        eid = entry["id"]
+        eid, kind = entry["id"], entry.get("kind", "clt")
         rng = trial_stream(master_seed, _entry_tag(eid), 0)  # a walk keys one stream per chunk itself
-        if isinstance(cfg, WalkConfig):
-            report = verify_clt(cfg, workers)
-            verdict, body = report.overall, {"report": report.to_dict()}
+        cells = ("",) * 11  # the walk-only columns, regime to rel_frob_err_exact
+        if kind == "selftest":
+            checks = run_selftest_suites(rng, cases=cfg)
+            verdict, decided_by = judge(checks, SUITES)
+            body = {"decided_by": decided_by, "suites": [
+                {"suite": name, "passed": check["verdict"] == "PASS", "detail": check["detail"]}
+                for name, check in checks.items()]}
+        else:
+            report = verify_clt(cfg, workers) if kind == "clt" else moment_decay_experiment(cfg, rng)
+            verdict, decided_by, body = report.overall, report.decided_by, {"report": report.to_dict()}
+        if kind == "clt":
             q, checks = cfg.nu.q, report.checks
-            rows.append((
-                eid, cfg.regime, str(cfg.n), str(cfg.p), str(q),
-                *(_fmt(_summary_scalar(m, q)) for m in (report.predicted_limit, report.empirical_cov, report.stderr)),
-                _fmt(checks["limit"]["rel_frob_err"]), _fmt(checks["ks"]["stat"]), _fmt(report.max_abs_z_mean),
-                _fmt(checks["exact"]["rel_frob_err"]), "+".join(report.decided_by), verdict,
-            ))
-        elif isinstance(cfg, MomentSweep):
-            report = moment_decay_experiment(cfg, rng)
-            verdict = report.verdict
-            body = {"verdict": verdict, "report": report.to_dict()}
-        else:  # selftest
-            results = run_selftest_suites(rng, cases=cfg)
-            verdict = "PASS" if all(passed for _, passed, _ in results) else "FAIL"
-            body = {"verdict": verdict,
-                    "suites": [{"suite": s, "passed": p, "detail": d} for s, p, d in results]}
-        _write_json(out / f"{eid}.json", {"meta": meta, "entry_id": eid, **body})
-        all_pass &= verdict == "PASS"
+            cells = (cfg.regime, str(cfg.n), str(cfg.p), str(q),
+                     *(_fmt(m[0, 0] if q == 1 else np.linalg.norm(m))
+                       for m in (report.predicted_limit, report.empirical_cov, report.stderr)),
+                     _fmt(checks["limit"]["rel_frob_err"]), _fmt(checks["ks"]["stat"]), _fmt(report.max_abs_z_mean),
+                     _fmt(checks["exact"]["rel_frob_err"]))
+        _write_json(out / f"{eid}.json", {"meta": meta, "entry_id": eid, "verdict": verdict, **body})
+        rows.append((eid, kind, *cells, "+".join(decided_by), verdict))
     header = f"# tool=radwalk version={__version__} master_seed={master_seed} config_sha256={config_hash}\n"
     lines = [header, ",".join(CSV_COLUMNS) + "\n"]
     lines += [",".join(row) + "\n" for row in rows]
     (out / "summary.csv").write_text("".join(lines))
-    return 0 if all_pass else 1
+    verdicts = {row[0]: {"verdict": row[-1]} for row in rows}
+    return 0 if judge(verdicts, verdicts)[0] == "PASS" else 1
 
 
 def _reorder_case(rng):
@@ -297,23 +291,24 @@ SUITES = {
 }
 
 
-def run_selftest_suites(rng: np.random.Generator, cases: int = SELFTEST_CASES):
-    """(name, passed, detail) of each suite of SUITES, on cases drawn from ``rng``.  A suite passes
+def run_selftest_suites(rng: np.random.Generator, cases: int = SELFTEST_CASES) -> dict:
+    """One check per suite of SUITES, by its name, on cases drawn from ``rng``: a suite passes
     when its largest deviation, relative to max(1, max |expected|), is at most its tolerance."""
-    results = []
+    checks = {}
     for name, (case, count, tolerance) in SUITES.items():
         pairs = [case(rng) for _ in range(count(cases))]
         devs = [np.abs(observed - expected).max() / max(1.0, np.abs(expected).max()) for observed, expected in pairs]
         worst = np.max(devs)  # NaN propagates, and fails the rule
-        results.append((name, bool(worst <= tolerance), f"{len(devs)} cases, max rel dev {worst:.3e}"))
-    return results
+        checks[name] = {"verdict": "PASS" if worst <= tolerance else "FAIL",
+                        "detail": f"{len(devs)} cases, max rel dev {worst:.3e}"}
+    return checks
 
 
 def cmd_selftest(seed: int) -> int:
-    results = run_selftest_suites(trial_stream(seed, 0, 0))
-    for name, passed, detail in results:
-        print(f"{name}: {'PASS' if passed else 'FAIL'} ({detail})")
-    return 0 if all(passed for _, passed, _ in results) else 1
+    checks = run_selftest_suites(trial_stream(seed, 0, 0))
+    for name, check in checks.items():
+        print(f"{name}: {check['verdict']} ({check['detail']})")
+    return 0 if judge(checks, SUITES)[0] == "PASS" else 1
 
 
 def cmd_moments(law_path, kappa_text, p_grid_text, trials, out_dir, seed=0) -> int:
@@ -343,10 +338,10 @@ def cmd_moments(law_path, kappa_text, p_grid_text, trials, out_dir, seed=0) -> i
     (out / "moments.csv").write_text("".join(lines))
 
     if report.branch == "parity":
-        print(f"parity: {report.verdict} (max |z| = {report.max_abs_z:.3f})")
+        print(f"parity: {report.overall} (max |z| = {report.max_abs_z:.3f})")
     else:
-        print(f"decay: {report.verdict} (slope {report.slope:.3f} vs {-report.weight / 2.0:.1f})")
-    return 0 if report.verdict == "PASS" else 1
+        print(f"decay: {report.overall} (slope {report.slope:.3f} vs {-report.weight / 2.0:.1f})")
+    return 0 if report.overall == "PASS" else 1
 
 
 def main(argv=None) -> int:

@@ -69,6 +69,7 @@ __all__ = [
     "ExperimentReport",
     "MomentDecayReport",
     "trial_stream",
+    "judge",
     "predict_covariances",
     "estimate_covariance",
     "verify_clt",
@@ -508,16 +509,28 @@ def _check_ks(samples, est, predicted, cfg) -> dict:
 CHECKS = {"exact": _check_exact, "limit": _check_limit, "ks": _check_ks}
 
 
+def judge(checks: dict, requested, floor: str | None = None):
+    """``(overall, decided_by)`` of an entry, the one verdict rule of every kind:
+    FAIL if a ``requested`` entry of ``checks`` fails, else INCONCLUSIVE if one is
+    INCONCLUSIVE or SKIPPED or ``floor``, the name of a floor not met, is given,
+    else PASS.  ``decided_by`` names the requested checks that set it, or the floor."""
+    failed = [name for name in requested if checks[name]["verdict"] == "FAIL"]
+    if failed:
+        return "FAIL", failed
+    inconclusive = [name for name in requested if checks[name]["verdict"] in ("INCONCLUSIVE", "SKIPPED")]
+    if inconclusive or floor:
+        return "INCONCLUSIVE", inconclusive or [floor]
+    return "PASS", list(requested)
+
+
 def verify_clt(cfg: WalkConfig, workers: int = 1) -> ExperimentReport:
     """Run the configured experiment, then every entry of ``CHECKS`` on the
     normalized statistic, each reported under its name.
 
     The chunks run on up to ``workers`` processes (1 to ``WORKERS_CAP``, else
     BadArity naming ``workers`` before any starts), with the same report at
-    every count.  The checks in ``cfg.checks`` give the overall verdict: FAIL
-    if one fails, else INCONCLUSIVE if one is INCONCLUSIVE or SKIPPED or there
-    are under 1 000 trials, else PASS.  ``decided_by`` names the requested
-    checks that set it, or is ``["trials"]`` when only the trial floor did.
+    every count.  :func:`judge` folds the checks in ``cfg.checks``, with the
+    floor ``"trials"`` under 1 000 trials, into ``overall`` and ``decided_by``.
     """
     q = cfg.nu.q
     scale = cfg.scale
@@ -534,15 +547,8 @@ def verify_clt(cfg: WalkConfig, workers: int = 1) -> ExperimentReport:
         z_mean = est.mean[upper] / np.sqrt(est.cov.diagonal()[upper] / cfg.trials)
     z_mean[np.isnan(z_mean)] = 0.0
 
-    failed = [name for name in cfg.checks if checks[name]["verdict"] == "FAIL"]
-    inconclusive = [name for name in cfg.checks if checks[name]["verdict"] in ("INCONCLUSIVE", "SKIPPED")]
-    if failed:
-        overall, decided_by = "FAIL", failed
-    elif inconclusive or cfg.trials < 1000:
-        # a requested check that did not run, or noise-dominated bands below 10^3 trials, give no PASS
-        overall, decided_by = "INCONCLUSIVE", inconclusive or ["trials"]
-    else:
-        overall, decided_by = "PASS", list(cfg.checks)
+    # noise-dominated bands below 10^3 trials give no PASS
+    overall, decided_by = judge(checks, cfg.checks, "trials" if cfg.trials < 1000 else None)
 
     # every field but the law object, so a new WalkConfig field is echoed too
     config_echo = {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name != "nu"}
@@ -608,29 +614,26 @@ class MomentDecayReport:
     slope_stderr: float | None = None
     intercept: float | None = None
     max_abs_z: float | None = None
+    checks: dict | None = None
+    decided_by: list | None = None
+    overall: str | None = None
 
-    @property
-    def verdict(self) -> str:
-        """PASS when parity's largest |z| is under 4, or when the decay
-        slope lies within 0.5 of -weight/2; FAIL otherwise."""
-        if self.branch == "parity":
-            return "PASS" if self.max_abs_z < 4.0 else "FAIL"
-        return "PASS" if abs(self.slope + self.weight / 2.0) <= 0.5 else "FAIL"
+    to_dict = ExperimentReport.to_dict
 
-    def to_dict(self) -> dict:
-        return _plain(vars(self))
+
+def _moment_checks(report: MomentDecayReport) -> dict:
+    """The sweep's one check, under its branch's name: parity passes when the
+    largest |z| is under 4, decay when the slope lies within 0.5 of -weight/2."""
+    passed = report.max_abs_z < 4.0 if report.branch == "parity" else abs(report.slope + report.weight / 2) <= 0.5
+    return {report.branch: {"verdict": "PASS" if passed else "FAIL"}}
 
 
 def moment_decay_experiment(sweep: MomentSweep, rng: np.random.Generator) -> MomentDecayReport:
     """Estimate the monomial moment across the sweep's dimension grid and
     either fit its log-log decay slope (even branch) or report parity
-    z-scores (odd)."""
+    z-scores (odd), and judge it by :func:`judge`."""
     even = kappa_all_rows_even(sweep.kappa)
-    ests, ses = [], []
-    for p in sweep.p_grid:
-        est, se = radial_moment_mc(p, sweep.nu, sweep.kappa, sweep.trials, rng)
-        ests.append(est)
-        ses.append(se)
+    ests, ses = map(list, zip(*(radial_moment_mc(p, sweep.nu, sweep.kappa, sweep.trials, rng) for p in sweep.p_grid)))
     report = MomentDecayReport(
         branch="decay" if even else "parity",
         p_grid=list(sweep.p_grid), estimates=ests, stderrs=ses, weight=sum(e for _, e in sweep.kappa),
@@ -644,4 +647,6 @@ def moment_decay_experiment(sweep: MomentSweep, rng: np.random.Generator) -> Mom
     else:
         zs = [abs(e) / s if s > 0 else np.inf for e, s in zip(ests, ses)]
         report.max_abs_z = float(max(zs))
+    report.checks = _moment_checks(report)
+    report.overall, report.decided_by = judge(report.checks, report.checks)
     return report

@@ -23,7 +23,6 @@ from radwalk.clt_experiments import (
     _GROUP_CHUNKS,
     _POOL_WORK,
     _STEP_BLOCK,
-    MomentDecayReport,
     MomentSweep,
     WalkConfig,
     _compare_covariance,
@@ -701,26 +700,6 @@ def test_moment_decay_parity_branch():
     rep = moment_decay_experiment(MomentSweep(TWO_POINT, {(0, 0): 1, (1, 0): 2}, [10, 50], 5000), rng)
     assert rep.branch == "parity"
     assert rep.max_abs_z < 4.0
-
-
-def _decay(slope, weight=2):
-    return MomentDecayReport("decay", [8, 16, 32], [0.1] * 3, [0.01] * 3, weight, slope=slope)
-
-
-@pytest.mark.parametrize("report, verdict", [
-    (MomentDecayReport("parity", [10, 50], [0.0] * 2, [1.0] * 2, 3, max_abs_z=np.nextafter(4.0, 0.0)), "PASS"),
-    (MomentDecayReport("parity", [10, 50], [0.0] * 2, [1.0] * 2, 3, max_abs_z=4.0), "FAIL"),
-    (_decay(-1.5), "PASS"),
-    (_decay(-0.5), "PASS"),
-    (_decay(-1.5 - 1e-12), "FAIL"),
-    (_decay(-0.5 + 1e-12), "FAIL"),
-    (_decay(-2.5, weight=4), "PASS"),
-    (_decay(-1.5 + 1e-12, weight=4), "FAIL"),
-], ids=["z-under-4", "z-at-4", "slope-target-less-half", "slope-target-plus-half", "slope-beyond-minus",
-        "slope-beyond-plus", "weight-4-at-edge", "weight-4-beyond"])
-def test_moment_report_verdict_at_its_boundaries(report, verdict):
-    # parity passes for max |z| < 4, decay for |slope + weight/2| <= 0.5
-    assert report.verdict == verdict
 
 
 def test_moment_sweep_refuses_only_a_column_every_radius_leaves_zero():

@@ -3,7 +3,7 @@ inside and just outside its boundary, mostly on synthetic inputs: the
 covariance band and its INCONCLUSIVE gate (a non-finite estimate is pinned in
 test_clt_experiments.py), the 1 000-trial floor, the KS
 critical value, the CLT normalization and limit ratio, the mean's z-score
-and the moment sweep's verdict."""
+and the moment sweep's one check, each folded by ``judge``."""
 
 from math import sqrt
 
@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from radwalk import clt_experiments
-from radwalk.clt_experiments import (MomentDecayReport, WalkConfig, _compare_covariance, _smirnov_isf,
-                                     verify_clt)
+from radwalk.clt_experiments import (MomentDecayReport, WalkConfig, _compare_covariance, _moment_checks,
+                                     _smirnov_isf, judge, verify_clt)
 from radwalk.radial_measures import RadialLaw, sigma_nu, t_nu
 
 TWO_POINT = RadialLaw.two_point(1.0, 0.5, np.sqrt(3.0))
@@ -122,7 +122,7 @@ def test_mean_z_is_the_mean_over_its_standard_error_from_all_trials(monkeypatch)
     assert verify_clt(cfg).max_abs_z_mean == pytest.approx(sqrt(99), rel=1e-13)
 
 
-def _decay(slope, weight):
+def _decay(slope, weight=2):
     return MomentDecayReport("decay", [8, 16, 32], [0.1] * 3, [0.01] * 3, weight, slope=slope)
 
 
@@ -130,13 +130,37 @@ def _parity(z):
     return MomentDecayReport("parity", [10, 50], [0.0] * 2, [1.0] * 2, 3, max_abs_z=z)
 
 
+def _sweep_verdict(report):
+    """The verdict ``judge`` gives a sweep's one check, which it names."""
+    checks = _moment_checks(report)
+    overall, decided_by = judge(checks, checks)
+    assert list(checks) == decided_by == [report.branch] and checks[report.branch]["verdict"] == overall
+    return overall
+
+
 @pytest.mark.parametrize("weight", [2, 4])
 @pytest.mark.parametrize("side", [1.0, -1.0], ids=["steeper", "flatter"])
 @pytest.mark.parametrize("offset, verdict", [(0.5 - 1e-6, "PASS"), (0.5 + 1e-6, "FAIL")], ids=["inside", "outside"])
 def test_moment_decay_slope_within_half_of_minus_weight_over_two(weight, side, offset, verdict):
-    assert _decay(-weight / 2 - side * offset, weight).verdict == verdict
+    assert _sweep_verdict(_decay(-weight / 2 - side * offset, weight)) == verdict
 
 
 @pytest.mark.parametrize("z, verdict", [(4.0 - 1e-9, "PASS"), (4.0, "FAIL"), (4.0 + 1e-9, "FAIL")])
 def test_moment_parity_passes_under_four_z(z, verdict):
-    assert _parity(z).verdict == verdict
+    assert _sweep_verdict(_parity(z)) == verdict
+
+
+@pytest.mark.parametrize("report, verdict", [
+    (_parity(np.nextafter(4.0, 0.0)), "PASS"),
+    (_parity(4.0), "FAIL"),
+    (_decay(-1.5), "PASS"),
+    (_decay(-0.5), "PASS"),
+    (_decay(-1.5 - 1e-12), "FAIL"),
+    (_decay(-0.5 + 1e-12), "FAIL"),
+    (_decay(-2.5, weight=4), "PASS"),
+    (_decay(-1.5 + 1e-12, weight=4), "FAIL"),
+], ids=["z-under-4", "z-at-4", "slope-target-less-half", "slope-target-plus-half", "slope-beyond-minus",
+        "slope-beyond-plus", "weight-4-at-edge", "weight-4-beyond"])
+def test_moment_report_verdict_at_its_boundaries(report, verdict):
+    # parity passes for max |z| < 4, decay for |slope + weight/2| <= 0.5
+    assert _sweep_verdict(report) == verdict

@@ -7,7 +7,7 @@ Each name has one import path: its own module (``radwalk.kron_algebra``,
 version and the error classes.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.3.1"
 
 from .errors import (
     BadArity,

@@ -52,7 +52,6 @@ from .radial_measures import (
     radial_moment_mc,
     sigma_nu,
     t_nu,
-    uniform_sphere_cosine,
 )
 
 __all__ = [
@@ -193,7 +192,7 @@ def _gram_chunk(nu: RadialLaw, n: int, p: int, m: int, *rngs: np.random.Generato
     X = U r with U a uniform frame independent of S.  Then S'X = L W r with
     W = Q_S'U, which by orthogonal invariance has the law of the top q rows
     of a uniform frame, drawn by :func:`_stiefel_rows` in O(q^3) work
-    whatever p is (at q = 1, the cosine u of :func:`uniform_sphere_cosine`).
+    whatever p is (at q = 1, the cosine of a uniform point on the sphere).
     So with c = L W r the Gram matrix updates as G <- G + c + c' + r r.
     L comes from :func:`chol_psd`, whose zero pivots give zero columns, so
     G = 0 at the first step and rank-deficient radii need no special case.
@@ -238,7 +237,7 @@ def _gram_chunk(nu: RadialLaw, n: int, p: int, m: int, *rngs: np.random.Generato
         for rng, lo, hi in zip(rngs, bounds, bounds[1:]):
             size = k * (hi - lo)
             radii = nu.draw_radii(size, rng).reshape(q, q, k, hi - lo)
-            w = uniform_sphere_cosine(p, size, rng) if q == 1 else _stiefel_rows(p, q, q, size, rng)
+            w = _stiefel_rows(p, q, q, size, rng)
             w *= 2.0
             np.einsum("ilsm,ljsm->ijsm", w.reshape(q, q, k, hi - lo), radii, out=wr[:, :, :k, lo:hi])  # 2 W r
             np.einsum("ilsm,ljsm->ijsm", radii, radii, out=rr[:, :, :k, lo:hi])  # X'X = r r (radii are symmetric)

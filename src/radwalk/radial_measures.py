@@ -10,10 +10,11 @@ Sampling the lift draws a radius r from the law and then a uniform point
 X = U r on its orbit {x : sqrt(x'x) = r}, with U a uniform p x q Stiefel
 frame.  Every frame comes from one construction: the top k rows of U are
 G_K L^{-T}, L L' = H'H, for the stacked factor H = [G_K; F] with F'F ~
-Wishart(p - k, I_q) drawn by Bartlett's decomposition.  A lifted batch
-takes all p rows (F is then empty); monomial moments and the Gram walk's
-step take only the few rows they touch, so their time and memory are
-bounded by trials-last (k + q, q, chunk) arrays whatever p is.
+Wishart(p - k, I_q) drawn in place by Bartlett's decomposition (k < q rows
+as the transpose of q rows of a p x k frame).  A lifted batch takes all p
+rows (F is then empty); monomial moments and the Gram walk's step take only
+the few rows they touch, so their time and memory are bounded by trials-last
+(k + q, q, chunk) arrays whatever p is.
 """
 
 from __future__ import annotations
@@ -339,6 +340,7 @@ def uniform_sphere_cosine(p: int, size: int, rng: np.random.Generator) -> np.nda
 
 _RANK_TOL = 1e-12
 _MAX_RESAMPLES = 5
+_SINGULAR = f"Gram matrix stayed singular after {_MAX_RESAMPLES} resamples (p={{p}}, k={{k}}, q={{q}})"
 # Samples per radial_moment_mc chunk: its largest arrays are (k + q, q, chunk)
 # and (chunk, q, q) floats, 0.25 MB per unit of (k + q)*q or q*q.
 _MOMENT_CHUNK = 32768
@@ -360,22 +362,31 @@ def _stiefel_rows(p: int, k: int, q: int, m: int, rng: np.random.Generator) -> n
     diagonal entry of H'H are redrawn.  By orthogonal invariance any k fixed
     rows have this law: the rows a monomial moment touches, (k = q) the block
     Q_S'U of a fresh step U against the walk's frame Q_S, or (k = p, F
-    empty) the whole frame of a lifted draw.
+    empty) the whole frame of a lifted draw.  A k x q corner of a Haar matrix
+    has the law of its transposed q x k corner, so k < q rows are the
+    transposed top q rows of a p x k frame, and k = q = 1 is a sphere's cosine.
     """
     if p < q:
         raise BadArity(f"need p >= q, got p={p}, q={q}")
     if not 1 <= k <= p:
         raise BadArity(f"need 1 <= k <= p, got k={k}, p={p}")
+    if k < q:
+        try:
+            return _stiefel_rows(p, q, k, m, rng).transpose(1, 0, 2)
+        except RankDeficient:
+            raise RankDeficient(_SINGULAR.format(p=p, k=k, q=q)) from None
+    if k == q == 1:
+        return uniform_sphere_cosine(p, m, rng).reshape(1, 1, m)
 
     f = min(p - k, q)
-    up_rows, up_cols = np.triu_indices(f, 1, q)
-    diag = np.arange(f)
 
-    def stack(count):  # H = [G_K; F] for count draws, trials-last
+    def stack(count):  # H = [G_K; F] for count draws, trials-last, drawn in place
         h = np.zeros((k + f, q, count))
-        h[:k] = rng.standard_normal((count, k, q)).transpose(1, 2, 0)
-        h[k + up_rows, up_cols] = rng.standard_normal((count, up_rows.size)).T
-        h[k + diag, diag] = np.sqrt(rng.chisquare(p - k - diag, size=(count, f))).T
+        rng.standard_normal(out=h[:k])
+        for i in range(f):  # F's row i: N(0, 1) right of the diagonal, then F_ii, as chi2(nu) = 2 Gamma(nu/2)
+            rng.standard_normal(out=h[k + i, i + 1:])
+            d = rng.standard_gamma((p - k - i) / 2, out=h[k + i, i])
+            np.sqrt(np.multiply(d, 2.0, out=d), out=d)
         return h
 
     h = stack(m)
@@ -389,7 +400,7 @@ def _stiefel_rows(p: int, k: int, q: int, m: int, rng: np.random.Generator) -> n
             break
         h[..., bad] = stack(int(bad.sum()))
     else:
-        raise RankDeficient(f"Gram matrix stayed singular after {_MAX_RESAMPLES} resamples (p={p}, q={q})")
+        raise RankDeficient(_SINGULAR.format(p=p, k=k, q=q))
     return solve_lower_t(h[:k], low)
 
 

@@ -194,7 +194,7 @@ def test_gram_kernel_matches_direct_path(nu, p, n):
 
 @pytest.mark.parametrize("nu", [TWO_POINT, Q2_ATOMS], ids=["q1", "q2"])
 def test_gram_chunk_draws_radii_and_orientations_once_per_block(monkeypatch, nu):
-    calls = {"draw_radii": 0, "uniform_sphere_cosine": 0, "_stiefel_rows": 0}
+    calls = {"draw_radii": 0, "_stiefel_rows": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -203,16 +203,13 @@ def test_gram_chunk_draws_radii_and_orientations_once_per_block(monkeypatch, nu)
         return wrapper
 
     monkeypatch.setattr(RadialLaw, "draw_radii", counted("draw_radii", RadialLaw.draw_radii))
-    for name in ("uniform_sphere_cosine", "_stiefel_rows"):
-        monkeypatch.setattr(clt_experiments, name, counted(name, getattr(clt_experiments, name)))
+    monkeypatch.setattr(clt_experiments, "_stiefel_rows", counted("_stiefel_rows", _stiefel_rows))
     _gram_chunk(nu, 2 * _STEP_BLOCK + 3, 5, 16, np.random.default_rng(97))
-    orientation, unused = (("uniform_sphere_cosine", "_stiefel_rows") if nu.q == 1
-                           else ("_stiefel_rows", "uniform_sphere_cosine"))
-    assert calls == {"draw_radii": 3, orientation: 3, unused: 0}
+    assert calls == {"draw_radii": 3, "_stiefel_rows": 3}
     # a group of three chunks draws each block once per chunk, from the chunk's own stream
     calls.update(dict.fromkeys(calls, 0))
     _gram_chunk(nu, 2 * _STEP_BLOCK + 3, 5, 2 * CHUNK_TRIALS + 16, *(np.random.default_rng(97 + k) for k in range(3)))
-    assert calls == {"draw_radii": 9, orientation: 9, unused: 0}
+    assert calls == {"draw_radii": 9, "_stiefel_rows": 9}
 
 
 # no symmetrize pass: G's mirrored lower triangle and the symmetric radii make both outputs symmetric

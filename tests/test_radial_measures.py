@@ -327,64 +327,81 @@ def test_uniform_sphere_cosine_p1_is_sign():
     assert set(np.unique(u)) == {-1.0, 1.0}
 
 
+class ZeroRng:
+    """Draws only zeros, so every Gram matrix is singular."""
+
+    def standard_normal(self, out):
+        out[...] = 0.0
+        return out
+
+    def standard_gamma(self, shape, out):
+        out[...] = 0.0
+        return out
+
+
 def test_orbit_rank_deficient_after_retries():
-    class ZeroRng:
-        def standard_normal(self, shape):
-            return np.zeros(shape)
-
-        def chisquare(self, df, size):
-            return np.zeros(size)
-
-    # Bartlett, empty and trapezoidal (rank-1) Wishart parts; a whole frame
-    for p, k in ((4, 1), (2, 2), (3, 2), (4, 4)):
-        with pytest.raises(RankDeficient):
-            _stiefel_rows(p, k, 2, 3, ZeroRng())
+    # Bartlett, empty and trapezoidal (rank-1) Wishart parts; a whole frame;
+    # and k < q, drawn as a transposed (p, q, k) block, whose error still
+    # names the caller's (p, k, q)
+    for p, k, q in ((4, 1, 2), (2, 2, 2), (3, 2, 2), (4, 4, 2), (5, 1, 3)):
+        with pytest.raises(RankDeficient, match=re.escape(f"(p={p}, k={k}, q={q})")):
+            _stiefel_rows(p, k, q, 3, ZeroRng())
 
 
 class _FixedFirstSamples:
-    """Normal and chi-square draws, recorded in order, except that the first
-    normal block (G_K) is ``value`` on the samples in ``bad``."""
+    """Normal and gamma draws, recorded in order as (name, shape parameter,
+    values), except that the first normal block (G_K, trials-last) is
+    ``value`` on the samples in ``bad``."""
 
     def __init__(self, seed, bad, value=0.0):
         self.rng = np.random.default_rng(seed)
         self.bad = bad
-        self.value = value
-        self.normals = []
-        self.chisquares = []
+        self.value = np.asarray(value)[..., None]
+        self.draws = []
 
-    def standard_normal(self, shape):
-        z = self.rng.standard_normal(shape)
-        if not self.normals:
-            z[self.bad] = self.value
-        self.normals.append(z.copy())
-        return z
+    def standard_normal(self, out):
+        self.rng.standard_normal(out=out)
+        if not self.draws:
+            out[..., self.bad] = self.value
+        self.draws.append(("normal", None, out.copy()))
+        return out
 
-    def chisquare(self, df, size):
-        c = self.rng.chisquare(df, size)
-        self.chisquares.append(c.copy())
-        return c
+    def standard_gamma(self, shape, out):
+        self.rng.standard_gamma(shape, out=out)
+        self.draws.append(("gamma", shape, out.copy()))
+        return out
 
 
-def _recorded_stacks(rng, q):
-    # each draw of H = [G_K; F]: G_K's normals, then F's normals row by row
-    # right of its diagonal, then the chi-squares whose roots are that diagonal
+def _recorded_stacks(rng, p, q):
+    # each draw of H = [G_K; F], sample-first: G_K's normals (a trials-last
+    # (k, q, count) block), then F row by row, each row's normals right of
+    # its diagonal and then the Gamma((p - k - i)/2) variate whose doubled
+    # root is its diagonal entry
     stacks = []
-    for g, up, chi in zip(rng.normals[0::2], rng.normals[1::2], rng.chisquares):
-        f = chi.shape[1]
-        fac = np.zeros((g.shape[0], f, q))
-        right = iter(up.T)
+    for name, shape, x in rng.draws:
+        if x.ndim == 3:
+            assert name == "normal"
+            stacks.append((x.transpose(2, 0, 1), []))
+        else:
+            stacks[-1][1].append((name, shape, x))
+    out = []
+    for g, rows in stacks:
+        count, k, _ = g.shape
+        f = len(rows) // 2
+        fac = np.zeros((count, f, q))
         for i in range(f):
-            fac[:, i, i] = np.sqrt(chi[:, i])
-            for j in range(i + 1, q):
-                fac[:, i, j] = next(right)
-        assert next(right, None) is None
-        stacks.append((g, fac))
-    return stacks
+            (normal, _, right), (gamma, shape, d) = rows[2 * i : 2 * i + 2]
+            assert (normal, gamma, shape, right.shape) == ("normal", "gamma", (p - k - i) / 2, (q - i - 1, count))
+            fac[:, i, i + 1 :] = right.T
+            fac[:, i, i] = np.sqrt(2.0 * d)
+        assert 2 * f == len(rows)
+        out.append((g, fac))
+    return out
 
 
-def _redrawn_rows_oracle(rng, bad, q):
+def _redrawn_rows_oracle(rng, bad, p, q):
     # G_K and F, then one redraw of both for the bad samples only
-    (g0, f0), (g1, f1) = _recorded_stacks(rng, q)
+    (g0, f0), (g1, f1) = _recorded_stacks(rng, p, q)
     g, fac = g0.copy(), f0.copy()
     g[bad], fac[bad] = g1, f1
     low = np.linalg.cholesky(g.transpose(0, 2, 1) @ g + fac.transpose(0, 2, 1) @ fac)
@@ -398,11 +415,12 @@ def test_stiefel_rows_redraw_only_singular_samples(p):
     bad[[1, 4, 5]] = True
     rng = _FixedFirstSamples(90 + p, bad)
     rows = _stiefel_rows(p, k, q, m, rng).transpose(2, 0, 1)  # trials-last to (m, k, q)
-    assert len(rng.normals) == 4 and len(rng.chisquares) == 2
-    (g1, f1), = _recorded_stacks(rng, q)[1:]
+    # G_K and, per row of F, its normals and its gamma variate; twice
+    assert len(rng.draws) == 2 * (1 + 2 * (p - k))
+    (g1, f1), = _recorded_stacks(rng, p, q)[1:]
     assert g1.shape == (3, k, q) and f1.shape == (3, p - k, q)
     assert np.all(np.isfinite(rows))
-    assert np.allclose(rows, _redrawn_rows_oracle(rng, bad, q), rtol=0.0, atol=1e-12)
+    assert np.allclose(rows, _redrawn_rows_oracle(rng, bad, p, q), rtol=0.0, atol=1e-12)
 
 
 def test_stiefel_rows_redraw_nearly_singular_samples():
@@ -419,8 +437,8 @@ def test_stiefel_rows_redraw_nearly_singular_samples():
     bad[[0, 7]] = True
     rng = _FixedFirstSamples(95, bad, near)
     rows = _stiefel_rows(p, k, q, m, rng).transpose(2, 0, 1)  # trials-last to (m, k, q)
-    assert len(rng.normals) == 4 and rng.normals[2].shape == (2, k, q)
-    assert np.allclose(rows, _redrawn_rows_oracle(rng, bad, q), rtol=0.0, atol=1e-12)
+    assert len(rng.draws) == 2 and rng.draws[1][2].shape == (k, q, 2)
+    assert np.allclose(rows, _redrawn_rows_oracle(rng, bad, p, q), rtol=0.0, atol=1e-12)
 
 
 def test_p_smaller_than_q_rejected():
@@ -440,11 +458,12 @@ def _orbit_rows_oracle(p, k, q, m, rng, chunk=25_000):
 
 
 @pytest.mark.parametrize("p,k,q", [(1, 1, 1), (2, 2, 2), (3, 1, 2), (5, 3, 2), (40, 2, 3), (6, 6, 2),
-                                   (3, 2, 2), (4, 2, 3)])
+                                   (3, 2, 2), (4, 2, 3), (2, 1, 2), (3, 2, 3), (4, 1, 3), (40, 1, 3)])
 def test_stiefel_rows_match_full_frame(p, k, q):
     # the edge shapes: p = 1, p - k = 0, p - k = q and p - k > q (square Bartlett
-    # factor), k = p > q (the whole frame of a lifted batch), and 0 < p - k < q
-    # (singular Wishart, a trapezoidal factor)
+    # factor), k = p > q (the whole frame of a lifted batch), 0 < p - k < q
+    # (singular Wishart, a trapezoidal factor), and k < q (the transposed
+    # p x k block) at p = q, q < p < 2q and p >> q
     m = 200_000
     rng = np.random.default_rng(1000 + 100 * p + 10 * k + q)
     fast = _stiefel_rows(p, k, q, m, rng).transpose(2, 0, 1)  # trials-last to (m, k, q)
@@ -455,11 +474,23 @@ def test_stiefel_rows_match_full_frame(p, k, q):
         # at p = 1 the rows are +-1, exactly here and to an ulp in the oracle;
         # rounding off the last few bits keeps that noise from splitting the ties
         assert stats.ks_2samp(np.round(a[:, col], 12), np.round(b[:, col], 12)).pvalue > 1e-4
-    for power in (2, 4):
-        ap, bp = a**power, b**power
-        diff = ap.mean(axis=0) - bp.mean(axis=0)
-        se = np.sqrt((ap.var(ddof=1, axis=0) + bp.var(ddof=1, axis=0)) / m)
-        assert np.all(np.abs(diff) <= 4.5 * se + 1e-12)
+    # and the rows' Gram matrix W W', whose law depends on how the entries
+    # are arranged in the block, not only on their marginals
+    iu = np.triu_indices(k)
+    ga, gb = ((w @ w.transpose(0, 2, 1))[:, iu[0], iu[1]] for w in (fast, full))
+    for x, y in ((a, b), (ga, gb)):
+        for power in (2, 4):
+            xp, yp = x**power, y**power
+            diff = xp.mean(axis=0) - yp.mean(axis=0)
+            se = np.sqrt((xp.var(ddof=1, axis=0) + yp.var(ddof=1, axis=0)) / m)
+            assert np.all(np.abs(diff) <= 4.5 * se + 1e-12)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 40])
+def test_stiefel_rows_single_entry_is_the_sphere_cosine(p):
+    rows = _stiefel_rows(p, 1, 1, 1000, np.random.default_rng(p))
+    assert rows.shape == (1, 1, 1000)
+    assert np.array_equal(rows[0, 0], uniform_sphere_cosine(p, 1000, np.random.default_rng(p)))
 
 
 def test_normalize_kappa_and_parity():
@@ -484,6 +515,17 @@ def test_moment_mc_exact_inverse_p_law():
         est, se = radial_moment_mc(p, RadialLaw.point_mass(1.0), {(p - 1, 0): 2, (3, 0): 2},
                                    40_000, rng)
         assert abs(est - 1.0 / (p * (p + 2))) <= 4.0 * se
+
+
+@pytest.mark.parametrize("p", [2, 8, 64])
+def test_moment_mc_q2_one_row_exact_second_moments(p):
+    # one row of a 2-column frame, drawn as a transposed 2 x 1 block:
+    # E[X_0j^2] = sum_l E[U_0l^2] r_lj^2 = (r2)_jj / p
+    rng = np.random.default_rng(89 + p)
+    r2m = r2(Q2_ATOMS)
+    for j in (0, 1):
+        est, se = radial_moment_mc(p, Q2_ATOMS, {(0, j): 2}, 40_000, rng)
+        assert abs(est - r2m[j, j] / p) <= 4.0 * se, (j, (est - r2m[j, j] / p) / se)
 
 
 def test_moment_mc_memory_does_not_grow_with_p():
